@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/wspd"
 )
 
@@ -103,4 +104,39 @@ func TestWorkspaceReuseAcrossRuns(t *testing.T) {
 	}
 	checkSpanningTree(t, pts2.N, out2)
 	checkSpanningTree(t, pts1.N, out1)
+}
+
+// TestMemoGFKAllocs pins a whole MemoGFK run on a reused Workspace to a
+// small constant number of allocations. The retrieval traversals append
+// into the workspace's batch buffer, so below spawnSize (no forks) the cost
+// of a run no longer grows with its rounds, pairs or emitted edges; what
+// remains is per-run set-up and the copy of the returned edges.
+func TestMemoGFKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins run without -race")
+	}
+	pts := randPoints(512, 3, 45)
+	euclid := kdtree.Build(pts, 1)
+	mutual := kdtree.Build(pts, 1)
+	mutual.AnnotateCoreDists(mutual.CoreDistances(10))
+	f32 := kdtree.Build(randPoints(512, 16, 46), 1)
+	if err := f32.EnableFloat32(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"euclidean", Config{Tree: euclid, Metric: kdtree.NewEuclidean(euclid), Sep: wspd.Geometric{S: 2}}},
+		{"mutual", Config{Tree: mutual, Metric: kdtree.NewMutualReachability(mutual), Sep: wspd.MutualUnreachable{}}},
+		{"euclidean-f32", Config{Tree: f32, Metric: kdtree.NewEuclidean(f32), Sep: wspd.Geometric{S: 2}}},
+		{"l1-generic", metricConfig(pts, metric.L1{})},
+	} {
+		tc.cfg.WS = NewWorkspace() // AllocsPerRun's warm-up run sizes it
+		const maxAllocs = 16
+		allocs := testing.AllocsPerRun(5, func() { MemoGFK(tc.cfg) })
+		if allocs > maxAllocs {
+			t.Errorf("%s: MemoGFK on a reused Workspace allocated %v times, want <= %d", tc.name, allocs, maxAllocs)
+		}
+	}
 }

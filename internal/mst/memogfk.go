@@ -14,9 +14,10 @@ import (
 // minimum node-pair lower bound over not-yet-connected well-separated pairs
 // with cardinality above beta), and GetPairs retrieves only the pairs whose
 // BCCP lands in [rho_lo, rho_hi), feeding their edges to Kruskal. The
-// union-find and component labels live in the reusable workspace; the
-// retrieved batches are the only per-round allocations. Returned edges
-// carry original ids in Kruskal acceptance order.
+// union-find, component labels and the round's edge batch live in the
+// reusable workspace: the retrieval appends into the batch in place, and
+// only a fork above spawnSize gives a branch its own buffer. Returned
+// edges carry original ids in Kruskal acceptance order.
 func MemoGFK(cfg Config) []Edge {
 	t := cfg.Tree
 	n := t.Pts.N
@@ -63,23 +64,23 @@ func MemoGFK(cfg Config) []Edge {
 
 		if rhoHi > rhoLo {
 			// Line 5: retrieve only pairs with BCCP in [rho_lo, rho_hi).
-			var batch []Edge
+			ws.batch = ws.batch[:0]
 			cfg.Stats.Time("wspd", func() {
 				if sq != nil {
-					batch = getPairsNodeSq(sq, t.Root, beta, rhoLo, rhoHi)
+					getPairsNodeSq(sq, t.Root, beta, rhoLo, rhoHi, &ws.batch)
 				} else {
-					batch = getPairsNode(cfg, t.Root, beta, rhoLo, rhoHi)
+					getPairsNode(cfg, t.Root, beta, rhoLo, rhoHi, &ws.batch)
 				}
 			})
-			cfg.Stats.AddPairs(int64(len(batch)))
-			cfg.Stats.NotePeak(int64(len(batch)))
+			cfg.Stats.AddPairs(int64(len(ws.batch)))
+			cfg.Stats.NotePeak(int64(len(ws.batch)))
 			// Lines 6-7.
 			cfg.Stats.Time("kruskal", func() {
-				ws.out = KruskalBatch(batch, ws.uf, ws.out)
+				ws.out = KruskalBatch(ws.batch, ws.uf, ws.out)
 			})
 			if !math.IsInf(rhoHi, 1) {
 				rhoLo = rhoHi
-			} else if len(batch) == 0 && len(ws.out) < n-1 {
+			} else if len(ws.batch) == 0 && len(ws.out) < n-1 {
 				panic("mst: MemoGFK stalled with an incomplete MST")
 			}
 		}
@@ -158,48 +159,41 @@ func getRhoPair(cfg Config, p, q *kdtree.Node, beta int, rho *parallel.AtomicMin
 	getRhoPair(cfg, pr, q, beta, rho)
 }
 
-// getPairsNode retrieves the edges of well-separated pairs whose BCCP falls
-// in [rhoLo, rhoHi), pruning connected pairs and pairs whose bounds place
-// them wholly outside the range (Figure 3).
-func getPairsNode(cfg Config, a *kdtree.Node, beta int, rhoLo, rhoHi float64) []Edge {
+// getPairsNode appends to *out the edges of well-separated pairs whose BCCP
+// falls in [rhoLo, rhoHi), pruning connected pairs and pairs whose bounds
+// place them wholly outside the range (Figure 3). Sequential recursion
+// appends in place; at a fork, only one branch writes *out and each other
+// branch fills its own buffer, appended after the join.
+func getPairsNode(cfg Config, a *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
-		return nil
+		return
 	}
 	al, ar := cfg.Tree.LeftOf(a), cfg.Tree.RightOf(a)
-	var left, right, mid []Edge
 	if a.Size() > spawnSize {
 		cfg.Abort.Check()
+		var right, mid []Edge
 		var g parallel.Group
-		g.Spawn(func() { left = getPairsNode(cfg, al, beta, rhoLo, rhoHi) })
-		g.Spawn(func() { right = getPairsNode(cfg, ar, beta, rhoLo, rhoHi) })
-		g.Run(func() { mid = getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi) })
+		g.Spawn(func() { getPairsNode(cfg, al, beta, rhoLo, rhoHi, out) })
+		g.Spawn(func() { getPairsNode(cfg, ar, beta, rhoLo, rhoHi, &right) })
+		g.Run(func() { getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi, &mid) })
 		g.Sync()
-	} else {
-		left = getPairsNode(cfg, al, beta, rhoLo, rhoHi)
-		right = getPairsNode(cfg, ar, beta, rhoLo, rhoHi)
-		mid = getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi)
+		*out = append(append(*out, right...), mid...)
+		return
 	}
-	// left is exclusively owned by this call, so extend it in place rather
-	// than copying all three slices into a fresh buffer.
-	if len(left) == 0 {
-		if len(right) == 0 {
-			return mid
-		}
-		return append(right, mid...)
-	}
-	out := append(left, right...)
-	return append(out, mid...)
+	getPairsNode(cfg, al, beta, rhoLo, rhoHi, out)
+	getPairsNode(cfg, ar, beta, rhoLo, rhoHi, out)
+	getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi, out)
 }
 
-func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64) []Edge {
+func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
 	if connected(p, q) {
-		return nil
+		return
 	}
 	if cfg.Metric.NodeLB(p, q) >= rhoHi {
-		return nil // BCCPs of this pair and its descendants are >= rhoHi
+		return // BCCPs of this pair and its descendants are >= rhoHi
 	}
 	if cfg.Metric.NodeUB(p, q) < rhoLo {
-		return nil // BCCPs of this pair and its descendants are < rhoLo
+		return // BCCPs of this pair and its descendants are < rhoLo
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
@@ -208,26 +202,26 @@ func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64)
 		res := kdtree.BCCP(cfg.Tree, cfg.Metric, p, q)
 		cfg.Stats.AddBCCP(1)
 		if res.W >= rhoLo && res.W < rhoHi {
-			return []Edge{MakeEdge(res.U, res.V, res.W)}
+			*out = append(*out, MakeEdge(res.U, res.V, res.W))
 		}
-		return nil
+		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
 	pl, pr := cfg.Tree.LeftOf(p), cfg.Tree.RightOf(p)
-	var l, r []Edge
 	if p.Size()+q.Size() > spawnSize {
 		cfg.Abort.Check()
+		var r []Edge
 		parallel.Do(
-			func() { l = getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi) },
-			func() { r = getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi) },
+			func() { getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi, out) },
+			func() { getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi, &r) },
 		)
-	} else {
-		l = getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi)
-		r = getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi)
+		*out = append(*out, r...)
+		return
 	}
-	return append(l, r...)
+	getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi, out)
+	getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi, out)
 }
 
 // spawnSize mirrors the WSPD spawning threshold.

@@ -140,44 +140,37 @@ func getRhoPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rho *parallel.AtomicMin
 }
 
 // getPairsNodeSq is getPairsNode with bounds and the [rhoLo2, rhoHi2)
-// window in squared space; emitted edges carry true metric weights.
-func getPairsNodeSq(c *sqCfg, a *kdtree.Node, beta int, rhoLo2, rhoHi2 float64) []Edge {
+// window in squared space; appended edges carry true metric weights.
+func getPairsNodeSq(c *sqCfg, a *kdtree.Node, beta int, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
-		return nil
+		return
 	}
 	al, ar := c.t.LeftOf(a), c.t.RightOf(a)
-	var left, right, mid []Edge
 	if a.Size() > spawnSize {
 		c.af.Check()
+		var right, mid []Edge
 		var g parallel.Group
-		g.Spawn(func() { left = getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2) })
-		g.Spawn(func() { right = getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2) })
-		g.Run(func() { mid = getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2) })
+		g.Spawn(func() { getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2, out) })
+		g.Spawn(func() { getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2, &right) })
+		g.Run(func() { getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2, &mid) })
 		g.Sync()
-	} else {
-		left = getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2)
-		right = getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2)
-		mid = getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2)
+		*out = append(append(*out, right...), mid...)
+		return
 	}
-	if len(left) == 0 {
-		if len(right) == 0 {
-			return mid
-		}
-		return append(right, mid...)
-	}
-	out := append(left, right...)
-	return append(out, mid...)
+	getPairsNodeSq(c, al, beta, rhoLo2, rhoHi2, out)
+	getPairsNodeSq(c, ar, beta, rhoLo2, rhoHi2, out)
+	getPairsPairSq(c, al, ar, beta, rhoLo2, rhoHi2, out)
 }
 
-func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rhoLo2, rhoHi2 float64) []Edge {
+func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	if connected(p, q) {
-		return nil
+		return
 	}
 	if c.lb2b(p, q, rhoHi2) >= rhoHi2 {
-		return nil
+		return
 	}
 	if c.ub2b(p, q, rhoLo2) < rhoLo2 {
-		return nil
+		return
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
@@ -197,29 +190,30 @@ func getPairsPairSq(c *sqCfg, p, q *kdtree.Node, beta int, rhoLo2, rhoHi2 float6
 		}
 		if res.W >= rhoLo2 && res.W < rhoHi2 {
 			// One true-metric evaluation per emitted edge.
-			return []Edge{MakeEdge(res.U, res.V, c.m.Dist(res.U, res.V))}
+			*out = append(*out, MakeEdge(res.U, res.V, c.m.Dist(res.U, res.V)))
 		}
-		return nil
+		return
 	}
 	if c.brute && p.Size()+q.Size() <= bruteSize {
-		return brutePairsSq(c, p, q, rhoLo2, rhoHi2)
+		brutePairsSq(c, p, q, rhoLo2, rhoHi2, out)
+		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
 	pl, pr := c.t.LeftOf(p), c.t.RightOf(p)
-	var l, r []Edge
 	if p.Size()+q.Size() > spawnSize {
 		c.af.Check()
+		var r []Edge
 		parallel.Do(
-			func() { l = getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2) },
-			func() { r = getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2) },
+			func() { getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2, out) },
+			func() { getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2, &r) },
 		)
-	} else {
-		l = getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2)
-		r = getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2)
+		*out = append(*out, r...)
+		return
 	}
-	return append(l, r...)
+	getPairsPairSq(c, pl, q, beta, rhoLo2, rhoHi2, out)
+	getPairsPairSq(c, pr, q, beta, rhoLo2, rhoHi2, out)
 }
 
 // exactSqWeight is the exact squared-space weight of the pair of kd
@@ -255,10 +249,9 @@ const bruteSize = 64
 // saves is the O(dim) box-bound evaluation at every intermediate node
 // pair, the dominant cost of high-dimensional traversals. Weights and
 // window tests stay in exact float64, so round structure is unaffected.
-func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64) []Edge {
+func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64, out *[]Edge) {
 	d := c.t.Pts.Dim
 	data := c.t.Pts.Data
-	var out []Edge
 	for u := p.Lo; u < p.Hi; u++ {
 		ru := int(u) * d
 		uc := data[ru : ru+d : ru+d]
@@ -282,9 +275,8 @@ func brutePairsSq(c *sqCfg, p, q *kdtree.Node, rhoLo2, rhoHi2 float64) []Edge {
 				}
 			}
 			if w >= rhoLo2 && w < rhoHi2 {
-				out = append(out, MakeEdge(u, v, c.m.Dist(u, v)))
+				*out = append(*out, MakeEdge(u, v, c.m.Dist(u, v)))
 			}
 		}
 	}
-	return out
 }

@@ -14,7 +14,7 @@ type Workspace struct {
 	best []int32 // dense per-component min-reduction slots (candidate index)
 	out  []Edge  // accepted MST edges
 
-	batch   []Edge    // GFK: per-round Kruskal batch
+	batch   []Edge    // GFK/MemoGFK: per-round Kruskal batch
 	pairs   []gfkPair // GFK: surviving-pair buffer (ping-pong with scratch)
 	scratch []gfkPair // GFK: stable-partition scratch
 }

@@ -134,8 +134,9 @@ func (s MetricMutualUnreachable) WellSeparated(a, b *kdtree.Node) bool {
 const spawnSize = 1024
 
 // Decompose computes the WSPD of the tree (Algorithm 1) and returns all
-// pairs. The traversal parallelizes across subtrees; each goroutine collects
-// into a local buffer and the buffers are concatenated.
+// pairs. The traversal parallelizes across subtrees; sequential recursion
+// appends into one buffer, and at a fork one branch keeps appending to it
+// while each other branch fills its own buffer, appended after the join.
 func Decompose(t *kdtree.Tree, sep Separation) []Pair {
 	return DecomposeCancel(t, sep, nil)
 }
@@ -147,7 +148,9 @@ func DecomposeCancel(t *kdtree.Tree, sep Separation, af *abort.Flag) []Pair {
 	if t.Root == nil || t.Root.Size() <= 1 {
 		return nil
 	}
-	return wspdNode(t, t.Root, sep, af)
+	var out []Pair
+	wspdNode(t, t.Root, sep, af, &out)
+	return out
 }
 
 // Count returns the number of WSPD pairs without materializing them.
@@ -158,44 +161,36 @@ func Count(t *kdtree.Tree, sep Separation) int {
 	return countNode(t, t.Root, sep)
 }
 
-func wspdNode(t *kdtree.Tree, a *kdtree.Node, sep Separation, af *abort.Flag) []Pair {
+func wspdNode(t *kdtree.Tree, a *kdtree.Node, sep Separation, af *abort.Flag, out *[]Pair) {
 	if a.IsLeaf() || a.Size() <= 1 {
-		return nil
+		return
 	}
 	af.Check()
 	al, ar := t.LeftOf(a), t.RightOf(a)
-	var left, right, mid []Pair
 	if a.Size() > spawnSize {
 		// Fork the subtree traversals as stealable tasks and keep the
 		// FindPair of the split on the current worker (work-first).
+		var right, mid []Pair
 		var g parallel.Group
-		g.Spawn(func() { left = wspdNode(t, al, sep, af) })
-		g.Spawn(func() { right = wspdNode(t, ar, sep, af) })
-		g.Run(func() { mid = findPair(t, al, ar, sep, af) })
+		g.Spawn(func() { wspdNode(t, al, sep, af, out) })
+		g.Spawn(func() { wspdNode(t, ar, sep, af, &right) })
+		g.Run(func() { findPair(t, al, ar, sep, af, &mid) })
 		g.Sync()
-	} else {
-		left = wspdNode(t, al, sep, af)
-		right = wspdNode(t, ar, sep, af)
-		mid = findPair(t, al, ar, sep, af)
+		*out = append(append(*out, right...), mid...)
+		return
 	}
-	// left is exclusively owned by this call, so extend it in place rather
-	// than copying all three slices into a fresh buffer.
-	if len(left) == 0 {
-		if len(right) == 0 {
-			return mid
-		}
-		return append(right, mid...)
-	}
-	out := append(left, right...)
-	return append(out, mid...)
+	wspdNode(t, al, sep, af, out)
+	wspdNode(t, ar, sep, af, out)
+	findPair(t, al, ar, sep, af, out)
 }
 
-func findPair(t *kdtree.Tree, p, q *kdtree.Node, sep Separation, af *abort.Flag) []Pair {
+func findPair(t *kdtree.Tree, p, q *kdtree.Node, sep Separation, af *abort.Flag, out *[]Pair) {
 	if p.Radius < q.Radius {
 		p, q = q, p
 	}
 	if sep.WellSeparated(p, q) {
-		return []Pair{{A: p, B: q}}
+		*out = append(*out, Pair{A: p, B: q})
+		return
 	}
 	// Split the node with the larger bounding sphere. With one-point leaves
 	// this is never a leaf (a single point has radius 0 and is always
@@ -207,18 +202,18 @@ func findPair(t *kdtree.Tree, p, q *kdtree.Node, sep Separation, af *abort.Flag)
 		p, q = q, p
 	}
 	pl, pr := t.LeftOf(p), t.RightOf(p)
-	var l, r []Pair
 	if p.Size()+q.Size() > spawnSize {
 		af.Check()
+		var r []Pair
 		parallel.Do(
-			func() { l = findPair(t, pl, q, sep, af) },
-			func() { r = findPair(t, pr, q, sep, af) },
+			func() { findPair(t, pl, q, sep, af, out) },
+			func() { findPair(t, pr, q, sep, af, &r) },
 		)
-	} else {
-		l = findPair(t, pl, q, sep, af)
-		r = findPair(t, pr, q, sep, af)
+		*out = append(*out, r...)
+		return
 	}
-	return append(l, r...)
+	findPair(t, pl, q, sep, af, out)
+	findPair(t, pr, q, sep, af, out)
 }
 
 func countNode(t *kdtree.Tree, a *kdtree.Node, sep Separation) int {
