@@ -348,6 +348,9 @@ func (ix *Index) OPTICS(minPts int, eps float64) ([]OPTICSEntry, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("parclust: invalid minPts=%d", minPts)
 	}
+	if n := ix.N(); minPts > n && n > 0 {
+		return nil, fmt.Errorf("parclust: minPts=%d exceeds number of points %d", minPts, n)
+	}
 	if math.IsNaN(eps) || eps < 0 {
 		return nil, fmt.Errorf("parclust: invalid eps=%v", eps)
 	}
@@ -374,7 +377,8 @@ func (ix *Index) OPTICS(minPts int, eps float64) ([]OPTICSEntry, error) {
 // KNN returns the k nearest neighbors of the indexed point with dense id q
 // (including q itself), sorted by increasing tree-metric distance. On a
 // mutated Index the overlay is merged and tombstones are skipped, so the
-// answer matches a fresh Index over the live rows.
+// answer matches a fresh Index over the live rows. A k above the live
+// point count returns every live point.
 func (ix *Index) KNN(q int32, k int) ([]Neighbor, error) {
 	if q < 0 || int(q) >= ix.N() {
 		return nil, fmt.Errorf("parclust: point id %d out of range [0, %d)", q, ix.N())

@@ -205,6 +205,35 @@ func TestIndexKNNAndRangeMatchTree(t *testing.T) {
 	}
 }
 
+// TestKNNHugeK pins that a k beyond the live point count answers every
+// live point, on a clean and on a mutated Index, without sizing anything
+// by k (an unclamped MaxInt32 heap is an out-of-memory abort).
+func TestKNNHugeK(t *testing.T) {
+	idx, err := NewIndex(GenerateUniform(50, 2, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(n int) {
+		t.Helper()
+		all, err := idx.KNN(0, n)
+		if err != nil || len(all) != n {
+			t.Fatalf("KNN(0, %d) returned %d neighbors, err %v", n, len(all), err)
+		}
+		if huge, err := idx.KNN(0, math.MaxInt32); err != nil || !reflect.DeepEqual(huge, all) {
+			t.Fatalf("KNN(0, MaxInt32) differs from KNN(0, %d) (err %v)", n, err)
+		}
+	}
+	check(50)
+	// An overlay row and a tombstone put KNN on the merging path.
+	if _, err := idx.Insert(PointsFromSlices([][]float64{{0.5, 0.5}, {0.25, 0.75}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Delete([]int64{7}); err != nil {
+		t.Fatal(err)
+	}
+	check(51)
+}
+
 func TestIndexValidation(t *testing.T) {
 	pts := GenerateUniform(50, 2, 1)
 	idx, err := NewIndex(pts, nil)
@@ -231,6 +260,9 @@ func TestIndexValidation(t *testing.T) {
 	}
 	if _, err := idx.KNN(3, 0); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+	if _, err := idx.OPTICS(51, math.Inf(1)); err == nil {
+		t.Fatal("OPTICS minPts>n accepted")
 	}
 	if _, err := idx.RangeQuery(50, 1); err == nil {
 		t.Fatal("out-of-range point id accepted")

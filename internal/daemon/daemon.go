@@ -33,6 +33,14 @@
 // the buffered JSON document stays the default. See stream.go for the
 // record protocol.
 //
+// The six per-dataset GET queries run through one pipeline (serveQuery),
+// in one order: pin the dataset (404) and capture its mutation epoch;
+// validate every parameter, answering 400 before any stage work; run the
+// query under the request context; answer 409 if a mutation raced it;
+// then encode buffered JSON or NDJSON. A knn k above the dataset's point
+// count returns every point, and optics, like hdbscan, answers 400 for a
+// minpts above it.
+//
 // With Config.DataDir set, the server keeps a persistent stage store
 // (internal/store): uploads persist a snapshot, memory-pressure evictions
 // spill the warm stage set to disk, and queries against non-resident
@@ -44,8 +52,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -187,12 +197,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/datasets/{name}", s.handleUpload)
 	mux.HandleFunc("GET /v1/datasets/{name}", s.handleInfo)
 	mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleEvict)
-	mux.HandleFunc("GET /v1/datasets/{name}/hdbscan", s.handleHDBSCAN)
-	mux.HandleFunc("GET /v1/datasets/{name}/dbscan", s.handleDBSCAN)
-	mux.HandleFunc("GET /v1/datasets/{name}/optics", s.handleOPTICS)
-	mux.HandleFunc("GET /v1/datasets/{name}/emst", s.handleEMST)
-	mux.HandleFunc("GET /v1/datasets/{name}/knn", s.handleKNN)
-	mux.HandleFunc("GET /v1/datasets/{name}/range", s.handleRange)
+	mux.HandleFunc("GET /v1/datasets/{name}/hdbscan", s.serveQuery(parseHDBSCAN))
+	mux.HandleFunc("GET /v1/datasets/{name}/dbscan", s.serveQuery(parseDBSCAN))
+	mux.HandleFunc("GET /v1/datasets/{name}/optics", s.serveQuery(parseOPTICS))
+	mux.HandleFunc("GET /v1/datasets/{name}/emst", s.serveQuery(parseEMST))
+	mux.HandleFunc("GET /v1/datasets/{name}/knn", s.serveQuery(parseKNN))
+	mux.HandleFunc("GET /v1/datasets/{name}/range", s.serveQuery(parseRange))
 	mux.HandleFunc("POST /v1/datasets/{name}/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/datasets/{name}/points", s.handleInsertPoints)
 	mux.HandleFunc("DELETE /v1/datasets/{name}/points", s.handleDeletePoints)
@@ -304,67 +314,76 @@ func validName(name string) bool {
 	return store.SafeName(name)
 }
 
-// qInt parses a required integer query parameter; ok=false means the error
-// response has been written.
-func qInt(w http.ResponseWriter, r *http.Request, key string) (int, bool) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		writeError(w, http.StatusBadRequest, "missing required parameter %q", key)
-		return 0, false
+// params reads one request's query parameters, parsed from the URL once.
+// The first missing or malformed parameter latches err and later failures
+// are ignored, so a parse function reads every parameter in order and its
+// caller checks err once.
+type params struct {
+	v   url.Values
+	err error
+}
+
+// fail latches a 400 message unless an earlier parameter already failed.
+func (p *params) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
 	}
+}
+
+// required returns a required parameter's raw value, latching the
+// missing-parameter error when it is absent (the typed readers' parse of
+// "" then fails silently behind it).
+func (p *params) required(key string) string {
+	raw := p.v.Get(key)
+	if raw == "" {
+		p.fail("missing required parameter %q", key)
+	}
+	return raw
+}
+
+// check latches the error of parsing key's raw value.
+func (p *params) check(key, raw string, err error) {
+	if err != nil {
+		p.fail("bad %s=%q: %v", key, raw, err)
+	}
+}
+
+// int reads a required integer parameter.
+func (p *params) int(key string) int {
+	raw := p.required(key)
 	v, err := strconv.Atoi(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s=%q: %v", key, raw, err)
-		return 0, false
-	}
-	return v, true
+	p.check(key, raw, err)
+	return v
 }
 
-// qInt32 parses a required point-id query parameter, rejecting values
-// outside int32 range (a silent truncation would alias huge ids onto
-// valid points).
-func qInt32(w http.ResponseWriter, r *http.Request, key string) (int32, bool) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		writeError(w, http.StatusBadRequest, "missing required parameter %q", key)
-		return 0, false
-	}
+// id reads a required point-id parameter, rejecting values outside int32
+// range (a silent truncation would alias huge ids onto valid points).
+func (p *params) id(key string) int32 {
+	raw := p.required(key)
 	v, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s=%q: %v", key, raw, err)
-		return 0, false
-	}
-	return int32(v), true
+	p.check(key, raw, err)
+	return int32(v)
 }
 
-func qFloat(w http.ResponseWriter, r *http.Request, key string) (float64, bool) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		writeError(w, http.StatusBadRequest, "missing required parameter %q", key)
-		return 0, false
-	}
+// float reads a required float parameter.
+func (p *params) float(key string) float64 {
+	raw := p.required(key)
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s=%q: %v", key, raw, err)
-		return 0, false
-	}
-	return v, true
+	p.check(key, raw, err)
+	return v
 }
 
-// qBool reads an optional boolean parameter, defaulting to def when
-// absent; a malformed value is a 400 like every other parameter, not a
-// silent fallback (ok=false means the error response has been written).
-func qBool(w http.ResponseWriter, r *http.Request, key string, def bool) (bool, bool) {
-	raw := r.URL.Query().Get(key)
+// bool reads an optional boolean parameter, defaulting to def when absent;
+// a malformed value is a 400 like every other parameter, not a silent
+// fallback.
+func (p *params) bool(key string, def bool) bool {
+	raw := p.v.Get(key)
 	if raw == "" {
-		return def, true
+		return def
 	}
 	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s=%q: %v", key, raw, err)
-		return false, false
-	}
-	return v, true
+	p.check(key, raw, err)
+	return v
 }
 
 func parseHDBSCANAlgo(raw string) (parclust.HDBSCANAlgorithm, error) {
@@ -459,41 +478,18 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	defer body.Close()
 
+	var req uploadRequest
+	pts, ok := readPoints(w, r, body, name, "upload", &req, &req.Points)
+	if !ok {
+		return
+	}
 	metricName := r.URL.Query().Get("metric")
 	dtypeName := r.URL.Query().Get("dtype")
-	var pts parclust.Points
-	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		var req uploadRequest
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, uploadErrCode(err), "decode points: %v", err)
-			return
-		}
-		if len(req.Points) == 0 {
-			writeError(w, http.StatusBadRequest, "no points in upload")
-			return
-		}
-		dim := len(req.Points[0])
-		for i, row := range req.Points {
-			if len(row) != dim {
-				writeError(w, http.StatusBadRequest, "point %d has dimension %d, want %d", i, len(row), dim)
-				return
-			}
-		}
-		pts = parclust.PointsFromSlices(req.Points)
-		if req.Metric != "" {
-			metricName = req.Metric
-		}
-		if req.Dtype != "" {
-			dtypeName = req.Dtype
-		}
-	} else {
-		var err error
-		pts, err = dataio.ReadPoints(body, name)
-		if err != nil {
-			writeError(w, uploadErrCode(err), "parse points: %v", err)
-			return
-		}
+	if req.Metric != "" {
+		metricName = req.Metric
+	}
+	if req.Dtype != "" {
+		dtypeName = req.Dtype
 	}
 
 	m := parclust.MetricL2
@@ -548,6 +544,37 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		resp["persisted"] = perr == nil
 	}
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// readPoints parses the points body of an upload or insert: JSON into req,
+// whose rows field is *rows, when the Content-Type says json, and CSV or
+// whitespace rows (named name in parse errors) otherwise. An empty or
+// ragged JSON body is a 400; what names the request in the empty-body
+// message. ok=false means the error response has been written.
+func readPoints(w http.ResponseWriter, r *http.Request, body io.Reader, name, what string, req any, rows *[][]float64) (pts parclust.Points, ok bool) {
+	if !strings.Contains(r.Header.Get("Content-Type"), "json") {
+		pts, err := dataio.ReadPoints(body, name)
+		if err != nil {
+			writeError(w, uploadErrCode(err), "parse points: %v", err)
+		}
+		return pts, err == nil
+	}
+	if err := json.NewDecoder(body).Decode(req); err != nil {
+		writeError(w, uploadErrCode(err), "decode points: %v", err)
+		return pts, false
+	}
+	if len(*rows) == 0 {
+		writeError(w, http.StatusBadRequest, "no points in %s", what)
+		return pts, false
+	}
+	dim := len((*rows)[0])
+	for i, row := range *rows {
+		if len(row) != dim {
+			writeError(w, http.StatusBadRequest, "point %d has dimension %d, want %d", i, len(row), dim)
+			return pts, false
+		}
+	}
+	return parclust.PointsFromSlices(*rows), true
 }
 
 // uploadErrCode maps body-read failures to 413 when the MaxBytesReader
@@ -682,143 +709,141 @@ func countNoise(labels []int32) int {
 	return n
 }
 
-func (s *Server) handleHDBSCAN(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	minPts, ok := qInt(w, r, "minpts")
-	if !ok {
-		return
-	}
-	algo, err := parseHDBSCANAlgo(r.URL.Query().Get("algo"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Parse the cut mode before touching the index: a malformed request
-	// must not pay for (or trigger) a pipeline build.
-	var (
-		useEps bool
-		eps    float64
-		mcs    int
-	)
-	switch {
-	case r.URL.Query().Get("eps") != "":
-		if eps, ok = qFloat(w, r, "eps"); !ok {
-			return
-		}
-		useEps = true
-	case r.URL.Query().Get("minclustersize") != "":
-		if mcs, ok = qInt(w, r, "minclustersize"); !ok {
-			return
-		}
-		if mcs < 1 {
-			writeError(w, http.StatusBadRequest, "minclustersize must be >= 1, got %d", mcs)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "need eps= (flat cut) or minclustersize= (stability extraction)")
-		return
-	}
-	withLabels, ok := qBool(w, r, "labels", true)
-	if !ok {
-		return
-	}
-	if ctxDone(r) {
-		return
-	}
-	hier, err := d.idx.WithContext(r.Context()).HDBSCANWithAlgorithm(minPts, algo)
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	res := flatResult{Dataset: d.name, MinPts: minPts, Algo: algo.String()}
-	var c parclust.Clustering
-	if useEps {
-		c = hier.ClustersAt(eps)
-		res.Eps = eps
-		res.NumNoise = hier.NumNoiseAt(eps)
-	} else {
-		c = hier.ExtractStableClusters(mcs)
-		res.MinClusterSize = mcs
-		res.NumNoise = countNoise(c.Labels)
-	}
-	res.NumClusters = c.NumClusters
-	if wantsNDJSON(r) {
-		sw := newStreamWriter(w, r)
-		if !sw.write(res) {
-			return
-		}
-		if withLabels && !sw.streamLabels(c.Labels) {
-			return
-		}
-		sw.finish()
-		return
-	}
-	if withLabels {
-		res.Labels = c.Labels
-	}
-	writeJSON(w, http.StatusOK, res)
+// queryRun executes one parsed query against the pinned dataset's Index,
+// already bound to the request context.
+type queryRun func(name string, idx *parclust.Index) (answer, error)
+
+// answer is a query's result, encoded by serveQuery once the mutation
+// check has passed. An endpoint that does not stream leaves stream nil and
+// head is its whole document. A streaming endpoint's head is the document
+// minus its large array field: attach adds the array for the buffered
+// response, and stream sends it as the NDJSON chunk records.
+type answer struct {
+	head   any
+	attach func()
+	stream func(sw *streamWriter) bool
 }
 
-func (s *Server) handleDBSCAN(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	minPts, ok := qInt(w, r, "minpts")
-	if !ok {
-		return
-	}
-	eps, ok := qFloat(w, r, "eps")
-	if !ok {
-		return
-	}
-	star, ok := qBool(w, r, "star", false)
-	if !ok {
-		return
-	}
-	withLabels, ok := qBool(w, r, "labels", true)
-	if !ok {
-		return
-	}
-	if ctxDone(r) {
-		return
-	}
-	idx := d.idx.WithContext(r.Context())
-	var c parclust.Clustering
-	var err error
-	if star {
-		c, err = idx.DBSCANStar(minPts, eps)
-	} else {
-		c, err = idx.DBSCAN(minPts, eps)
-	}
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	res := flatResult{
-		Dataset: d.name, MinPts: minPts, Eps: eps, Star: star,
-		NumClusters: c.NumClusters, NumNoise: countNoise(c.Labels),
-	}
-	if wantsNDJSON(r) {
+// serveQuery is the one request pipeline behind the per-dataset GET
+// queries; parse reads the endpoint's parameters and returns the query to
+// run. Every request follows the same order: pin the dataset (404) and
+// capture its mutation epoch; read every parameter, answering 400 before
+// any stage work; return if the client is already gone; run the query
+// under the request context; answer 409 if a mutation raced it, or map its
+// error (see queryError); then encode the answer as buffered JSON, or as
+// NDJSON when the client asked and the endpoint streams.
+func (s *Server) serveQuery(parse func(p *params) queryRun) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		d, release, ok := s.acquire(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		epoch := d.idx.MutationEpoch()
+		p := params{v: r.URL.Query()}
+		run := parse(&p)
+		if p.err != nil {
+			writeError(w, http.StatusBadRequest, "%v", p.err)
+			return
+		}
+		if ctxDone(r) {
+			return
+		}
+		ans, err := run(d.name, d.idx.WithContext(r.Context()))
+		if !s.queryDone(w, r, d, epoch, err) {
+			return
+		}
+		if ans.stream == nil || !wantsNDJSON(r) {
+			if ans.attach != nil {
+				ans.attach()
+			}
+			writeJSON(w, http.StatusOK, ans.head)
+			return
+		}
 		sw := newStreamWriter(w, r)
-		if !sw.write(res) {
-			return
+		if sw.write(ans.head) && ans.stream(sw) {
+			sw.finish()
 		}
-		if withLabels && !sw.streamLabels(c.Labels) {
-			return
+	}
+}
+
+// labelsAnswer is the answer of the flat-clustering endpoints; labels=false
+// omits the labels array from both wire forms.
+func labelsAnswer(res *flatResult, labels []int32, withLabels bool) answer {
+	return answer{
+		head: res,
+		attach: func() {
+			if withLabels {
+				res.Labels = labels
+			}
+		},
+		stream: func(sw *streamWriter) bool { return !withLabels || sw.streamLabels(labels) },
+	}
+}
+
+func parseHDBSCAN(p *params) queryRun {
+	minPts := p.int("minpts")
+	algo, err := parseHDBSCANAlgo(p.v.Get("algo"))
+	if err != nil {
+		p.fail("%v", err)
+	}
+	useEps := p.v.Get("eps") != ""
+	var (
+		eps float64
+		mcs int
+	)
+	switch {
+	case useEps:
+		eps = p.float("eps")
+	case p.v.Get("minclustersize") != "":
+		if mcs = p.int("minclustersize"); mcs < 1 {
+			p.fail("minclustersize must be >= 1, got %d", mcs)
 		}
-		sw.finish()
-		return
+	default:
+		p.fail("need eps= (flat cut) or minclustersize= (stability extraction)")
 	}
-	if withLabels {
-		res.Labels = c.Labels
+	withLabels := p.bool("labels", true)
+	return func(name string, idx *parclust.Index) (answer, error) {
+		hier, err := idx.HDBSCANWithAlgorithm(minPts, algo)
+		if err != nil {
+			return answer{}, err
+		}
+		res := &flatResult{Dataset: name, MinPts: minPts, Algo: algo.String()}
+		var c parclust.Clustering
+		if useEps {
+			c = hier.ClustersAt(eps)
+			res.Eps = eps
+			res.NumNoise = hier.NumNoiseAt(eps)
+		} else {
+			c = hier.ExtractStableClusters(mcs)
+			res.MinClusterSize = mcs
+			res.NumNoise = countNoise(c.Labels)
+		}
+		res.NumClusters = c.NumClusters
+		return labelsAnswer(res, c.Labels, withLabels), nil
 	}
-	writeJSON(w, http.StatusOK, res)
+}
+
+func parseDBSCAN(p *params) queryRun {
+	minPts := p.int("minpts")
+	eps := p.float("eps")
+	star := p.bool("star", false)
+	withLabels := p.bool("labels", true)
+	return func(name string, idx *parclust.Index) (answer, error) {
+		dbscan := idx.DBSCAN
+		if star {
+			dbscan = idx.DBSCANStar
+		}
+		c, err := dbscan(minPts, eps)
+		if err != nil {
+			return answer{}, err
+		}
+		res := &flatResult{
+			Dataset: name, MinPts: minPts, Eps: eps, Star: star,
+			NumClusters: c.NumClusters, NumNoise: countNoise(c.Labels),
+		}
+		return labelsAnswer(res, c.Labels, withLabels), nil
+	}
 }
 
 // opticsBar is one OPTICS position; Reachability is null for points that
@@ -846,47 +871,29 @@ type opticsResult struct {
 	Order   []opticsBar `json:"order,omitempty"`
 }
 
-func (s *Server) handleOPTICS(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	minPts, ok := qInt(w, r, "minpts")
-	if !ok {
-		return
-	}
+func parseOPTICS(p *params) queryRun {
+	minPts := p.int("minpts")
 	eps := math.Inf(1)
-	if r.URL.Query().Get("eps") != "" {
-		if eps, ok = qFloat(w, r, "eps"); !ok {
-			return
+	if p.v.Get("eps") != "" {
+		eps = p.float("eps")
+	}
+	return func(name string, idx *parclust.Index) (answer, error) {
+		entries, err := idx.OPTICS(minPts, eps)
+		if err != nil {
+			return answer{}, err
 		}
+		res := &opticsResult{Dataset: name, MinPts: minPts}
+		return answer{
+			head: res,
+			attach: func() {
+				res.Order = make([]opticsBar, len(entries))
+				for i, e := range entries {
+					res.Order[i] = toOpticsBar(e)
+				}
+			},
+			stream: func(sw *streamWriter) bool { return sw.streamBars(entries) },
+		}, nil
 	}
-	if ctxDone(r) {
-		return
-	}
-	entries, err := d.idx.WithContext(r.Context()).OPTICS(minPts, eps)
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	res := opticsResult{Dataset: d.name, MinPts: minPts}
-	if wantsNDJSON(r) {
-		sw := newStreamWriter(w, r)
-		if !sw.write(res) {
-			return
-		}
-		if !sw.streamBars(entries) {
-			return
-		}
-		sw.finish()
-		return
-	}
-	res.Order = make([]opticsBar, len(entries))
-	for i, e := range entries {
-		res.Order[i] = toOpticsBar(e)
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 type edgeJSON struct {
@@ -905,55 +912,38 @@ type emstResult struct {
 	Edges       []edgeJSON `json:"edges,omitempty"`
 }
 
-func (s *Server) handleEMST(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	algo, err := parseEMSTAlgo(r.URL.Query().Get("algo"))
+func parseEMST(p *params) queryRun {
+	algo, err := parseEMSTAlgo(p.v.Get("algo"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		p.fail("%v", err)
 	}
-	withEdges, ok := qBool(w, r, "edges", true)
-	if !ok {
-		return
-	}
-	if ctxDone(r) {
-		return
-	}
-	edges, err := d.idx.WithContext(r.Context()).EMSTWithAlgorithm(algo)
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	total := 0.0
-	for _, e := range edges {
-		total += e.W
-	}
-	res := emstResult{
-		Dataset: d.name, Algo: algo.String(),
-		NumEdges: len(edges), TotalWeight: total,
-	}
-	if wantsNDJSON(r) {
-		sw := newStreamWriter(w, r)
-		if !sw.write(res) {
-			return
+	withEdges := p.bool("edges", true)
+	return func(name string, idx *parclust.Index) (answer, error) {
+		edges, err := idx.EMSTWithAlgorithm(algo)
+		if err != nil {
+			return answer{}, err
 		}
-		if withEdges && !sw.streamEdges(edges) {
-			return
+		total := 0.0
+		for _, e := range edges {
+			total += e.W
 		}
-		sw.finish()
-		return
-	}
-	if withEdges {
-		res.Edges = make([]edgeJSON, len(edges))
-		for i, e := range edges {
-			res.Edges[i] = edgeJSON{U: e.U, V: e.V, W: e.W}
+		res := &emstResult{
+			Dataset: name, Algo: algo.String(),
+			NumEdges: len(edges), TotalWeight: total,
 		}
+		return answer{
+			head: res,
+			attach: func() {
+				if withEdges {
+					res.Edges = make([]edgeJSON, len(edges))
+					for i, e := range edges {
+						res.Edges[i] = edgeJSON{U: e.U, V: e.V, W: e.W}
+					}
+				}
+			},
+			stream: func(sw *streamWriter) bool { return !withEdges || sw.streamEdges(edges) },
+		}, nil
 	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 type neighborJSON struct {
@@ -961,64 +951,42 @@ type neighborJSON struct {
 	Dist float64 `json:"dist"`
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+// parseKNN and parseRange answer buffered JSON only.
+func parseKNN(p *params) queryRun {
+	q := p.id("q")
+	k := p.int("k")
+	return func(name string, idx *parclust.Index) (answer, error) {
+		nbs, err := idx.KNN(q, k)
+		if err != nil {
+			return answer{}, err
+		}
+		out := make([]neighborJSON, len(nbs))
+		for i, nb := range nbs {
+			out[i] = neighborJSON{ID: nb.Idx, Dist: nb.Dist}
+		}
+		return answer{head: map[string]any{
+			"dataset": name, "q": q, "k": k, "neighbors": out,
+		}}, nil
 	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	q, ok := qInt32(w, r, "q")
-	if !ok {
-		return
-	}
-	k, ok := qInt(w, r, "k")
-	if !ok {
-		return
-	}
-	nbs, err := d.idx.WithContext(r.Context()).KNN(q, k)
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	out := make([]neighborJSON, len(nbs))
-	for i, nb := range nbs {
-		out[i] = neighborJSON{ID: nb.Idx, Dist: nb.Dist}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": d.name, "q": q, "k": k, "neighbors": out,
-	})
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	d, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+func parseRange(p *params) queryRun {
+	q := p.id("q")
+	radius := p.float("r")
+	withIDs := p.bool("ids", true)
+	return func(name string, idx *parclust.Index) (answer, error) {
+		ids, err := idx.RangeQuery(q, radius)
+		if err != nil {
+			return answer{}, err
+		}
+		resp := map[string]any{
+			"dataset": name, "q": q, "r": radius, "count": len(ids),
+		}
+		if withIDs {
+			resp["ids"] = ids
+		}
+		return answer{head: resp}, nil
 	}
-	defer release()
-	epoch := d.idx.MutationEpoch()
-	q, ok := qInt32(w, r, "q")
-	if !ok {
-		return
-	}
-	radius, ok := qFloat(w, r, "r")
-	if !ok {
-		return
-	}
-	ids, err := d.idx.WithContext(r.Context()).RangeQuery(q, radius)
-	if !s.queryDone(w, r, d, epoch, err) {
-		return
-	}
-	resp := map[string]any{
-		"dataset": d.name, "q": q, "r": radius, "count": len(ids),
-	}
-	withIDs, ok := qBool(w, r, "ids", true)
-	if !ok {
-		return
-	}
-	if withIDs {
-		resp["ids"] = ids
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---------------------------------------------------------------- fan-out
@@ -1044,12 +1012,11 @@ type broadcastEntry struct {
 // complete (or self-lock its own buildMu), deadlocking the daemon. The
 // per-dataset query work below still runs on the scheduler internally.
 func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
-	minPts, ok := qInt(w, r, "minpts")
-	if !ok {
-		return
-	}
-	eps, ok := qFloat(w, r, "eps")
-	if !ok {
+	p := params{v: r.URL.Query()}
+	minPts := p.int("minpts")
+	eps := p.float("eps")
+	if p.err != nil {
+		writeError(w, http.StatusBadRequest, "%v", p.err)
 		return
 	}
 	keys := s.reg.Keys()

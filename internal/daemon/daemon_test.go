@@ -622,6 +622,7 @@ func TestDaemonErrors(t *testing.T) {
 		{"GET", "/v1/datasets/ok/range?q=4294967296&r=1", "", "", http.StatusBadRequest}, // ditto
 		{"GET", "/v1/datasets/ok/range?q=0&r=-2", "", "", http.StatusBadRequest},
 		{"GET", "/v1/datasets/ok/emst?algo=quantum", "", "", http.StatusBadRequest},
+		{"GET", "/v1/datasets/ok/optics?minpts=2000000000", "", "", http.StatusBadRequest},         // minPts > n, not a 2e9-entry heap per chunk
 		{"GET", "/v1/datasets/ok/dbscan?minpts=5&eps=1&star=yes", "", "", http.StatusBadRequest},   // malformed bool must not silently flip semantics
 		{"GET", "/v1/datasets/ok/hdbscan?minpts=5&eps=1&labels=no", "", "", http.StatusBadRequest}, // ditto
 		{"DELETE", "/v1/datasets/missing", "", "", http.StatusNotFound},
@@ -640,6 +641,14 @@ func TestDaemonErrors(t *testing.T) {
 		if code := ts.do(tc.method, tc.path, body, tc.contentType, nil); code != tc.want {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, code, tc.want)
 		}
+	}
+	// A k beyond the point count answers every point instead of sizing a
+	// 2e9-entry heap.
+	var knn struct {
+		Neighbors []neighborJSON `json:"neighbors"`
+	}
+	if code := ts.get("/v1/datasets/ok/knn?q=0&k=2000000000", &knn); code != http.StatusOK || len(knn.Neighbors) != 50 {
+		t.Errorf("knn k=2e9: status %d, %d neighbors, want 200 with 50", code, len(knn.Neighbors))
 	}
 	// Health check still fine after the abuse.
 	if code := ts.get("/healthz", nil); code != http.StatusOK {

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 
 	"parclust"
-	"parclust/internal/dataio"
 )
 
 // Incremental-update endpoints: POST /v1/datasets/{name}/points inserts
@@ -15,11 +13,11 @@ import (
 // mutate the Index in place through its dynamic layer — no re-upload, no
 // full rebuild — then re-charge the registry with the new footprint.
 //
-// Every query handler guards against the race these endpoints introduce:
-// it captures the dataset's mutation epoch after pinning the dataset and
-// answers 409 Conflict when the epoch moved before its response was
-// written, so a client never receives a payload computed against state a
-// concurrent mutation invalidated mid-flight.
+// Every query (serveQuery and the sweep) guards against the race these
+// endpoints introduce: it captures the dataset's mutation epoch after
+// pinning the dataset and answers 409 Conflict when the epoch moved before
+// its response was written, so a client never receives a payload computed
+// against state a concurrent mutation invalidated mid-flight.
 
 // queryDone finalizes a query handler's compute phase. It answers 409
 // Conflict when a mutation raced the query (the epoch moved past the value
@@ -38,9 +36,8 @@ func (s *Server) queryDone(w http.ResponseWriter, r *http.Request, d *dataset, e
 	return true
 }
 
-// insertRequest is the JSON body of POST /v1/datasets/{name}/points.
-// Non-JSON bodies are parsed as CSV/whitespace rows via dataio.ReadPoints,
-// mirroring upload.
+// insertRequest is the JSON body of POST /v1/datasets/{name}/points;
+// readPoints parses it, or CSV/whitespace rows, exactly as for an upload.
 type insertRequest struct {
 	Points [][]float64 `json:"points"`
 }
@@ -54,34 +51,11 @@ func (s *Server) handleInsertPoints(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	defer body.Close()
 
-	var pts parclust.Points
-	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		var req insertRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			writeError(w, uploadErrCode(err), "decode points: %v", err)
-			return
-		}
-		if len(req.Points) == 0 {
-			writeError(w, http.StatusBadRequest, "no points in insert")
-			return
-		}
-		dim := len(req.Points[0])
-		for i, row := range req.Points {
-			if len(row) != dim {
-				writeError(w, http.StatusBadRequest, "point %d has dimension %d, want %d", i, len(row), dim)
-				return
-			}
-		}
-		pts = parclust.PointsFromSlices(req.Points)
-	} else {
-		var err error
-		pts, err = dataio.ReadPoints(body, d.name)
-		if err != nil {
-			writeError(w, uploadErrCode(err), "parse points: %v", err)
-			return
-		}
+	var req insertRequest
+	pts, ok := readPoints(w, r, body, d.name, "insert", &req, &req.Points)
+	if !ok {
+		return
 	}
-
 	ids, err := d.idx.Insert(pts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

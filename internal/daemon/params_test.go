@@ -45,6 +45,19 @@ func TestQueryParamValidation(t *testing.T) {
 	if code := ts.get("/v1/datasets/p/optics?minpts=", nil); code != http.StatusBadRequest {
 		t.Errorf("empty minpts: want 400")
 	}
+	// Every 400 above must have been answered before any stage work.
+	var stats struct {
+		Datasets map[string]struct {
+			Counters countersJSON `json:"counters"`
+		} `json:"datasets"`
+	}
+	if code := ts.get("/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	if c := stats.Datasets["p"].Counters; c.TreeBuilds != 0 || c.CoreDistBuilds != 0 || c.MSTBuilds != 0 || c.DendrogramBuilds != 0 {
+		t.Errorf("bad-path sweep built stages: tree=%d core=%d mst=%d dendrogram=%d, want all 0",
+			c.TreeBuilds, c.CoreDistBuilds, c.MSTBuilds, c.DendrogramBuilds)
+	}
 
 	// Every EMST algorithm name is accepted and answers the same tree.
 	for _, algo := range []string{"memogfk", "gfk", "naive", "boruvka", "delaunay2d", "wspdboruvka"} {

@@ -548,15 +548,19 @@ func liveQC(t *kdtree.Tree, d *dynState, q int) []float64 {
 // KNNLive returns the k nearest live points to the live point with dense id
 // q (including q itself), sorted by increasing tree-metric distance with
 // ties broken by dense id. Result ids are dense ids — on a clean engine
-// (including after compaction) this is exactly the static KNN.
+// (including after compaction) this is exactly the static KNN. A k above
+// the live point count returns every live point.
 func (e *Engine) KNNLive(ctx context.Context, q, k int, ws *kdtree.KNNWorkspace) ([]kdtree.Neighbor, error) {
 	t, d, err := e.liveView(ctx)
 	if err != nil {
 		return nil, err
 	}
+	// The view holds at most its live count of points, so clamping k
+	// changes no answer and keeps a huge k from sizing the heap and result.
 	if d == nil || !d.dirty {
-		return t.KNNInto(int32(q), k, ws), nil
+		return t.KNNInto(int32(q), min(k, t.Pts.N), ws), nil
 	}
+	k = min(k, d.liveLen())
 	qc := liveQC(t, d, q)
 	base := t.KNNLiveInto(qc, k, d.tomb, ws)
 	// base is already sorted by (dist, base id), and denseOfBase is
@@ -592,8 +596,9 @@ func (e *Engine) KNNLive(ctx context.Context, q, k int, ws *kdtree.KNNWorkspace)
 }
 
 // RangeLive returns the dense ids of all live points within tree-metric
-// distance r of the live point with dense id q (including q itself), in
-// ascending dense-id order.
+// distance r of the live point with dense id q (including q itself), in no
+// particular order: tree order on a clean engine, ascending dense ids on a
+// mutated one.
 func (e *Engine) RangeLive(ctx context.Context, q int, r float64) ([]int32, error) {
 	t, d, err := e.liveView(ctx)
 	if err != nil {

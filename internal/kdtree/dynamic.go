@@ -1,27 +1,23 @@
 package kdtree
 
-import (
-	"math"
+import "math"
 
-	"parclust/internal/geometry"
-)
-
-// Live traversals: tombstone-aware variants of KNN / range query / range
-// count used by the engine's dynamic layer. They differ from the static
-// entry points in two ways:
+// The engine's dynamic layer answers point queries on a mutated index
+// through the same traversals as a clean one (knn.go, range.go), changing
+// only their inputs:
 //
-//   - The query is a raw coordinate vector, not an indexed point id, because
-//     the query point may live in the engine's overlay buffer rather than in
-//     the tree.
-//   - Leaf scans skip points whose original id is tombstoned (tomb is
-//     indexed by original id; nil means no deletions), and the wholesale
-//     subtree-counting shortcut is disabled while tombstones exist — a
-//     node's Size() no longer equals its live population.
+//   - The query is a raw coordinate vector, not an indexed point id,
+//     because the query point may live in the engine's overlay buffer
+//     rather than in the tree.
+//   - tomb marks deleted points by original id. Leaf scans skip them, and
+//     range counts stop counting whole subtrees inside the ball, because a
+//     node's Size() no longer equals its live population. A clean index
+//     passes nil.
 //
-// Distances are computed with exactly the kernels the static traversals use
-// (the monomorphized squared-Euclidean kernel + sqrt for L2, M.Dist
-// otherwise), so a live result is bit-identical to the same query against a
-// tree freshly built over the surviving points.
+// So a live result uses exactly the kernels of the static queries (the
+// monomorphized squared-Euclidean kernel + sqrt for L2, M.Dist otherwise)
+// and is bit-identical to the same query against a tree freshly built over
+// the surviving points.
 
 // DistCoords returns the tree-metric distance between two coordinate rows,
 // using the same kernel sequence as the tree's own leaf scans (squared
@@ -42,209 +38,34 @@ func (t *Tree) KNNLiveInto(qc []float64, k int, tomb []bool, ws *KNNWorkspace) [
 	ws.h.reset(k)
 	ws.out = ws.out[:0]
 	if t.l2 {
-		t.knnLive(t.Root, qc, tomb, &ws.h)
+		t.knn(t.Root, qc, tomb, &ws.h)
 		ws.out = ws.h.popAllInto(ws.out, t.Orig, math.Sqrt)
 		return ws.out
 	}
-	t.knnMetricLive(t.Root, qc, tomb, &ws.h)
+	t.knnMetric(t.Root, qc, tomb, &ws.h)
 	ws.out = ws.h.popAllInto(ws.out, t.Orig, identity)
 	return ws.out
 }
 
-func (t *Tree) knnLive(n *Node, qc []float64, tomb []bool, h *knnHeap) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			r := int(p) * d
-			h.push(p, kern(qc, data[r:r+d:r+d]))
-		}
-		return
-	}
-	left, right := t.LeftOf(n), t.RightOf(n)
-	dl := geometry.SqDistPointBox(qc, left.Box)
-	dr := geometry.SqDistPointBox(qc, right.Box)
-	first, second := left, right
-	df, ds := dl, dr
-	if dr < dl {
-		first, second = right, left
-		df, ds = dr, dl
-	}
-	if df < h.worst() {
-		t.knnLive(first, qc, tomb, h)
-	}
-	if ds < h.worst() {
-		t.knnLive(second, qc, tomb, h)
-	}
-}
-
-func (t *Tree) knnMetricLive(n *Node, qc []float64, tomb []bool, h *knnHeap) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			r := int(p) * d
-			h.push(p, t.M.Dist(qc, data[r:r+d:r+d]))
-		}
-		return
-	}
-	left, right := t.LeftOf(n), t.RightOf(n)
-	dl := t.M.PointBoxLB(qc, left.Box)
-	dr := t.M.PointBoxLB(qc, right.Box)
-	first, second := left, right
-	df, ds := dl, dr
-	if dr < dl {
-		first, second = right, left
-		df, ds = dr, dl
-	}
-	if df < h.worst() {
-		t.knnMetricLive(first, qc, tomb, h)
-	}
-	if ds < h.worst() {
-		t.knnMetricLive(second, qc, tomb, h)
-	}
-}
-
 // RangeQueryLiveAppend appends the original ids of all non-tombstoned tree
 // points within tree-metric distance r of the coordinate vector qc, in no
-// particular order.
+// particular order. tomb is indexed by original id; nil means none.
 func (t *Tree) RangeQueryLiveAppend(qc []float64, r float64, tomb []bool, out []int32) []int32 {
 	if t.l2 {
-		t.rangeQueryLive(t.Root, qc, r*r, tomb, &out)
+		t.rangeQuery(t.Root, qc, r*r, tomb, &out)
 	} else {
-		t.rangeQueryMetricLive(t.Root, qc, r, tomb, &out)
+		t.rangeQueryMetric(t.Root, qc, r, tomb, &out)
 	}
 	return out
 }
 
-func (t *Tree) rangeQueryLive(n *Node, qc []float64, r2 float64, tomb []bool, out *[]int32) {
-	if n == nil {
-		return
-	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
-		return
-	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
-				*out = append(*out, t.Orig[p])
-			}
-		}
-		return
-	}
-	t.rangeQueryLive(t.LeftOf(n), qc, r2, tomb, out)
-	t.rangeQueryLive(t.RightOf(n), qc, r2, tomb, out)
-}
-
-func (t *Tree) rangeQueryMetricLive(n *Node, qc []float64, r float64, tomb []bool, out *[]int32) {
-	if n == nil {
-		return
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
-				*out = append(*out, t.Orig[p])
-			}
-		}
-		return
-	}
-	t.rangeQueryMetricLive(t.LeftOf(n), qc, r, tomb, out)
-	t.rangeQueryMetricLive(t.RightOf(n), qc, r, tomb, out)
-}
-
 // RangeCountLive returns the number of non-tombstoned tree points within
-// tree-metric distance r of the coordinate vector qc. With tombstones
-// present the wholesale subtree count is disabled (node sizes overcount);
-// without, it behaves like RangeCount.
+// tree-metric distance r of the coordinate vector qc. Subtrees inside the
+// ball are counted wholesale only when tomb is nil: with tombstones a
+// node's Size() overcounts its live points.
 func (t *Tree) RangeCountLive(qc []float64, r float64, tomb []bool) int {
 	if t.l2 {
-		return t.rangeCountLive(t.Root, qc, r*r, tomb)
+		return t.rangeCount(t.Root, qc, r*r, tomb)
 	}
-	return t.rangeCountMetricLive(t.Root, qc, r, tomb)
-}
-
-func (t *Tree) rangeCountLive(n *Node, qc []float64, r2 float64, tomb []bool) int {
-	if n == nil {
-		return 0
-	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
-		return 0
-	}
-	if tomb == nil && geometry.SqMaxDistBoxes(pointBox(qc), n.Box) <= r2 {
-		return n.Size() // whole subtree inside the ball
-	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		cnt := 0
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
-				cnt++
-			}
-		}
-		return cnt
-	}
-	return t.rangeCountLive(t.LeftOf(n), qc, r2, tomb) + t.rangeCountLive(t.RightOf(n), qc, r2, tomb)
-}
-
-func (t *Tree) rangeCountMetricLive(n *Node, qc []float64, r float64, tomb []bool) int {
-	if n == nil {
-		return 0
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return 0
-	}
-	if tomb == nil && t.M.BoxesUB(pointBox(qc), n.Box) <= r {
-		return n.Size() // whole subtree inside the ball
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		cnt := 0
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
-				cnt++
-			}
-		}
-		return cnt
-	}
-	return t.rangeCountMetricLive(t.LeftOf(n), qc, r, tomb) + t.rangeCountMetricLive(t.RightOf(n), qc, r, tomb)
+	return t.rangeCountMetric(t.Root, qc, r, tomb)
 }

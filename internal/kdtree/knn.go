@@ -132,28 +132,22 @@ func (t *Tree) KNN(q int32, k int) []Neighbor {
 // KNNInto is KNN reusing the workspace's buffers; the returned slice is
 // valid until the next call with the same workspace.
 func (t *Tree) KNNInto(q int32, k int, ws *KNNWorkspace) []Neighbor {
-	ws.h.reset(k)
-	ws.out = ws.out[:0]
 	qc := t.Pts.At(int(t.Inv[q]))
 	if f := t.f32; f != nil {
+		ws.h.reset(k)
+		ws.out = ws.out[:0]
 		t.knn32(t.Root, qc, f.Row(t.Inv[q]), &ws.h)
 		ws.out = ws.h.popAllInto(ws.out, t.Orig, f.Kern.Finish)
 		return ws.out
 	}
-	if t.l2 {
-		t.knn(t.Root, qc, &ws.h)
-		ws.out = ws.h.popAllInto(ws.out, t.Orig, math.Sqrt)
-		return ws.out
-	}
-	t.knnMetric(t.Root, qc, &ws.h)
-	ws.out = ws.h.popAllInto(ws.out, t.Orig, identity)
-	return ws.out
+	return t.KNNLiveInto(qc, k, nil, ws)
 }
 
 // knn is the Euclidean traversal; heap keys are squared distances, the
 // distance kernel was monomorphized once at tree build, and leaf scans run
-// over contiguous kd-ordered rows.
-func (t *Tree) knn(n *Node, qc []float64, h *knnHeap) {
+// over contiguous kd-ordered rows. Leaf scans skip points whose original
+// id is tombstoned (tomb is indexed by original id; nil means none).
+func (t *Tree) knn(n *Node, qc []float64, tomb []bool, h *knnHeap) {
 	if n == nil {
 		return
 	}
@@ -162,6 +156,9 @@ func (t *Tree) knn(n *Node, qc []float64, h *knnHeap) {
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			r := int(p) * d
 			h.push(p, kern(qc, data[r:r+d:r+d]))
 		}
@@ -177,16 +174,16 @@ func (t *Tree) knn(n *Node, qc []float64, h *knnHeap) {
 		df, ds = dr, dl
 	}
 	if df < h.worst() {
-		t.knn(first, qc, h)
+		t.knn(first, qc, tomb, h)
 	}
 	if ds < h.worst() {
-		t.knn(second, qc, h)
+		t.knn(second, qc, tomb, h)
 	}
 }
 
 // knnMetric is the general traversal: heap keys are tree-metric distances
 // and pruning uses the metric's point-box lower bound.
-func (t *Tree) knnMetric(n *Node, qc []float64, h *knnHeap) {
+func (t *Tree) knnMetric(n *Node, qc []float64, tomb []bool, h *knnHeap) {
 	if n == nil {
 		return
 	}
@@ -194,6 +191,9 @@ func (t *Tree) knnMetric(n *Node, qc []float64, h *knnHeap) {
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			r := int(p) * d
 			h.push(p, t.M.Dist(qc, data[r:r+d:r+d]))
 		}
@@ -209,10 +209,10 @@ func (t *Tree) knnMetric(n *Node, qc []float64, h *knnHeap) {
 		df, ds = dr, dl
 	}
 	if df < h.worst() {
-		t.knnMetric(first, qc, h)
+		t.knnMetric(first, qc, tomb, h)
 	}
 	if ds < h.worst() {
-		t.knnMetric(second, qc, h)
+		t.knnMetric(second, qc, tomb, h)
 	}
 }
 
@@ -246,13 +246,13 @@ func (t *Tree) CoreDistancesCancel(minPts int, af *abort.Flag) []float64 {
 			h.reset(minPts)
 			qc := data[p*dim : (p+1)*dim : (p+1)*dim]
 			if t.l2 {
-				t.knn(t.Root, qc, &h)
+				t.knn(t.Root, qc, nil, &h)
 				if len(h.sq) > 0 { // heap root is the k-th (or farthest available) NN
 					cd[t.Orig[p]] = math.Sqrt(h.sq[0])
 				}
 				continue
 			}
-			t.knnMetric(t.Root, qc, &h)
+			t.knnMetric(t.Root, qc, nil, &h)
 			if len(h.sq) > 0 {
 				cd[t.Orig[p]] = h.sq[0]
 			}

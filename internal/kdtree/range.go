@@ -16,12 +16,9 @@ func (t *Tree) RangeQueryAppend(q int32, r float64, out []int32) []int32 {
 	qc := t.Pts.At(int(t.Inv[q]))
 	if f := t.f32; f != nil {
 		t.rangeQuery32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r), &out)
-	} else if t.l2 {
-		t.rangeQuery(t.Root, qc, r*r, &out)
-	} else {
-		t.rangeQueryMetric(t.Root, qc, r, &out)
+		return out
 	}
-	return out
+	return t.RangeQueryLiveAppend(qc, r, nil, out)
 }
 
 // RangeCount returns the number of points within tree-metric distance r of
@@ -33,13 +30,10 @@ func (t *Tree) RangeCount(q int32, r float64) int {
 	if f := t.f32; f != nil {
 		return t.rangeCount32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r))
 	}
-	if t.l2 {
-		return t.rangeCount(t.Root, qc, r*r)
-	}
-	return t.rangeCountMetric(t.Root, qc, r)
+	return t.RangeCountLive(qc, r, nil)
 }
 
-func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, out *[]int32) {
+func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, tomb []bool, out *[]int32) {
 	if n == nil {
 		return
 	}
@@ -51,6 +45,9 @@ func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, out *[]int32) {
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			r := int(p) * d
 			if kern(qc, data[r:r+d:r+d]) <= r2 {
 				*out = append(*out, t.Orig[p])
@@ -58,18 +55,18 @@ func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, out *[]int32) {
 		}
 		return
 	}
-	t.rangeQuery(t.LeftOf(n), qc, r2, out)
-	t.rangeQuery(t.RightOf(n), qc, r2, out)
+	t.rangeQuery(t.LeftOf(n), qc, r2, tomb, out)
+	t.rangeQuery(t.RightOf(n), qc, r2, tomb, out)
 }
 
-func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64) int {
+func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64, tomb []bool) int {
 	if n == nil {
 		return 0
 	}
 	if geometry.SqDistPointBox(qc, n.Box) > r2 {
 		return 0
 	}
-	if geometry.SqMaxDistBoxes(pointBox(qc), n.Box) <= r2 {
+	if tomb == nil && geometry.SqMaxDistBoxes(pointBox(qc), n.Box) <= r2 {
 		return n.Size() // whole subtree inside the ball
 	}
 	if n.IsLeaf() {
@@ -78,6 +75,9 @@ func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64) int {
 		data := t.Pts.Data
 		cnt := 0
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			r := int(p) * d
 			if kern(qc, data[r:r+d:r+d]) <= r2 {
 				cnt++
@@ -85,10 +85,10 @@ func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64) int {
 		}
 		return cnt
 	}
-	return t.rangeCount(t.LeftOf(n), qc, r2) + t.rangeCount(t.RightOf(n), qc, r2)
+	return t.rangeCount(t.LeftOf(n), qc, r2, tomb) + t.rangeCount(t.RightOf(n), qc, r2, tomb)
 }
 
-func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, out *[]int32) {
+func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, tomb []bool, out *[]int32) {
 	if n == nil {
 		return
 	}
@@ -99,6 +99,9 @@ func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, out *[]int32) 
 		d := t.Pts.Dim
 		data := t.Pts.Data
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			ro := int(p) * d
 			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
 				*out = append(*out, t.Orig[p])
@@ -106,18 +109,18 @@ func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, out *[]int32) 
 		}
 		return
 	}
-	t.rangeQueryMetric(t.LeftOf(n), qc, r, out)
-	t.rangeQueryMetric(t.RightOf(n), qc, r, out)
+	t.rangeQueryMetric(t.LeftOf(n), qc, r, tomb, out)
+	t.rangeQueryMetric(t.RightOf(n), qc, r, tomb, out)
 }
 
-func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64) int {
+func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64, tomb []bool) int {
 	if n == nil {
 		return 0
 	}
 	if t.M.PointBoxLB(qc, n.Box) > r {
 		return 0
 	}
-	if t.M.BoxesUB(pointBox(qc), n.Box) <= r {
+	if tomb == nil && t.M.BoxesUB(pointBox(qc), n.Box) <= r {
 		return n.Size() // whole subtree inside the ball
 	}
 	if n.IsLeaf() {
@@ -125,6 +128,9 @@ func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64) int {
 		data := t.Pts.Data
 		cnt := 0
 		for p := n.Lo; p < n.Hi; p++ {
+			if tomb != nil && tomb[t.Orig[p]] {
+				continue
+			}
 			ro := int(p) * d
 			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
 				cnt++
@@ -132,7 +138,7 @@ func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64) int {
 		}
 		return cnt
 	}
-	return t.rangeCountMetric(t.LeftOf(n), qc, r) + t.rangeCountMetric(t.RightOf(n), qc, r)
+	return t.rangeCountMetric(t.LeftOf(n), qc, r, tomb) + t.rangeCountMetric(t.RightOf(n), qc, r, tomb)
 }
 
 func pointBox(qc []float64) geometry.Box {
