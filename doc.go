@@ -92,18 +92,21 @@
 // workloads, where the O(dim) leaf scans dominate: the k-d tree carries a
 // dimension-blocked float32 copy of the points, and k-NN, core distances,
 // range queries, BCCP, and Borůvka all lane-scan it with branch-free,
-// vectorizable loops. Exact float64 stays the default. The precision
-// contract: all spatial pruning uses exact float64 bounds and every
-// cross-candidate comparison widens to float64, so results differ from
-// the float64 path only by float32 rounding of individual point-pair
-// distances — bounded relative error on MST weights and merge heights,
-// with label flips possible only for points whose assignment is decided
-// at float32 resolution. NewIndex rejects coordinates whose magnitude
-// exceeds metric.MaxAbsCoord32(dim), so accumulations can never round to
-// ±Inf. Snapshots record the dtype and restore the Index in the same
-// mode. At dim 16–128 the fast path measures roughly 2.5–10x on k-NN,
-// core distances, and end-to-end HDBSCAN* (see the README's float32
-// section).
+// vectorizable loops. Each of those traversals is written once for both
+// dtypes and every metric: the dtype and the metric are chosen only in the
+// k-d tree's query primitives (internal/kdtree/scan.go), and float64
+// traversals still descend to the leaves. Exact
+// float64 stays the default. The precision contract: all spatial pruning
+// uses exact float64 bounds and every cross-candidate comparison widens to
+// float64, so results differ from the float64 path only by float32
+// rounding of individual point-pair distances — bounded relative error on
+// MST weights and merge heights, with label flips possible only for
+// points whose assignment is decided at float32 resolution. NewIndex
+// rejects coordinates whose magnitude exceeds metric.MaxAbsCoord32(dim),
+// so accumulations can never round to ±Inf. Snapshots record the dtype
+// and restore the Index in the same mode. At dim 16–128 the fast path
+// measures roughly 2.5–10x on k-NN, core distances, and end-to-end
+// HDBSCAN* (see the README's float32 section).
 //
 // # Serving and registry memory accounting
 //

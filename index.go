@@ -357,21 +357,13 @@ func (ix *Index) OPTICS(minPts int, eps float64) ([]OPTICSEntry, error) {
 	if ix.N() == 0 {
 		return nil, nil
 	}
-	for {
-		t, err := ix.eng.CanonTree(ix.ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		cd, err := ix.eng.CoreDist(ix.ctx, minPts, nil)
-		if err != nil {
-			return nil, err
-		}
-		// A mutation can land between the two stage fetches; retry until the
-		// core distances describe exactly this tree's point set.
-		if len(cd) == t.Pts.N {
-			return optics.RunOnTree(t, cd, eps, false), nil
-		}
+	// The tree and the core distances come from one fetch, so a mutation
+	// landing between two stage reads cannot pair them across point sets.
+	t, cd, err := ix.eng.CoreDistTree(ix.ctx, minPts)
+	if err != nil {
+		return nil, err
 	}
+	return optics.RunOnTree(t, cd, eps, false), nil
 }
 
 // KNN returns the k nearest neighbors of the indexed point with dense id q

@@ -3,7 +3,11 @@ package parclust
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
+
+	"parclust/internal/engine"
 )
 
 // TestIndexWithContextCancelled pins the public cancellation contract: a
@@ -79,4 +83,58 @@ func TestIndexBuildGate(t *testing.T) {
 	if admitted == 0 || admitted != released {
 		t.Fatalf("gate admitted=%d released=%d, want equal and nonzero", admitted, released)
 	}
+}
+
+// TestOPTICSMutationBetweenStages pins that OPTICS pairs a tree with the
+// core distances computed over that same point set. A hook runs an insert
+// and a delete just before the core-distance build, so the live count is
+// unchanged but the point set is not; the answer must equal OPTICS on a
+// fresh Index over either the rows before the mutation or the rows after
+// it, never a mix of the two.
+func TestOPTICSMutationBetweenStages(t *testing.T) {
+	pts := GenerateVarden(400, 2, 41)
+	idx, err := NewIndex(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := Points{Data: []float64{100, 100}, N: 1, Dim: 2}
+	var once sync.Once
+	engine.TestBuildHook = func(stage string) {
+		if stage != "core" {
+			return
+		}
+		once.Do(func() {
+			if _, err := idx.Insert(extra); err != nil {
+				t.Error(err)
+			}
+			if err := idx.Delete([]int64{0}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	t.Cleanup(func() { engine.TestBuildHook = nil })
+	const minPts, eps = 8, 25.0
+	got, err := idx.OPTICS(minPts, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.TestBuildHook = nil
+
+	// Dense ids follow ascending external ids: base rows 1..N-1, then the
+	// inserted row.
+	after := Points{Data: append(append([]float64(nil), pts.Data[pts.Dim:]...), extra.Data...), N: pts.N, Dim: pts.Dim}
+	for _, rows := range []Points{pts, after} {
+		fresh, err := NewIndex(rows, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.OPTICS(minPts, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(got, want) {
+			return
+		}
+	}
+	t.Fatal("OPTICS matches neither the rows before the mutation nor the rows after it")
 }

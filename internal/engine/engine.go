@@ -609,6 +609,32 @@ func (e *Engine) CoreDist(ctx context.Context, minPts int, stats *mst.Stats) ([]
 	}
 }
 
+// CoreDistTree returns the core distances for minPts together with the
+// canonical tree they were computed over, for queries that need both
+// stages of one point set (OPTICS). It accepts a pair only if, under one
+// regMu read lock, the published cores[minPts] is still the slice it
+// fetched and the engine is clean: a mutation clears that memo and marks
+// the engine dirty under the same lock, and the tree changes only through
+// a mutation's compaction. Otherwise it fetches again.
+func (e *Engine) CoreDistTree(ctx context.Context, minPts int) (*kdtree.Tree, []float64, error) {
+	for {
+		if _, err := e.CanonTree(ctx, nil); err != nil {
+			return nil, nil, err
+		}
+		cd, err := e.CoreDist(ctx, minPts, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.regMu.RLock()
+		t, cur, d := e.tree, e.cores[minPts], e.dyn
+		e.regMu.RUnlock()
+		same := len(cur) == len(cd) && (len(cd) == 0 || &cur[0] == &cd[0])
+		if t != nil && same && (d == nil || !d.dirty) {
+			return t, cd, nil
+		}
+	}
+}
+
 func (e *Engine) coreDistLocked(af *abort.Flag, minPts int, stats *mst.Stats) []float64 {
 	e.regMu.RLock()
 	cd, ok := e.cores[minPts]
@@ -710,11 +736,6 @@ func (e *Engine) emstLocked(af *abort.Flag, key mstKey, algo EMSTAlgo, stats *ms
 	t := e.canonLocked(af, stats)
 	ws := wsPool.Get().(*mst.Workspace)
 	defer wsPool.Put(ws)
-	if algo == EMSTBoruvka {
-		edges = mst.BoruvkaCancelWS(t, stats, ws, af)
-		e.storeMST(key, edges)
-		return edges
-	}
 	cfg := mst.Config{Tree: t, Metric: edgeMetricFor(t), Sep: separationFor(e.Kern), Stats: stats, WS: ws, Abort: af}
 	switch algo {
 	case EMSTMemoGFK:
@@ -725,6 +746,8 @@ func (e *Engine) emstLocked(af *abort.Flag, key mstKey, algo EMSTAlgo, stats *ms
 		edges = mst.Naive(cfg)
 	case EMSTWSPDBoruvka:
 		edges = mst.WSPDBoruvka(cfg)
+	case EMSTBoruvka:
+		edges = mst.Boruvka(cfg)
 	default:
 		panic("engine: unknown EMST algorithm")
 	}

@@ -60,7 +60,7 @@ func (p Points) Rows() [][]float64 {
 
 // SqDist returns the squared Euclidean distance between points i and j.
 // Dimensions 2 and 3 take specialized paths via SqDistVec; hot loops that
-// want to hoist the dimension dispatch entirely use SqDistKernel instead.
+// want to hoist the dimension dispatch entirely use SqDistRowKernel instead.
 func (p Points) SqDist(i, j int) float64 {
 	return SqDistVec(p.Data[i*p.Dim:(i+1)*p.Dim], p.Data[j*p.Dim:(j+1)*p.Dim])
 }
@@ -86,19 +86,29 @@ func SqDistVec(a, b []float64) float64 {
 	return sqDistGeneric(a, b)
 }
 
-// SqDistKernel returns the squared-Euclidean kernel monomorphized for the
-// given dimension: dimensions 2 and 3 get straight-line bodies with no loop
-// and no per-call dimension branch. Traversals select the kernel once and
-// call it in their inner loops, so the dispatch cost is paid per traversal,
-// not per point pair.
-func SqDistKernel(dim int) func(a, b []float64) float64 {
-	switch dim {
+// SqDistRowKernel returns the squared-Euclidean distance from a coordinate
+// vector to row p of pts, monomorphized for pts.Dim: dimensions 2 and 3 get
+// straight-line bodies with no loop and no per-call dimension branch.
+// Traversals select the kernel once and call it in their inner loops, so
+// the dispatch cost is paid per traversal, not per point pair.
+func SqDistRowKernel(pts Points) func(q []float64, p int32) float64 {
+	data, d := pts.Data, pts.Dim
+	switch d {
 	case 2:
-		return sqDist2
+		return func(q []float64, p int32) float64 {
+			r := int(p) * 2
+			return sqDist2(q, data[r:r+2:r+2])
+		}
 	case 3:
-		return sqDist3
+		return func(q []float64, p int32) float64 {
+			r := int(p) * 3
+			return sqDist3(q, data[r:r+3:r+3])
+		}
 	}
-	return sqDistGeneric
+	return func(q []float64, p int32) float64 {
+		r := int(p) * d
+		return sqDistGeneric(q, data[r:r+d:r+d])
+	}
 }
 
 func sqDist2(a, b []float64) float64 {

@@ -38,7 +38,7 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 	s := math.Sqrt(8 / rho)
 	var pairs []wspd.Pair
 	stats.Time("wspd", func() {
-		pairs = wspd.Decompose(t, wspd.Geometric{S: s})
+		pairs = wspd.Decompose(t, wspd.Geometric{S: s}, nil)
 	})
 	// Candidate generation runs in the tree's kd-order space (node point
 	// ranges are contiguous); edges are mapped back to original ids after

@@ -18,18 +18,13 @@ type BCCPResult struct {
 // under metric m (Section 2.3). With the MutualReachability metric this is
 // the paper's BCCP*. The traversal prunes node pairs whose lower bound
 // cannot beat the best pair found so far and descends nearer pairs first.
-// The Euclidean metric is dispatched once per call to a monomorphized
-// traversal that compares squared distances and never crosses an interface
-// in its leaf loops; with the kd-ordered layout both sides of a leaf-leaf
-// scan are contiguous row blocks.
+// The Euclidean metric on an L2 tree runs the squared traversal of BCCPSq,
+// which compares squared distances and never crosses an interface in its
+// leaf loops; with the kd-ordered layout both sides of a leaf-leaf scan are
+// contiguous row blocks.
 func BCCP(t *Tree, m Metric, a, b *Node) BCCPResult {
-	if _, ok := m.(Euclidean); ok {
-		best := BCCPResult{U: -1, V: -1, W: math.Inf(1)}
-		if t.f32 != nil && t.f32.Kern.Sq {
-			bccpSq32(t, a, b, geometry.SqDistBoxes(a.Box, b.Box), &best)
-		} else {
-			bccpL2(t, t.sqKern, a, b, geometry.SqDistBoxes(a.Box, b.Box), &best)
-		}
+	if _, ok := m.(Euclidean); ok && t.l2 {
+		best := BCCPSq(t, nil, a, b)
 		best.W = math.Sqrt(best.W)
 		return best
 	}
@@ -38,97 +33,111 @@ func BCCP(t *Tree, m Metric, a, b *Node) BCCPResult {
 	return best
 }
 
-// BCCPSq computes the bichromatic closest pair between a and b in squared
-// space: under plain squared Euclidean distance when cd is nil, or under
-// squared mutual reachability max{d², cd[p]², cd[q]²} when cd holds the
-// kd-order core distances (node CDMin/CDMax annotations must be set). The
-// returned W is the squared-space weight; callers needing the true metric
-// weight evaluate their metric on (U, V). MemoGFK's monomorphized L2 fast
-// paths run entirely against this traversal.
+// BCCPSq computes the bichromatic closest pair between a and b of an L2
+// tree in squared space: under plain squared Euclidean distance when cd is
+// nil, or under squared mutual reachability max{d², cd[p]², cd[q]²} when cd
+// holds the kd-order core distances (node CDMin/CDMax annotations must be
+// set). The returned W is the squared-space weight; callers needing the
+// true metric weight evaluate their metric on (U, V). Squaring is
+// monotone, so the traversal order and the resulting pair match the
+// generic traversal exactly.
 func BCCPSq(t *Tree, cd []float64, a, b *Node) BCCPResult {
-	best := BCCPResult{U: -1, V: -1, W: math.Inf(1)}
-	if cd == nil {
-		if t.f32 != nil && t.f32.Kern.Sq {
-			bccpSq32(t, a, b, geometry.SqDistBoxes(a.Box, b.Box), &best)
-		} else {
-			bccpL2(t, t.sqKern, a, b, geometry.SqDistBoxes(a.Box, b.Box), &best)
-		}
-		return best
+	var s sqBCCP // filled in place: the query's scan buffer makes a copy costly
+	s.t, s.cd = t, cd
+	s.best = BCCPResult{U: -1, V: -1, W: math.Inf(1)}
+	t.at(&s.q, a.Lo) // sets the dtype; the leaf scans move it to each point
+	lb := geometry.SqDistBoxes(a.Box, b.Box)
+	if cd != nil {
+		lb = cdLB(lb, a, b)
 	}
-	if t.f32 != nil && t.f32.Kern.Sq {
-		bccpMutSq32(t, cd, a, b, sqMutNodeLB(a, b), &best)
-	} else {
-		bccpMutSq(t, cd, a, b, sqMutNodeLB(a, b), &best)
-	}
-	return best
+	s.run(a, b, lb)
+	return s.best
 }
 
-// bccpMutSq is bccpL2 under squared mutual reachability: leaf weights are
-// max{d², cd[p]², cd[q]²} and pruning uses the squared node lower bound
-// max{boxdist², cdmin²}. lb is sqMutNodeLB(a, b), computed by the caller —
-// the parent already evaluated it to order the child descent, so passing
-// it down halves the O(dim) bound evaluations of the traversal.
-func bccpMutSq(t *Tree, cd []float64, a, b *Node, lb float64, best *BCCPResult) {
-	if lb >= best.W {
+// sqBCCP is one squared BCCP search.
+type sqBCCP struct {
+	t    *Tree
+	cd   []float64 // kd-order core distances; nil for plain Euclidean
+	best BCCPResult
+	q    query
+}
+
+// run searches the node pair (a, b), whose squared lower bound lb the
+// caller has already computed for child ordering, so each node pair
+// evaluates its O(dim) bound exactly once. Where both nodes stop the
+// descent, every point of a is the query of a leaf scan over b.
+func (s *sqBCCP) run(a, b *Node, lb float64) {
+	if lb >= s.best.W {
 		return
 	}
-	if a.IsLeaf() && b.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
+	t, q, cd := s.t, &s.q, s.cd
+	stopA, stopB := t.stop(q, a), t.stop(q, b)
+	if stopA && stopB {
 		for p := a.Lo; p < a.Hi; p++ {
-			rp := int(p) * d
-			pc := data[rp : rp+d : rp+d]
-			cp2 := cd[p] * cd[p]
-			for q := b.Lo; q < b.Hi; q++ {
-				if p == q {
-					continue
+			t.at(q, p)
+			var cp2 float64
+			if cd != nil {
+				cp2 = cd[p] * cd[p]
+			}
+			for lo := b.Lo; lo < b.Hi; {
+				e := t.scan(q, lo, b.Hi)
+				for x := lo; x < e; x++ {
+					if x == p {
+						continue
+					}
+					w := t.dist(q, x, lo)
+					if cd != nil {
+						if cp2 > w {
+							w = cp2
+						}
+						if cx2 := cd[x] * cd[x]; cx2 > w {
+							w = cx2
+						}
+					}
+					if w < s.best.W {
+						s.best = BCCPResult{U: p, V: x, W: w}
+					}
 				}
-				rq := int(q) * d
-				w := kern(pc, data[rq:rq+d:rq+d])
-				if cp2 > w {
-					w = cp2
-				}
-				if cq2 := cd[q] * cd[q]; cq2 > w {
-					w = cq2
-				}
-				if w < best.W {
-					*best = BCCPResult{U: p, V: q, W: w}
-				}
+				lo = e
 			}
 		}
 		return
 	}
-	if b.IsLeaf() || (!a.IsLeaf() && a.Radius >= b.Radius) {
-		al, ar := t.LeftOf(a), t.RightOf(a)
-		d1 := sqMutNodeLB(al, b)
-		d2 := sqMutNodeLB(ar, b)
+	// Split the node with the larger bounding sphere (matching FindPair's
+	// convention); descend the nearer child pair first for tighter pruning.
+	if stopB || (!stopA && a.Radius >= b.Radius) {
+		l, r := t.LeftOf(a), t.RightOf(a)
+		d1, d2 := geometry.SqDistBoxes(l.Box, b.Box), geometry.SqDistBoxes(r.Box, b.Box)
+		if cd != nil {
+			d1, d2 = cdLB(d1, l, b), cdLB(d2, r, b)
+		}
 		if d1 <= d2 {
-			bccpMutSq(t, cd, al, b, d1, best)
-			bccpMutSq(t, cd, ar, b, d2, best)
+			s.run(l, b, d1)
+			s.run(r, b, d2)
 		} else {
-			bccpMutSq(t, cd, ar, b, d2, best)
-			bccpMutSq(t, cd, al, b, d1, best)
+			s.run(r, b, d2)
+			s.run(l, b, d1)
 		}
 		return
 	}
-	bl, br := t.LeftOf(b), t.RightOf(b)
-	d1 := sqMutNodeLB(a, bl)
-	d2 := sqMutNodeLB(a, br)
+	l, r := t.LeftOf(b), t.RightOf(b)
+	d1, d2 := geometry.SqDistBoxes(a.Box, l.Box), geometry.SqDistBoxes(a.Box, r.Box)
+	if cd != nil {
+		d1, d2 = cdLB(d1, a, l), cdLB(d2, a, r)
+	}
 	if d1 <= d2 {
-		bccpMutSq(t, cd, a, bl, d1, best)
-		bccpMutSq(t, cd, a, br, d2, best)
+		s.run(a, l, d1)
+		s.run(a, r, d2)
 	} else {
-		bccpMutSq(t, cd, a, br, d2, best)
-		bccpMutSq(t, cd, a, bl, d1, best)
+		s.run(a, r, d2)
+		s.run(a, l, d1)
 	}
 }
 
-// sqMutNodeLB is the squared mutual-reachability node lower bound
-// max{boxdist², max(CDMin)²}. For trees without core-distance annotations
-// (CDMin zero) it degenerates to the plain squared box distance.
-func sqMutNodeLB(a, b *Node) float64 {
-	s := geometry.SqDistBoxes(a.Box, b.Box)
+// cdLB raises the squared box distance s of (a, b) to the squared
+// mutual-reachability node lower bound max{s, max(CDMin)²}. For trees
+// without core-distance annotations (CDMin zero) it leaves s unchanged.
+func cdLB(s float64, a, b *Node) float64 {
 	c := a.CDMin
 	if b.CDMin > c {
 		c = b.CDMin
@@ -139,13 +148,10 @@ func sqMutNodeLB(a, b *Node) float64 {
 	return s
 }
 
-// SqMutNodeLB exposes the squared mutual-reachability lower bound for the
-// MST package's monomorphized traversals.
-func SqMutNodeLB(a, b *Node) float64 { return sqMutNodeLB(a, b) }
-
-// SqMutNodeLBBounded is SqMutNodeLB with an early exit once the bound is
-// reached (see geometry.SqDistBoxesBounded): the result is exact below
-// bound and otherwise only certifies lb >= bound. The core-distance term
+// SqMutNodeLBBounded is the squared mutual-reachability node lower bound
+// with an early exit once the bound is reached (see
+// geometry.SqDistBoxesBounded): the result is exact below bound and
+// otherwise only certifies lb >= bound. The core-distance term
 // is O(1) and checked first, so far-apart node pairs skip most of the
 // O(dim) box scan.
 func SqMutNodeLBBounded(a, b *Node, bound float64) float64 {
@@ -163,7 +169,8 @@ func SqMutNodeLBBounded(a, b *Node, bound float64) float64 {
 	return c2
 }
 
-// SqMutNodeUBBounded is SqMutNodeUB with the same early-exit contract.
+// SqMutNodeUBBounded is the squared mutual-reachability node upper bound
+// max{boxmaxdist², max(CDMax)²} with the same early-exit contract.
 func SqMutNodeUBBounded(a, b *Node, bound float64) float64 {
 	c := a.CDMax
 	if b.CDMax > c {
@@ -177,71 +184,6 @@ func SqMutNodeUBBounded(a, b *Node, bound float64) float64 {
 		return s
 	}
 	return c2
-}
-
-// SqMutNodeUB is the squared mutual-reachability node upper bound
-// max{boxmaxdist², max(CDMax)²}.
-func SqMutNodeUB(a, b *Node) float64 {
-	s := geometry.SqMaxDistBoxes(a.Box, b.Box)
-	c := a.CDMax
-	if b.CDMax > c {
-		c = b.CDMax
-	}
-	if c2 := c * c; c2 > s {
-		return c2
-	}
-	return s
-}
-
-// bccpL2 mirrors bccp for the Euclidean metric with best.W held in squared
-// space; squaring is monotone, so the traversal order and the resulting
-// pair match the generic traversal exactly. lb is the squared box distance
-// of (a, b), already computed by the caller for child ordering.
-func bccpL2(t *Tree, kern func(a, b []float64) float64, a, b *Node, lb float64, best *BCCPResult) {
-	if lb >= best.W {
-		return
-	}
-	if a.IsLeaf() && b.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := a.Lo; p < a.Hi; p++ {
-			rp := int(p) * d
-			pc := data[rp : rp+d : rp+d]
-			for q := b.Lo; q < b.Hi; q++ {
-				if p == q {
-					continue
-				}
-				rq := int(q) * d
-				if w := kern(pc, data[rq:rq+d:rq+d]); w < best.W {
-					*best = BCCPResult{U: p, V: q, W: w}
-				}
-			}
-		}
-		return
-	}
-	if b.IsLeaf() || (!a.IsLeaf() && a.Radius >= b.Radius) {
-		al, ar := t.LeftOf(a), t.RightOf(a)
-		d1 := geometry.SqDistBoxes(al.Box, b.Box)
-		d2 := geometry.SqDistBoxes(ar.Box, b.Box)
-		if d1 <= d2 {
-			bccpL2(t, kern, al, b, d1, best)
-			bccpL2(t, kern, ar, b, d2, best)
-		} else {
-			bccpL2(t, kern, ar, b, d2, best)
-			bccpL2(t, kern, al, b, d1, best)
-		}
-		return
-	}
-	bl, br := t.LeftOf(b), t.RightOf(b)
-	d1 := geometry.SqDistBoxes(a.Box, bl.Box)
-	d2 := geometry.SqDistBoxes(a.Box, br.Box)
-	if d1 <= d2 {
-		bccpL2(t, kern, a, bl, d1, best)
-		bccpL2(t, kern, a, br, d2, best)
-	} else {
-		bccpL2(t, kern, a, br, d2, best)
-		bccpL2(t, kern, a, bl, d1, best)
-	}
 }
 
 func bccp(t *Tree, m Metric, a, b *Node, lb float64, best *BCCPResult) {

@@ -1,23 +1,28 @@
 package kdtree
 
-import "math"
+import (
+	"math"
+
+	"parclust/internal/geometry"
+)
 
 // The engine's dynamic layer answers point queries on a mutated index
 // through the same traversals as a clean one (knn.go, range.go), changing
-// only their inputs:
+// only their query (scan.go):
 //
 //   - The query is a raw coordinate vector, not an indexed point id,
 //     because the query point may live in the engine's overlay buffer
-//     rather than in the tree.
+//     rather than in the tree. Coordinate queries run on the float64 path
+//     on every tree, float32 ones included.
 //   - tomb marks deleted points by original id. Leaf scans skip them, and
 //     range counts stop counting whole subtrees inside the ball, because a
 //     node's Size() no longer equals its live population. A clean index
 //     passes nil.
 //
-// So a live result uses exactly the kernels of the static queries (the
-// monomorphized squared-Euclidean kernel + sqrt for L2, M.Dist otherwise)
-// and is bit-identical to the same query against a tree freshly built over
-// the surviving points.
+// So a live result uses exactly the kernels of the static float64 queries
+// (the monomorphized squared-Euclidean kernel + sqrt for L2, M.Dist
+// otherwise) and is bit-identical to the same query against a tree freshly
+// built over the surviving points.
 
 // DistCoords returns the tree-metric distance between two coordinate rows,
 // using the same kernel sequence as the tree's own leaf scans (squared
@@ -25,7 +30,7 @@ import "math"
 // distances merge bit-identically with tree results.
 func (t *Tree) DistCoords(a, b []float64) float64 {
 	if t.l2 {
-		return math.Sqrt(t.sqKern(a, b))
+		return math.Sqrt(geometry.SqDistVec(a, b))
 	}
 	return t.M.Dist(a, b)
 }
@@ -35,27 +40,16 @@ func (t *Tree) DistCoords(a, b []float64) float64 {
 // into the workspace's buffers. Result ids are original input ids. Fewer
 // than k results are returned when fewer than k live points exist.
 func (t *Tree) KNNLiveInto(qc []float64, k int, tomb []bool, ws *KNNWorkspace) []Neighbor {
-	ws.h.reset(k)
-	ws.out = ws.out[:0]
-	if t.l2 {
-		t.knn(t.Root, qc, tomb, &ws.h)
-		ws.out = ws.h.popAllInto(ws.out, t.Orig, math.Sqrt)
-		return ws.out
-	}
-	t.knnMetric(t.Root, qc, tomb, &ws.h)
-	ws.out = ws.h.popAllInto(ws.out, t.Orig, identity)
-	return ws.out
+	q := t.coords(qc, tomb)
+	return t.knnInto(&q, k, ws)
 }
 
 // RangeQueryLiveAppend appends the original ids of all non-tombstoned tree
 // points within tree-metric distance r of the coordinate vector qc, in no
 // particular order. tomb is indexed by original id; nil means none.
 func (t *Tree) RangeQueryLiveAppend(qc []float64, r float64, tomb []bool, out []int32) []int32 {
-	if t.l2 {
-		t.rangeQuery(t.Root, qc, r*r, tomb, &out)
-	} else {
-		t.rangeQueryMetric(t.Root, qc, r, tomb, &out)
-	}
+	q := t.coords(qc, tomb)
+	t.rangeQuery(t.Root, &q, t.cmpRadius(&q, r), &out)
 	return out
 }
 
@@ -64,8 +58,6 @@ func (t *Tree) RangeQueryLiveAppend(qc []float64, r float64, tomb []bool, out []
 // ball are counted wholesale only when tomb is nil: with tombstones a
 // node's Size() overcounts its live points.
 func (t *Tree) RangeCountLive(qc []float64, r float64, tomb []bool) int {
-	if t.l2 {
-		return t.rangeCount(t.Root, qc, r*r, tomb)
-	}
-	return t.rangeCountMetric(t.Root, qc, r, tomb)
+	q := t.coords(qc, tomb)
+	return t.rangeCount(t.Root, &q, t.cmpRadius(&q, r))
 }

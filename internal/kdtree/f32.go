@@ -3,7 +3,6 @@ package kdtree
 import (
 	"fmt"
 
-	"parclust/internal/geometry"
 	"parclust/internal/metric"
 	"parclust/internal/parallel"
 )
@@ -99,16 +98,16 @@ func (f *F32) Row(p int32) []float32 {
 	return f.rows[r : r+f.dim : r+f.dim]
 }
 
-// ScanInto computes comparison-space distances from the query row q32 to
-// the kd positions [lo, hi), writing them to dst[0:hi-lo]. hi-lo must be
-// at most F32ScanMax (a range that size spans at most two panel blocks).
-// The accumulation walks dimension lanes: for each of the dim lanes it
-// folds F32ScanMax-contiguous same-dimension coordinates into the
+// scanInto computes comparison-space distances from the query row q32 to
+// the kd positions [lo, e), e = min(hi, lo+F32ScanMax), writing them to
+// buf[0:e-lo], and returns e (a range that size spans at most two panel
+// blocks). The accumulation walks dimension lanes: for each of the dim
+// lanes it folds F32ScanMax-contiguous same-dimension coordinates into the
 // accumulators, so the inner loop is a branch-free independent-iteration
 // pass the compiler can keep in registers (and vectorize under GOAMD64=v3).
-func (f *F32) ScanInto(dst []float32, lo, hi int32, q32 []float32) {
-	cnt := int(hi - lo)
-	dst = dst[:cnt]
+func (f *F32) scanInto(buf *[F32ScanMax]float32, lo, hi int32, q32 []float32) int32 {
+	hi = min(hi, lo+F32ScanMax)
+	dst := buf[:hi-lo]
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -147,257 +146,5 @@ func (f *F32) ScanInto(dst []float32, lo, hi int32, q32 []float32) {
 		base += j1 - j0
 		s += int32(j1 - j0)
 	}
-}
-
-// scannable32 reports that the float32 traversal should stop descending at
-// n and lane-scan its kd-range instead (leaves of any size qualify: they
-// cannot be split further).
-func scannable32(n *Node) bool { return n.IsLeaf() || n.Size() <= F32ScanMax }
-
-// knn32 is the float32 traversal: exact float64 comparison-space box
-// bounds prune subtrees, and once a subtree fits F32ScanMax positions its
-// contiguous kd-range is lane-scanned through the SoA panels. Heap keys
-// are float64-widened comparison-space distances, so cross-candidate
-// ordering and tie-breaking are exact over the float32-rounded values.
-func (t *Tree) knn32(n *Node, qc []float64, q32 []float32, h *knnHeap) {
-	if n == nil {
-		return
-	}
-	if scannable32(n) {
-		t.scanKNN32(n.Lo, n.Hi, q32, h)
-		return
-	}
-	f := t.f32
-	left, right := t.LeftOf(n), t.RightOf(n)
-	dl := f.Kern.PointBoxLB(qc, left.Box)
-	dr := f.Kern.PointBoxLB(qc, right.Box)
-	first, second := left, right
-	df, ds := dl, dr
-	if dr < dl {
-		first, second = right, left
-		df, ds = dr, dl
-	}
-	if df < h.worst() {
-		t.knn32(first, qc, q32, h)
-	}
-	if ds < h.worst() {
-		t.knn32(second, qc, q32, h)
-	}
-}
-
-// scanKNN32 lane-scans kd positions [lo, hi) (chunked to F32ScanMax) and
-// pushes every distance; the bounded heap evicts in O(log k). The scratch
-// buffer is a stack array, so the scan allocates nothing.
-func (t *Tree) scanKNN32(lo, hi int32, q32 []float32, h *knnHeap) {
-	var buf [F32ScanMax]float32
-	f := t.f32
-	for s := lo; s < hi; {
-		e := s + F32ScanMax
-		if e > hi {
-			e = hi
-		}
-		f.ScanInto(buf[:], s, e, q32)
-		for j := int32(0); j < e-s; j++ {
-			h.push(s+j, float64(buf[j]))
-		}
-		s = e
-	}
-}
-
-// rangeQuery32 mirrors rangeQuery with the comparison-space radius cr and
-// lane scans at the cutoff.
-func (t *Tree) rangeQuery32(n *Node, qc []float64, q32 []float32, cr float64, out *[]int32) {
-	if n == nil {
-		return
-	}
-	f := t.f32
-	if f.Kern.PointBoxLB(qc, n.Box) > cr {
-		return
-	}
-	if scannable32(n) {
-		var buf [F32ScanMax]float32
-		for s := n.Lo; s < n.Hi; {
-			e := s + F32ScanMax
-			if e > n.Hi {
-				e = n.Hi
-			}
-			f.ScanInto(buf[:], s, e, q32)
-			for j := int32(0); j < e-s; j++ {
-				if float64(buf[j]) <= cr {
-					*out = append(*out, t.Orig[s+j])
-				}
-			}
-			s = e
-		}
-		return
-	}
-	t.rangeQuery32(t.LeftOf(n), qc, q32, cr, out)
-	t.rangeQuery32(t.RightOf(n), qc, q32, cr, out)
-}
-
-// rangeCount32 mirrors rangeCount. The wholesale-inside test uses the
-// exact float64 upper bound, so a fully-inside subtree is counted without
-// scanning; per-point predicates use the float32-rounded distances, so
-// counts can differ from the float64 path for points exactly on the ball
-// boundary at float32 resolution (the documented precision contract).
-func (t *Tree) rangeCount32(n *Node, qc []float64, q32 []float32, cr float64) int {
-	if n == nil {
-		return 0
-	}
-	f := t.f32
-	if f.Kern.PointBoxLB(qc, n.Box) > cr {
-		return 0
-	}
-	if f.Kern.PointBoxUB(qc, n.Box) <= cr {
-		return n.Size() // whole subtree inside the ball
-	}
-	if scannable32(n) {
-		var buf [F32ScanMax]float32
-		cnt := 0
-		for s := n.Lo; s < n.Hi; {
-			e := s + F32ScanMax
-			if e > n.Hi {
-				e = n.Hi
-			}
-			f.ScanInto(buf[:], s, e, q32)
-			for j := int32(0); j < e-s; j++ {
-				if float64(buf[j]) <= cr {
-					cnt++
-				}
-			}
-			s = e
-		}
-		return cnt
-	}
-	return t.rangeCount32(t.LeftOf(n), qc, q32, cr) + t.rangeCount32(t.RightOf(n), qc, q32, cr)
-}
-
-// bccpSq32 is bccpL2 over the float32 panels: exact squared box bounds
-// prune, and node pairs that both fit the scan cutoff take a lane-scanned
-// all-pairs pass. best.W stays in squared space. lb is the squared box
-// distance of (a, b), computed by the caller for child ordering, so each
-// node pair evaluates its O(dim) bound exactly once.
-func bccpSq32(t *Tree, a, b *Node, lb float64, best *BCCPResult) {
-	if lb >= best.W {
-		return
-	}
-	if scannable32(a) && scannable32(b) {
-		scanBCCP32(t, nil, a, b, best)
-		return
-	}
-	if scannable32(b) || (!scannable32(a) && a.Radius >= b.Radius) {
-		al, ar := t.LeftOf(a), t.RightOf(a)
-		d1 := geometry.SqDistBoxes(al.Box, b.Box)
-		d2 := geometry.SqDistBoxes(ar.Box, b.Box)
-		if d1 <= d2 {
-			bccpSq32(t, al, b, d1, best)
-			bccpSq32(t, ar, b, d2, best)
-		} else {
-			bccpSq32(t, ar, b, d2, best)
-			bccpSq32(t, al, b, d1, best)
-		}
-		return
-	}
-	bl, br := t.LeftOf(b), t.RightOf(b)
-	d1 := geometry.SqDistBoxes(a.Box, bl.Box)
-	d2 := geometry.SqDistBoxes(a.Box, br.Box)
-	if d1 <= d2 {
-		bccpSq32(t, a, bl, d1, best)
-		bccpSq32(t, a, br, d2, best)
-	} else {
-		bccpSq32(t, a, br, d2, best)
-		bccpSq32(t, a, bl, d1, best)
-	}
-}
-
-// bccpMutSq32 is bccpMutSq over the float32 panels: squared mutual
-// reachability max{d², cd[p]², cd[q]²} with the exact squared node lower
-// bound, lane scans at the cutoff. lb is sqMutNodeLB(a, b) from the caller.
-func bccpMutSq32(t *Tree, cd []float64, a, b *Node, lb float64, best *BCCPResult) {
-	if lb >= best.W {
-		return
-	}
-	if scannable32(a) && scannable32(b) {
-		scanBCCP32(t, cd, a, b, best)
-		return
-	}
-	if scannable32(b) || (!scannable32(a) && a.Radius >= b.Radius) {
-		al, ar := t.LeftOf(a), t.RightOf(a)
-		d1 := sqMutNodeLB(al, b)
-		d2 := sqMutNodeLB(ar, b)
-		if d1 <= d2 {
-			bccpMutSq32(t, cd, al, b, d1, best)
-			bccpMutSq32(t, cd, ar, b, d2, best)
-		} else {
-			bccpMutSq32(t, cd, ar, b, d2, best)
-			bccpMutSq32(t, cd, al, b, d1, best)
-		}
-		return
-	}
-	bl, br := t.LeftOf(b), t.RightOf(b)
-	d1 := sqMutNodeLB(a, bl)
-	d2 := sqMutNodeLB(a, br)
-	if d1 <= d2 {
-		bccpMutSq32(t, cd, a, bl, d1, best)
-		bccpMutSq32(t, cd, a, br, d2, best)
-	} else {
-		bccpMutSq32(t, cd, a, br, d2, best)
-		bccpMutSq32(t, cd, a, bl, d1, best)
-	}
-}
-
-// scanBCCP32 runs the all-pairs pass between the kd-ranges of a and b:
-// each point of a is lane-scanned against b's panels in F32ScanMax chunks.
-// cd nil selects plain squared distance; otherwise squared mutual
-// reachability. Distances widen to float64 before any comparison against
-// best.W, keeping pair selection deterministic.
-func scanBCCP32(t *Tree, cd []float64, a, b *Node, best *BCCPResult) {
-	f := t.f32
-	var buf [F32ScanMax]float32
-	for p := a.Lo; p < a.Hi; p++ {
-		q32 := f.Row(p)
-		var cp2 float64
-		if cd != nil {
-			cp2 = cd[p] * cd[p]
-		}
-		for s := b.Lo; s < b.Hi; {
-			e := s + F32ScanMax
-			if e > b.Hi {
-				e = b.Hi
-			}
-			f.ScanInto(buf[:], s, e, q32)
-			for j := int32(0); j < e-s; j++ {
-				q := s + j
-				if q == p {
-					continue
-				}
-				w := float64(buf[j])
-				if cd != nil {
-					if cp2 > w {
-						w = cp2
-					}
-					if cq2 := cd[q] * cd[q]; cq2 > w {
-						w = cq2
-					}
-				}
-				if w < best.W {
-					*best = BCCPResult{U: p, V: q, W: w}
-				}
-			}
-			s = e
-		}
-	}
-}
-
-// coreDist32 computes the core distance of the point at kd position p on
-// the float32 path, reusing the caller's heap.
-func (t *Tree) coreDist32(p int, minPts int, h *knnHeap) float64 {
-	h.reset(minPts)
-	dim := t.Pts.Dim
-	qc := t.Pts.Data[p*dim : (p+1)*dim : (p+1)*dim]
-	t.knn32(t.Root, qc, t.f32.Row(int32(p)), h)
-	if len(h.sq) == 0 {
-		return 0
-	}
-	return t.f32.Kern.Finish(h.sq[0])
+	return hi
 }

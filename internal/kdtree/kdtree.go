@@ -22,6 +22,13 @@
 // box/sphere, core-distance bounds for the HDBSCAN* well-separation test,
 // and a per-round union-find component label used to filter connected pairs
 // in O(1).
+//
+// Traversals. Each query family has one traversal: k-NN and core
+// distances, range query, range count, squared BCCP and Borůvka's
+// nearest-outside (NearestOutside). Whether a query runs on float64 rows
+// or float32 SoA panels, in squared Euclidean space or under a general
+// metric, is decided only by the primitives in scan.go. The generic BCCP
+// over the Metric interface serves the non-Euclidean edge metrics.
 package kdtree
 
 import (
@@ -101,8 +108,13 @@ type Tree struct {
 	geom   []float64 // per-node [box.Lo|box.Hi|ctr] blocks, one allocation
 	pos    []int32   // identity permutation backing Points()
 
-	l2     bool // M is plain Euclidean: queries take the squared-distance fast paths
-	sqKern func(a, b []float64) float64
+	l2 bool // M is plain Euclidean: queries take the squared-distance fast paths
+
+	// dist64 is the float64 leaf-scan kernel: the comparison-space
+	// distance from a coordinate vector to the point at a kd position.
+	// It is the squared-Euclidean kernel monomorphized for the dimension
+	// on L2 trees and M.Dist otherwise, selected once at build.
+	dist64 func(qc []float64, p int32) float64
 
 	// f32 is the opt-in float32 SoA representation (nil by default); when
 	// set, queries take the lane-scan fast paths. See EnableFloat32.
@@ -144,8 +156,8 @@ func BuildMetricCancel(pts geometry.Points, leafSize int, m metric.Metric, af *a
 		LeafSize: leafSize,
 		M:        m,
 		l2:       metric.IsL2(m),
-		sqKern:   geometry.SqDistKernel(pts.Dim),
 	}
+	t.dist64 = kernel64(t.Pts, m)
 	for i := range t.Orig {
 		t.Orig[i] = int32(i)
 	}
@@ -185,9 +197,17 @@ func (t *Tree) RightOf(n *Node) *Node { return &t.nodes[n.Right] }
 // IsL2 reports whether the tree's metric is plain Euclidean.
 func (t *Tree) IsL2() bool { return t.l2 }
 
-// SqKern returns the squared-Euclidean kernel monomorphized for the tree's
-// dimension (selected once at build).
-func (t *Tree) SqKern() func(a, b []float64) float64 { return t.sqKern }
+// kernel64 selects the float64 leaf-scan kernel of a tree over pts under m.
+func kernel64(pts geometry.Points, m metric.Metric) func(qc []float64, p int32) float64 {
+	if metric.IsL2(m) {
+		return geometry.SqDistRowKernel(pts)
+	}
+	data, d := pts.Data, pts.Dim
+	return func(qc []float64, p int32) float64 {
+		r := int(p) * d
+		return m.Dist(qc, data[r:r+d:r+d])
+	}
+}
 
 // PairDist returns the tree-metric distance between the points with
 // original ids i and j.

@@ -80,14 +80,13 @@ func (h *knnHeap) push(i int32, sq float64) {
 }
 
 // popAllInto heap-extracts into sorted order (descending pops) appending to
-// out, mapping each stored key through finish (identity for metric
-// traversals, sqrt for the squared-distance L2 traversal) and each stored
-// position through orig.
-func (h *knnHeap) popAllInto(out []Neighbor, orig []int32, finish func(float64) float64) []Neighbor {
+// out, mapping each stored key from q's comparison space to the tree metric
+// and each stored position to its original id.
+func (h *knnHeap) popAllInto(out []Neighbor, t *Tree, q *query) []Neighbor {
 	start := len(out)
 	out = append(out, make([]Neighbor, len(h.sq))...)
 	for i := len(out) - 1; i >= start; i-- {
-		out[i] = Neighbor{Idx: orig[h.idx[0]], Dist: finish(h.sq[0])}
+		out[i] = Neighbor{Idx: t.Orig[h.idx[0]], Dist: t.finish(q, h.sq[0])}
 		last := len(h.sq) - 1
 		h.sq[0], h.idx[0] = h.sq[last], h.idx[last]
 		h.sq, h.idx = h.sq[:last], h.idx[:last]
@@ -112,8 +111,6 @@ func (h *knnHeap) popAllInto(out []Neighbor, orig []int32, finish func(float64) 
 	return out
 }
 
-func identity(d float64) float64 { return d }
-
 // KNNWorkspace carries the reusable buffers of a k-NN query stream. A
 // workspace serves one goroutine; steady-state KNNInto calls through it
 // perform zero heap allocations.
@@ -132,41 +129,45 @@ func (t *Tree) KNN(q int32, k int) []Neighbor {
 // KNNInto is KNN reusing the workspace's buffers; the returned slice is
 // valid until the next call with the same workspace.
 func (t *Tree) KNNInto(q int32, k int, ws *KNNWorkspace) []Neighbor {
-	qc := t.Pts.At(int(t.Inv[q]))
-	if f := t.f32; f != nil {
-		ws.h.reset(k)
-		ws.out = ws.out[:0]
-		t.knn32(t.Root, qc, f.Row(t.Inv[q]), &ws.h)
-		ws.out = ws.h.popAllInto(ws.out, t.Orig, f.Kern.Finish)
-		return ws.out
-	}
-	return t.KNNLiveInto(qc, k, nil, ws)
+	var qq query
+	t.at(&qq, t.Inv[q])
+	return t.knnInto(&qq, k, ws)
 }
 
-// knn is the Euclidean traversal; heap keys are squared distances, the
-// distance kernel was monomorphized once at tree build, and leaf scans run
-// over contiguous kd-ordered rows. Leaf scans skip points whose original
-// id is tombstoned (tomb is indexed by original id; nil means none).
-func (t *Tree) knn(n *Node, qc []float64, tomb []bool, h *knnHeap) {
+func (t *Tree) knnInto(q *query, k int, ws *KNNWorkspace) []Neighbor {
+	ws.h.reset(k)
+	ws.out = ws.out[:0]
+	t.knn(t.Root, q, &ws.h)
+	ws.out = ws.h.popAllInto(ws.out, t, q)
+	return ws.out
+}
+
+// knn is the k-NN traversal: heap keys are comparison-space distances,
+// nearer children are descended first, and a child is pruned once its box
+// bound cannot beat the k-th candidate.
+func (t *Tree) knn(n *Node, q *query, h *knnHeap) {
 	if n == nil {
 		return
 	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
+	if t.stop(q, n) {
+		for s := n.Lo; s < n.Hi; {
+			e := t.scan(q, s, n.Hi)
+			for p := s; p < e; p++ {
+				if !t.dead(q, p) {
+					h.push(p, t.dist(q, p, s))
+				}
 			}
-			r := int(p) * d
-			h.push(p, kern(qc, data[r:r+d:r+d]))
+			s = e
 		}
 		return
 	}
 	left, right := t.LeftOf(n), t.RightOf(n)
-	dl := geometry.SqDistPointBox(qc, left.Box)
-	dr := geometry.SqDistPointBox(qc, right.Box)
+	var dl, dr float64
+	if q.sq {
+		dl, dr = geometry.SqDistPointBox(q.qc, left.Box), geometry.SqDistPointBox(q.qc, right.Box)
+	} else {
+		dl, dr = t.M.PointBoxLB(q.qc, left.Box), t.M.PointBoxLB(q.qc, right.Box)
+	}
 	first, second := left, right
 	df, ds := dl, dr
 	if dr < dl {
@@ -174,45 +175,10 @@ func (t *Tree) knn(n *Node, qc []float64, tomb []bool, h *knnHeap) {
 		df, ds = dr, dl
 	}
 	if df < h.worst() {
-		t.knn(first, qc, tomb, h)
+		t.knn(first, q, h)
 	}
 	if ds < h.worst() {
-		t.knn(second, qc, tomb, h)
-	}
-}
-
-// knnMetric is the general traversal: heap keys are tree-metric distances
-// and pruning uses the metric's point-box lower bound.
-func (t *Tree) knnMetric(n *Node, qc []float64, tomb []bool, h *knnHeap) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			r := int(p) * d
-			h.push(p, t.M.Dist(qc, data[r:r+d:r+d]))
-		}
-		return
-	}
-	left, right := t.LeftOf(n), t.RightOf(n)
-	dl := t.M.PointBoxLB(qc, left.Box)
-	dr := t.M.PointBoxLB(qc, right.Box)
-	first, second := left, right
-	df, ds := dl, dr
-	if dr < dl {
-		first, second = right, left
-		df, ds = dr, dl
-	}
-	if df < h.worst() {
-		t.knnMetric(first, qc, tomb, h)
-	}
-	if ds < h.worst() {
-		t.knnMetric(second, qc, tomb, h)
+		t.knn(second, q, h)
 	}
 }
 
@@ -233,28 +199,16 @@ func (t *Tree) CoreDistancesCancel(minPts int, af *abort.Flag) []float64 {
 	if minPts <= 1 {
 		return cd
 	}
-	dim := t.Pts.Dim
-	data := t.Pts.Data
 	parallel.ForRange(t.Pts.N, 64, func(lo, hi int) {
 		af.Check()
 		var h knnHeap
+		var q query
 		for p := lo; p < hi; p++ {
-			if t.f32 != nil {
-				cd[t.Orig[p]] = t.coreDist32(p, minPts, &h)
-				continue
-			}
 			h.reset(minPts)
-			qc := data[p*dim : (p+1)*dim : (p+1)*dim]
-			if t.l2 {
-				t.knn(t.Root, qc, nil, &h)
-				if len(h.sq) > 0 { // heap root is the k-th (or farthest available) NN
-					cd[t.Orig[p]] = math.Sqrt(h.sq[0])
-				}
-				continue
-			}
-			t.knnMetric(t.Root, qc, nil, &h)
-			if len(h.sq) > 0 {
-				cd[t.Orig[p]] = h.sq[0]
+			t.at(&q, int32(p))
+			t.knn(t.Root, &q, &h)
+			if len(h.sq) > 0 { // heap root is the k-th (or farthest available) NN
+				cd[t.Orig[p]] = t.finish(&q, h.sq[0])
 			}
 		}
 	})

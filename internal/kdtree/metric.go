@@ -27,7 +27,7 @@ type Metric interface {
 }
 
 // Euclidean is the plain Euclidean metric over a point set. BCCP detects it
-// and switches to a monomorphized squared-distance traversal.
+// on an L2 tree and runs the squared-distance traversal of BCCPSq.
 type Euclidean struct{ Pts geometry.Points }
 
 // Dist returns the Euclidean distance between points i and j.

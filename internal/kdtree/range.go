@@ -13,12 +13,10 @@ func (t *Tree) RangeQuery(q int32, r float64) []int32 {
 // reused buffer), so steady-state query streams allocate nothing once the
 // buffer has grown.
 func (t *Tree) RangeQueryAppend(q int32, r float64, out []int32) []int32 {
-	qc := t.Pts.At(int(t.Inv[q]))
-	if f := t.f32; f != nil {
-		t.rangeQuery32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r), &out)
-		return out
-	}
-	return t.RangeQueryLiveAppend(qc, r, nil, out)
+	var qq query
+	t.at(&qq, t.Inv[q])
+	t.rangeQuery(t.Root, &qq, t.cmpRadius(&qq, r), &out)
+	return out
 }
 
 // RangeCount returns the number of points within tree-metric distance r of
@@ -26,121 +24,76 @@ func (t *Tree) RangeQueryAppend(q int32, r float64, out []int32) []int32 {
 // them. Subtrees whose bounding boxes lie entirely within the ball are
 // counted wholesale.
 func (t *Tree) RangeCount(q int32, r float64) int {
-	qc := t.Pts.At(int(t.Inv[q]))
-	if f := t.f32; f != nil {
-		return t.rangeCount32(t.Root, qc, f.Row(t.Inv[q]), f.Kern.CmpRadius(r))
-	}
-	return t.RangeCountLive(qc, r, nil)
+	var qq query
+	t.at(&qq, t.Inv[q])
+	return t.rangeCount(t.Root, &qq, t.cmpRadius(&qq, r))
 }
 
-func (t *Tree) rangeQuery(n *Node, qc []float64, r2 float64, tomb []bool, out *[]int32) {
+// rangeQuery appends the original ids of the live points within
+// comparison-space radius cr of q.
+func (t *Tree) rangeQuery(n *Node, q *query, cr float64, out *[]int32) {
 	if n == nil {
 		return
 	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
+	var lb float64
+	if q.sq {
+		lb = geometry.SqDistPointBox(q.qc, n.Box)
+	} else {
+		lb = t.M.PointBoxLB(q.qc, n.Box)
+	}
+	if lb > cr {
 		return
 	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
+	if t.stop(q, n) {
+		for s := n.Lo; s < n.Hi; {
+			e := t.scan(q, s, n.Hi)
+			for p := s; p < e; p++ {
+				if !t.dead(q, p) && t.dist(q, p, s) <= cr {
+					*out = append(*out, t.Orig[p])
+				}
 			}
-			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
-				*out = append(*out, t.Orig[p])
-			}
+			s = e
 		}
 		return
 	}
-	t.rangeQuery(t.LeftOf(n), qc, r2, tomb, out)
-	t.rangeQuery(t.RightOf(n), qc, r2, tomb, out)
+	t.rangeQuery(t.LeftOf(n), q, cr, out)
+	t.rangeQuery(t.RightOf(n), q, cr, out)
 }
 
-func (t *Tree) rangeCount(n *Node, qc []float64, r2 float64, tomb []bool) int {
+// rangeCount counts the live points within comparison-space radius cr of
+// q. The wholesale-inside test uses the exact float64 upper bound, and it
+// runs only without tombstones, because then a node's Size() is its live
+// population. On float32 the per-point predicates compare float32-rounded
+// distances, so a point on the ball's boundary at float32 resolution can
+// count differently than on float64 (the documented precision contract).
+func (t *Tree) rangeCount(n *Node, q *query, cr float64) int {
 	if n == nil {
 		return 0
 	}
-	if geometry.SqDistPointBox(qc, n.Box) > r2 {
+	var lb float64
+	if q.sq {
+		lb = geometry.SqDistPointBox(q.qc, n.Box)
+	} else {
+		lb = t.M.PointBoxLB(q.qc, n.Box)
+	}
+	if lb > cr {
 		return 0
 	}
-	if tomb == nil && geometry.SqMaxDistBoxes(pointBox(qc), n.Box) <= r2 {
+	if q.tomb == nil && t.ub(q, n.Box) <= cr {
 		return n.Size() // whole subtree inside the ball
 	}
-	if n.IsLeaf() {
-		kern := t.sqKern
-		d := t.Pts.Dim
-		data := t.Pts.Data
+	if t.stop(q, n) {
 		cnt := 0
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
+		for s := n.Lo; s < n.Hi; {
+			e := t.scan(q, s, n.Hi)
+			for p := s; p < e; p++ {
+				if !t.dead(q, p) && t.dist(q, p, s) <= cr {
+					cnt++
+				}
 			}
-			r := int(p) * d
-			if kern(qc, data[r:r+d:r+d]) <= r2 {
-				cnt++
-			}
+			s = e
 		}
 		return cnt
 	}
-	return t.rangeCount(t.LeftOf(n), qc, r2, tomb) + t.rangeCount(t.RightOf(n), qc, r2, tomb)
-}
-
-func (t *Tree) rangeQueryMetric(n *Node, qc []float64, r float64, tomb []bool, out *[]int32) {
-	if n == nil {
-		return
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
-				*out = append(*out, t.Orig[p])
-			}
-		}
-		return
-	}
-	t.rangeQueryMetric(t.LeftOf(n), qc, r, tomb, out)
-	t.rangeQueryMetric(t.RightOf(n), qc, r, tomb, out)
-}
-
-func (t *Tree) rangeCountMetric(n *Node, qc []float64, r float64, tomb []bool) int {
-	if n == nil {
-		return 0
-	}
-	if t.M.PointBoxLB(qc, n.Box) > r {
-		return 0
-	}
-	if tomb == nil && t.M.BoxesUB(pointBox(qc), n.Box) <= r {
-		return n.Size() // whole subtree inside the ball
-	}
-	if n.IsLeaf() {
-		d := t.Pts.Dim
-		data := t.Pts.Data
-		cnt := 0
-		for p := n.Lo; p < n.Hi; p++ {
-			if tomb != nil && tomb[t.Orig[p]] {
-				continue
-			}
-			ro := int(p) * d
-			if t.M.Dist(qc, data[ro:ro+d:ro+d]) <= r {
-				cnt++
-			}
-		}
-		return cnt
-	}
-	return t.rangeCountMetric(t.LeftOf(n), qc, r, tomb) + t.rangeCountMetric(t.RightOf(n), qc, r, tomb)
-}
-
-func pointBox(qc []float64) geometry.Box {
-	return geometry.Box{Lo: qc, Hi: qc}
+	return t.rangeCount(t.LeftOf(n), q, cr) + t.rangeCount(t.RightOf(n), q, cr)
 }

@@ -128,8 +128,8 @@ func DecodeSnapshot(data []byte, pts geometry.Points, m metric.Metric) (*Tree, e
 		LeafSize: int(leafSize),
 		M:        m,
 		l2:       metric.IsL2(m),
-		sqKern:   geometry.SqDistKernel(dim),
 	}
+	t.dist64 = kernel64(t.Pts, m)
 	seen := make([]bool, n)
 	for i := range t.Orig {
 		o, _ := rd.u32()

@@ -23,7 +23,7 @@ func TestBoruvkaRoundAllocs(t *testing.T) {
 	pts := randPoints(512, 3, 42)
 	tr := kdtree.Build(pts, 1)
 	ws := NewWorkspace()
-	r := newBoruvkaRun(tr, nil, ws)
+	r := newBoruvkaRun(Config{Tree: tr}, ws)
 	if !r.round() { // warm up: first round sizes nothing (grow already did)
 		t.Fatal("Borůvka finished in zero rounds")
 	}
@@ -65,7 +65,7 @@ func TestGFKRoundAllocs(t *testing.T) {
 	tr := kdtree.Build(pts, 1)
 	cfg := Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}}
 	ws := NewWorkspace()
-	raw := wspd.Decompose(tr, cfg.Sep)
+	raw := wspd.Decompose(tr, cfg.Sep, nil)
 	ws.grow(pts.N)
 	ws.growPairs(len(raw))
 	for i := range raw {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestF32BoruvkaRoundAllocs pins the float32 Borůvka round at zero
-// steady-state heap allocations: nearestOutside32 lane-scans the SoA panels
-// into stack buffers and everything else lives in the Workspace, matching
+// steady-state heap allocations: Tree.NearestOutside lane-scans the SoA panels
+// into a stack buffer and everything else lives in the Workspace, matching
 // the float64 pin in TestBoruvkaRoundAllocs.
 func TestF32BoruvkaRoundAllocs(t *testing.T) {
 	if raceEnabled {
@@ -20,7 +20,7 @@ func TestF32BoruvkaRoundAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
-	r := newBoruvkaRun(tr, nil, ws)
+	r := newBoruvkaRun(Config{Tree: tr}, ws)
 	if !r.round() { // warm up: first round sizes nothing (grow already did)
 		t.Fatal("float32 Borůvka finished in zero rounds")
 	}

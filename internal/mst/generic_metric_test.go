@@ -12,7 +12,7 @@ import (
 
 // metricConfig builds a Config the way the engine does for a non-L2
 // kernel: PointDist edge weights and metric-aware well-separation, which
-// routes GFK/MemoGFK through their generic (non-monomorphized) traversals.
+// runs GFK/MemoGFK in metric space with the generic BCCP.
 func metricConfig(pts geometry.Points, m metric.Metric) Config {
 	tr := kdtree.BuildMetric(pts, 1, m)
 	return Config{
@@ -58,8 +58,8 @@ func primDense(pts geometry.Points, m metric.Metric) float64 {
 // through the generic-metric code path (the engine's route for l1/linf/
 // angular kernels) and checks the MST weight against dense Prim. The
 // in-package oracle sweep covers this path through the engine; this test
-// pins it at the mst layer where the generic getRho/getPairs traversals
-// live.
+// pins it at the mst layer, where MemoGFK's getRho/getPairs traversals run
+// in the metric's own space.
 func TestGenericMetricMSTAgreesWithOracle(t *testing.T) {
 	algos := map[string]func(Config) []Edge{
 		"naive":       Naive,

@@ -45,7 +45,7 @@ func GFK(cfg Config) []Edge {
 	}
 	var raw []wspd.Pair
 	cfg.Stats.Time("wspd", func() {
-		raw = wspd.DecomposeCancel(t, cfg.Sep, cfg.Abort)
+		raw = wspd.Decompose(t, cfg.Sep, cfg.Abort)
 	})
 	cfg.Stats.AddPairs(int64(len(raw)))
 	cfg.Stats.NotePeak(int64(len(raw)))

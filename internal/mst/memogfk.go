@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
 	"parclust/internal/parallel"
 )
@@ -29,19 +30,7 @@ func MemoGFK(cfg Config) []Edge {
 		ws = NewWorkspace()
 	}
 	ws.grow(n)
-	// The two L2-backed metrics take monomorphized traversals with every
-	// bound (and the rho_lo/rho_hi window) in squared space; squaring is
-	// monotone, so the round structure and retrieved pairs are identical.
-	sq := sqConfigFor(cfg)
-	if sq != nil {
-		// In float32 mode the small-pair scan cutoff replaces the deep tail
-		// of the retrieval recursion; it needs the per-position component
-		// labels (refreshed into this same array every round).
-		if f := t.F32(); f != nil && f.Kern.Sq {
-			sq.brute = true
-			sq.comp = ws.comp
-		}
-	}
+	r := newMemoRun(cfg, ws.comp)
 	beta := 2
 	rhoLo := 0.0
 	for round := 0; len(ws.out) < n-1; round++ {
@@ -55,22 +44,16 @@ func MemoGFK(cfg Config) []Edge {
 		// Line 4: rho_hi via the first pruned traversal.
 		var rhoHi float64
 		cfg.Stats.Time("wspd", func() {
-			if sq != nil {
-				rhoHi = getRhoSq(sq, t.Root, beta)
-			} else {
-				rhoHi = getRho(cfg, t.Root, beta)
-			}
+			rho := parallel.NewAtomicMinFloat64(math.Inf(1))
+			r.getRhoNode(t.Root, beta, rho)
+			rhoHi = rho.Load()
 		})
 
 		if rhoHi > rhoLo {
 			// Line 5: retrieve only pairs with BCCP in [rho_lo, rho_hi).
 			ws.batch = ws.batch[:0]
 			cfg.Stats.Time("wspd", func() {
-				if sq != nil {
-					getPairsNodeSq(sq, t.Root, beta, rhoLo, rhoHi, &ws.batch)
-				} else {
-					getPairsNode(cfg, t.Root, beta, rhoLo, rhoHi, &ws.batch)
-				}
+				r.getPairsNode(t.Root, beta, rhoLo, rhoHi, &ws.batch)
 			})
 			cfg.Stats.AddPairs(int64(len(ws.batch)))
 			cfg.Stats.NotePeak(int64(len(ws.batch)))
@@ -89,16 +72,106 @@ func MemoGFK(cfg Config) []Edge {
 	return ws.finish(t.Orig)
 }
 
-// getRho traverses the implicit WSPD and returns the minimum metric lower
-// bound over well-separated, not-yet-connected pairs with cardinality
-// greater than beta (+Inf when none exist).
-func getRho(cfg Config, root *kdtree.Node, beta int) float64 {
-	rho := parallel.NewAtomicMinFloat64(math.Inf(1))
-	getRhoNode(cfg, root, beta, rho)
-	return rho.Load()
+// memoRun is one MemoGFK run. Its node-pair bounds, BCCPs and the
+// [rho_lo, rho_hi) window all live in one window space. For the two
+// L2-backed edge metrics on an L2 tree (plain Euclidean, and mutual
+// reachability over Euclidean) that is squared space: every bound is a
+// direct squared-space computation with an early exit, and the true metric
+// weight is evaluated once per emitted edge. Squaring is monotone, so the
+// round structure and the retrieved pairs match the metric-space run. For
+// every other metric the window space is the metric's own.
+type memoRun struct {
+	Config
+	sq bool      // window space is squared
+	cd []float64 // kd-order core distances under squared mutual reachability
+
+	// brute marks a squared run on a float32 tree, which changes two
+	// things in getPairsPair: small non-separated pairs take the
+	// brute-force scan cutoff instead of recursing (traversal overhead
+	// dominates high-dim runs), and window tests re-evaluate the returned
+	// BCCP pair exactly (see bccp). comp holds the per-position component
+	// labels the scan filters with (the workspace array refreshed each
+	// round).
+	brute bool
+	comp  []int32
 }
 
-func getRhoNode(cfg Config, a *kdtree.Node, beta int, rho *parallel.AtomicMinFloat64) {
+func newMemoRun(cfg Config, comp []int32) *memoRun {
+	r := &memoRun{Config: cfg}
+	if cfg.Tree.IsL2() {
+		switch m := cfg.Metric.(type) {
+		case kdtree.Euclidean:
+			r.sq = true
+		case kdtree.MutualReachability:
+			if m.M == nil {
+				r.sq, r.cd = true, m.CD
+			}
+		}
+	}
+	if r.sq && cfg.Tree.F32() != nil {
+		r.brute, r.comp = true, comp
+	}
+	return r
+}
+
+// lb lower-bounds the window-space weight of every edge between p and q.
+// In squared space it exits early once the bound reaches limit: the result
+// is exact below limit and otherwise only certifies lb >= limit, which is
+// all the threshold tests below need. In high dimension the O(dim) box
+// scans dominate the run, and the early exit typically fires within the
+// first few coordinates.
+func (r *memoRun) lb(p, q *kdtree.Node, limit float64) float64 {
+	switch {
+	case !r.sq:
+		return r.Metric.NodeLB(p, q)
+	case r.cd == nil:
+		return geometry.SqDistBoxesBounded(p.Box, q.Box, limit)
+	}
+	return kdtree.SqMutNodeLBBounded(p, q, limit)
+}
+
+// ub upper-bounds the window-space weight of every edge between p and q,
+// with lb's early-exit contract.
+func (r *memoRun) ub(p, q *kdtree.Node, limit float64) float64 {
+	switch {
+	case !r.sq:
+		return r.Metric.NodeUB(p, q)
+	case r.cd == nil:
+		return geometry.SqMaxDistBoxesBounded(p.Box, q.Box, limit)
+	}
+	return kdtree.SqMutNodeUBBounded(p, q, limit)
+}
+
+// bccp returns the closest pair between p and q with its window-space
+// weight.
+func (r *memoRun) bccp(p, q *kdtree.Node) kdtree.BCCPResult {
+	if !r.sq {
+		return kdtree.BCCP(r.Tree, r.Metric, p, q)
+	}
+	res := kdtree.BCCPSq(r.Tree, r.cd, p, q)
+	if r.brute && res.U >= 0 {
+		// The float32 traversal returns a rounded weight, but the window
+		// ratchets in exact space: an edge whose rounded weight dips below
+		// rhoLo would be dropped in this round and pruned in every later
+		// one (the pair's bounds never re-admit it), so a heavier edge
+		// would silently take its place in the MST. Re-evaluating the one
+		// returned pair exactly keeps every edge in the round whose window
+		// contains its exact weight.
+		res.W = r.exactSqWeight(res.U, res.V)
+	}
+	return res
+}
+
+// edge is the MST edge between kd positions u and v whose window-space
+// weight is w.
+func (r *memoRun) edge(u, v int32, w float64) Edge {
+	if r.sq {
+		w = r.Metric.Dist(u, v) // one true-metric evaluation per emitted edge
+	}
+	return MakeEdge(u, v, w)
+}
+
+func (r *memoRun) getRhoNode(a *kdtree.Node, beta int, rho *parallel.AtomicMinFloat64) {
 	if a.IsLeaf() || a.Size() <= 1 {
 		return
 	}
@@ -108,55 +181,59 @@ func getRhoNode(cfg Config, a *kdtree.Node, beta int, rho *parallel.AtomicMinFlo
 	if a.Size() <= beta { // every descendant pair has cardinality <= beta
 		return
 	}
-	al, ar := cfg.Tree.LeftOf(a), cfg.Tree.RightOf(a)
+	al, ar := r.Tree.LeftOf(a), r.Tree.RightOf(a)
 	if a.Size() > spawnSize {
-		cfg.Abort.Check()
+		r.Abort.Check()
 		// Subtree traversals become stealable tasks; the split pair stays
 		// on the current worker (work-first).
 		var g parallel.Group
-		g.Spawn(func() { getRhoNode(cfg, al, beta, rho) })
-		g.Spawn(func() { getRhoNode(cfg, ar, beta, rho) })
-		g.Run(func() { getRhoPair(cfg, al, ar, beta, rho) })
+		g.Spawn(func() { r.getRhoNode(al, beta, rho) })
+		g.Spawn(func() { r.getRhoNode(ar, beta, rho) })
+		g.Run(func() { r.getRhoPair(al, ar, beta, rho) })
 		g.Sync()
 		return
 	}
-	getRhoNode(cfg, al, beta, rho)
-	getRhoNode(cfg, ar, beta, rho)
-	getRhoPair(cfg, al, ar, beta, rho)
+	r.getRhoNode(al, beta, rho)
+	r.getRhoNode(ar, beta, rho)
+	r.getRhoPair(al, ar, beta, rho)
 }
 
-func getRhoPair(cfg Config, p, q *kdtree.Node, beta int, rho *parallel.AtomicMinFloat64) {
+// getRhoPair lowers rho to the minimum lower bound over the well-separated,
+// not-yet-connected descendant pairs of (p, q) with cardinality greater
+// than beta.
+func (r *memoRun) getRhoPair(p, q *kdtree.Node, beta int, rho *parallel.AtomicMinFloat64) {
 	if connected(p, q) {
 		return
 	}
 	if p.Size()+q.Size() <= beta {
 		return // this pair and all of its descendants run this round
 	}
-	lb := cfg.Metric.NodeLB(p, q)
-	if lb >= rho.Load() {
+	limit := rho.Load()
+	lb := r.lb(p, q, limit)
+	if lb >= limit {
 		return // descendants only have larger lower bounds
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
 	}
-	if cfg.Sep.WellSeparated(p, q) {
+	if r.Sep.WellSeparated(p, q) {
 		rho.Min(lb)
 		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
-	pl, pr := cfg.Tree.LeftOf(p), cfg.Tree.RightOf(p)
+	pl, pr := r.Tree.LeftOf(p), r.Tree.RightOf(p)
 	if p.Size()+q.Size() > spawnSize {
-		cfg.Abort.Check()
+		r.Abort.Check()
 		parallel.Do(
-			func() { getRhoPair(cfg, pl, q, beta, rho) },
-			func() { getRhoPair(cfg, pr, q, beta, rho) },
+			func() { r.getRhoPair(pl, q, beta, rho) },
+			func() { r.getRhoPair(pr, q, beta, rho) },
 		)
 		return
 	}
-	getRhoPair(cfg, pl, q, beta, rho)
-	getRhoPair(cfg, pr, q, beta, rho)
+	r.getRhoPair(pl, q, beta, rho)
+	r.getRhoPair(pr, q, beta, rho)
 }
 
 // getPairsNode appends to *out the edges of well-separated pairs whose BCCP
@@ -164,65 +241,128 @@ func getRhoPair(cfg Config, p, q *kdtree.Node, beta int, rho *parallel.AtomicMin
 // place them wholly outside the range (Figure 3). Sequential recursion
 // appends in place; at a fork, only one branch writes *out and each other
 // branch fills its own buffer, appended after the join.
-func getPairsNode(cfg Config, a *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
+func (r *memoRun) getPairsNode(a *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
 		return
 	}
-	al, ar := cfg.Tree.LeftOf(a), cfg.Tree.RightOf(a)
+	al, ar := r.Tree.LeftOf(a), r.Tree.RightOf(a)
 	if a.Size() > spawnSize {
-		cfg.Abort.Check()
+		r.Abort.Check()
 		var right, mid []Edge
 		var g parallel.Group
-		g.Spawn(func() { getPairsNode(cfg, al, beta, rhoLo, rhoHi, out) })
-		g.Spawn(func() { getPairsNode(cfg, ar, beta, rhoLo, rhoHi, &right) })
-		g.Run(func() { getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi, &mid) })
+		g.Spawn(func() { r.getPairsNode(al, beta, rhoLo, rhoHi, out) })
+		g.Spawn(func() { r.getPairsNode(ar, beta, rhoLo, rhoHi, &right) })
+		g.Run(func() { r.getPairsPair(al, ar, beta, rhoLo, rhoHi, &mid) })
 		g.Sync()
 		*out = append(append(*out, right...), mid...)
 		return
 	}
-	getPairsNode(cfg, al, beta, rhoLo, rhoHi, out)
-	getPairsNode(cfg, ar, beta, rhoLo, rhoHi, out)
-	getPairsPair(cfg, al, ar, beta, rhoLo, rhoHi, out)
+	r.getPairsNode(al, beta, rhoLo, rhoHi, out)
+	r.getPairsNode(ar, beta, rhoLo, rhoHi, out)
+	r.getPairsPair(al, ar, beta, rhoLo, rhoHi, out)
 }
 
-func getPairsPair(cfg Config, p, q *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
+func (r *memoRun) getPairsPair(p, q *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
 	if connected(p, q) {
 		return
 	}
-	if cfg.Metric.NodeLB(p, q) >= rhoHi {
+	if r.lb(p, q, rhoHi) >= rhoHi {
 		return // BCCPs of this pair and its descendants are >= rhoHi
 	}
-	if cfg.Metric.NodeUB(p, q) < rhoLo {
+	if r.ub(p, q, rhoLo) < rhoLo {
 		return // BCCPs of this pair and its descendants are < rhoLo
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
 	}
-	if cfg.Sep.WellSeparated(p, q) {
-		res := kdtree.BCCP(cfg.Tree, cfg.Metric, p, q)
-		cfg.Stats.AddBCCP(1)
+	if r.Sep.WellSeparated(p, q) {
+		res := r.bccp(p, q)
+		r.Stats.AddBCCP(1)
 		if res.W >= rhoLo && res.W < rhoHi {
-			*out = append(*out, MakeEdge(res.U, res.V, res.W))
+			*out = append(*out, r.edge(res.U, res.V, res.W))
 		}
+		return
+	}
+	if r.brute && p.Size()+q.Size() <= bruteSize {
+		r.brutePairs(p, q, rhoLo, rhoHi, out)
 		return
 	}
 	if p.IsLeaf() {
 		p, q = q, p
 	}
-	pl, pr := cfg.Tree.LeftOf(p), cfg.Tree.RightOf(p)
+	pl, pr := r.Tree.LeftOf(p), r.Tree.RightOf(p)
 	if p.Size()+q.Size() > spawnSize {
-		cfg.Abort.Check()
-		var r []Edge
+		r.Abort.Check()
+		var o []Edge
 		parallel.Do(
-			func() { getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi, out) },
-			func() { getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi, &r) },
+			func() { r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out) },
+			func() { r.getPairsPair(pr, q, beta, rhoLo, rhoHi, &o) },
 		)
-		*out = append(*out, r...)
+		*out = append(*out, o...)
 		return
 	}
-	getPairsPair(cfg, pl, q, beta, rhoLo, rhoHi, out)
-	getPairsPair(cfg, pr, q, beta, rhoLo, rhoHi, out)
+	r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out)
+	r.getPairsPair(pr, q, beta, rhoLo, rhoHi, out)
 }
 
 // spawnSize mirrors the WSPD spawning threshold.
 const spawnSize = 1024
+
+// exactSqWeight is the exact squared-space weight of the pair of kd
+// positions (u, v): squared Euclidean distance, maxed with the squared
+// core distances under mutual reachability.
+func (r *memoRun) exactSqWeight(u, v int32) float64 {
+	pts := r.Tree.Pts
+	w := geometry.SqDistVec(pts.At(int(u)), pts.At(int(v)))
+	if r.cd != nil {
+		if cu2 := r.cd[u] * r.cd[u]; cu2 > w {
+			w = cu2
+		}
+		if cv2 := r.cd[v] * r.cd[v]; cv2 > w {
+			w = cv2
+		}
+	}
+	return w
+}
+
+// bruteSize is the combined-cardinality cutoff below which getPairsPair
+// stops recursing on non-well-separated pairs and scans the cross product
+// directly (float32 mode only).
+const bruteSize = 64
+
+// brutePairs replaces the sub-recursion below a small, non-separated node
+// pair with one pass over the two kd-contiguous row ranges, emitting every
+// cross-component edge whose squared weight lands in the round's window.
+// The recursion would bottom out in singleton pairs — which are always
+// well-separated — so its emitted edge set is a subset of this one, and
+// Kruskal discards the extra true-weight edges; what the scan saves is the
+// O(dim) box-bound evaluation at every intermediate node pair, the
+// dominant cost of high-dimensional traversals. Weights and window tests
+// stay in exact float64, so round structure is unaffected.
+func (r *memoRun) brutePairs(p, q *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
+	pts := r.Tree.Pts
+	for u := p.Lo; u < p.Hi; u++ {
+		uc, cu := pts.At(int(u)), r.comp[u]
+		var cu2 float64
+		if r.cd != nil {
+			cu2 = r.cd[u] * r.cd[u]
+		}
+		for v := q.Lo; v < q.Hi; v++ {
+			if r.comp[v] == cu {
+				continue
+			}
+			w := geometry.SqDistVec(uc, pts.At(int(v)))
+			if r.cd != nil {
+				if cu2 > w {
+					w = cu2
+				}
+				if cv2 := r.cd[v] * r.cd[v]; cv2 > w {
+					w = cv2
+				}
+			}
+			if w >= rhoLo && w < rhoHi {
+				*out = append(*out, r.edge(u, v, w))
+			}
+		}
+	}
+}

@@ -122,7 +122,7 @@ func TestEMSTAlgorithmsAgree(t *testing.T) {
 			}
 			// Borůvka takes the tree directly.
 			tr := kdtree.Build(pts, 1)
-			got := Boruvka(tr, NewStats())
+			got := Boruvka(Config{Tree: tr, Stats: NewStats()})
 			checkSpanningTree(t, n, got)
 			if math.Abs(TotalWeight(got)-want) > 1e-6*(1+want) {
 				t.Fatalf("boruvka n=%d dim=%d: weight %v, want %v", n, dim, TotalWeight(got), want)
@@ -195,7 +195,7 @@ func TestBoruvkaHugeCoordinates(t *testing.T) {
 		{-1e160, 0}, {-1e160, 1}, {1e160, 0}, {1e160, 1},
 	})
 	tr := kdtree.Build(pts, 1)
-	got := Boruvka(tr, nil)
+	got := Boruvka(Config{Tree: tr})
 	checkSpanningTree(t, pts.N, got)
 	if !math.IsInf(got[len(got)-1].W, 1) {
 		t.Fatalf("expected an overflowed +Inf bridge edge, got %v", got[len(got)-1].W)
@@ -323,7 +323,7 @@ func TestWorkspaceReuseAcrossShrinkingRuns(t *testing.T) {
 	for _, n := range []int{300, 120, 50, 7, 2} {
 		pts := randPoints(n, 2, int64(n))
 		tr := kdtree.Build(pts, 1)
-		got := BoruvkaWS(tr, nil, ws)
+		got := Boruvka(Config{Tree: tr, WS: ws})
 		checkSpanningTree(t, n, got)
 		want := PrimDense(n, func(i, j int32) float64 { return pts.Dist(int(i), int(j)) })
 		if w, ww := TotalWeight(got), TotalWeight(want); math.Abs(w-ww) > 1e-9*(1+ww) {

@@ -7,10 +7,11 @@ import (
 	"parclust/internal/wspd"
 )
 
-// Config carries the inputs shared by the WSPD-based MST algorithms.
-// Metric must be built over the tree's kd-ordered points (see the
+// Config carries the inputs shared by the MST drivers. Metric must be
+// built over the tree's kd-ordered points (see the
 // kdtree.NewEuclidean/NewPointDist/NewMutualReachability constructors);
-// the algorithms translate their results back to original ids.
+// the algorithms translate their results back to original ids. Boruvka
+// reads only Tree, Stats, WS and Abort: it runs under the tree's metric.
 type Config struct {
 	Tree   *kdtree.Tree
 	Metric kdtree.Metric
@@ -63,7 +64,7 @@ func Naive(cfg Config) []Edge {
 	}
 	var pairs []wspd.Pair
 	cfg.Stats.Time("wspd", func() {
-		pairs = wspd.DecomposeCancel(t, cfg.Sep, cfg.Abort)
+		pairs = wspd.Decompose(t, cfg.Sep, cfg.Abort)
 	})
 	cfg.Stats.AddPairs(int64(len(pairs)))
 	cfg.Stats.NotePeak(int64(len(pairs)))

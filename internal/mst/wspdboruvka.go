@@ -55,7 +55,7 @@ type wspdPairList struct {
 func (p *wspdPairList) edge() Edge { return MakeEdge(p.res.U, p.res.V, p.res.W) }
 
 func decomposePairs(cfg Config) []wspdPairList {
-	raw := wspd.DecomposeCancel(cfg.Tree, cfg.Sep, cfg.Abort)
+	raw := wspd.Decompose(cfg.Tree, cfg.Sep, cfg.Abort)
 	out := make([]wspdPairList, len(raw))
 	parallel.For(len(raw), 0, func(i int) {
 		out[i] = wspdPairList{a: raw[i].A, b: raw[i].B, res: kdtree.BCCPResult{U: -1, V: -1, W: math.NaN()}}

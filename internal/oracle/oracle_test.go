@@ -80,7 +80,7 @@ func emstVariants() map[string]func(geometry.Points, metric.Metric) []mst.Edge {
 		"memogfk":     func(p geometry.Points, m metric.Metric) []mst.Edge { return mst.MemoGFK(configFor(p, m)) },
 		"wspdboruvka": func(p geometry.Points, m metric.Metric) []mst.Edge { return mst.WSPDBoruvka(configFor(p, m)) },
 		"boruvka": func(p geometry.Points, m metric.Metric) []mst.Edge {
-			return mst.Boruvka(kdtree.BuildMetric(p, 1, m), mst.NewStats())
+			return mst.Boruvka(mst.Config{Tree: kdtree.BuildMetric(p, 1, m), Stats: mst.NewStats()})
 		},
 	}
 }

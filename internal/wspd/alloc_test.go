@@ -17,7 +17,7 @@ func TestDecomposeAllocs(t *testing.T) {
 	tr.AnnotateCoreDists(tr.CoreDistances(10))
 	for _, sep := range []Separation{Geometric{S: 2}, MutualUnreachable{}} {
 		const maxAllocs = 32
-		allocs := testing.AllocsPerRun(5, func() { Decompose(tr, sep) })
+		allocs := testing.AllocsPerRun(5, func() { Decompose(tr, sep, nil) })
 		if allocs > maxAllocs {
 			t.Errorf("%T: Decompose allocated %v times, want <= %d", sep, allocs, maxAllocs)
 		}

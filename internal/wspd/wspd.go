@@ -137,14 +137,10 @@ const spawnSize = 1024
 // pairs. The traversal parallelizes across subtrees; sequential recursion
 // appends into one buffer, and at a fork one branch keeps appending to it
 // while each other branch fills its own buffer, appended after the join.
-func Decompose(t *kdtree.Tree, sep Separation) []Pair {
-	return DecomposeCancel(t, sep, nil)
-}
-
-// DecomposeCancel is Decompose with a cooperative cancellation flag,
-// polled once per internal tree node and once per spawned FindPair branch;
-// on abort the traversal unwinds with abort.Signal{}. af may be nil.
-func DecomposeCancel(t *kdtree.Tree, sep Separation, af *abort.Flag) []Pair {
+// af is an optional cooperative cancellation flag (nil means none), polled
+// once per internal tree node and once per spawned FindPair branch; on
+// abort the traversal unwinds with abort.Signal{}.
+func Decompose(t *kdtree.Tree, sep Separation, af *abort.Flag) []Pair {
 	if t.Root == nil || t.Root.Size() <= 1 {
 		return nil
 	}

@@ -63,7 +63,7 @@ func TestDecomposeRealizationGeometric(t *testing.T) {
 		for _, dim := range []int{1, 2, 3} {
 			pts := randPoints(n, dim, int64(n*10+dim))
 			tr := kdtree.Build(pts, 1)
-			pairs := Decompose(tr, Geometric{S: 2})
+			pairs := Decompose(tr, Geometric{S: 2}, nil)
 			checkRealization(t, pts, tr, pairs)
 		}
 	}
@@ -75,7 +75,7 @@ func TestDecomposeRealizationMutualUnreachable(t *testing.T) {
 		tr := kdtree.Build(pts, 1)
 		cd := tr.CoreDistances(5)
 		tr.AnnotateCoreDists(cd)
-		pairs := Decompose(tr, MutualUnreachable{})
+		pairs := Decompose(tr, MutualUnreachable{}, nil)
 		checkRealization(t, pts, tr, pairs)
 	}
 }
@@ -84,7 +84,7 @@ func TestEmittedPairsAreWellSeparated(t *testing.T) {
 	pts := randPoints(300, 3, 77)
 	tr := kdtree.Build(pts, 1)
 	sep := Geometric{S: 2}
-	for _, pr := range Decompose(tr, sep) {
+	for _, pr := range Decompose(tr, sep, nil) {
 		if !sep.WellSeparated(pr.A, pr.B) {
 			t.Fatal("emitted pair fails the separation predicate")
 		}
@@ -99,7 +99,7 @@ func TestEmittedPairsAreWellSeparated(t *testing.T) {
 func TestCountMatchesDecompose(t *testing.T) {
 	pts := randPoints(500, 3, 5)
 	tr := kdtree.Build(pts, 1)
-	if got, want := Count(tr, Geometric{S: 2}), len(Decompose(tr, Geometric{S: 2})); got != want {
+	if got, want := Count(tr, Geometric{S: 2}), len(Decompose(tr, Geometric{S: 2}, nil)); got != want {
 		t.Fatalf("Count=%d, len(Decompose)=%d", got, want)
 	}
 }
@@ -137,6 +137,6 @@ func TestPairCountLinearInN(t *testing.T) {
 func TestDuplicatePoints(t *testing.T) {
 	pts := geometry.NewPoints(32, 2) // all identical
 	tr := kdtree.Build(pts, 1)
-	pairs := Decompose(tr, Geometric{S: 2})
+	pairs := Decompose(tr, Geometric{S: 2}, nil)
 	checkRealization(t, pts, tr, pairs)
 }
