@@ -80,10 +80,14 @@
 // stream over contiguous rows (the caller's buffer is never mutated, and
 // all public results are reported in the caller's original point ids).
 // The MST drivers keep their per-round state — union-find, component
-// labels, candidate edges, dense per-component reduction slots — in a
-// reusable workspace, so steady-state Borůvka and filter-Kruskal rounds
-// perform zero heap allocations. See the README's "Performance notes" for
-// measured effects.
+// labels, candidate edges, dense per-component reduction slots, the
+// round's Kruskal batch — in a reusable workspace, and Kruskal filters and
+// sorts each batch in place. A steady-state Borůvka or WSPD-Borůvka round
+// performs zero heap allocations. GFK rounds and MemoGFK runs allocate
+// only for parallel scaffolding and set-up, never per pair or edge: at
+// n=512 a GFK round and a whole MemoGFK run on a reused workspace are
+// pinned at 16 allocations or fewer. See the README's "Performance notes"
+// for measured effects.
 //
 // # Float32 fast path for high-dimensional data
 //

@@ -277,8 +277,9 @@ func (t *Triangulation) Triangles() [][3]int32 {
 	return out
 }
 
-// EMST computes the 2D EMST via Delaunay triangulation + parallel Kruskal
-// (Appendix A.1). The triangulation itself is sequential (see DESIGN.md).
+// EMST computes the 2D EMST via Delaunay triangulation + Kruskal
+// (Appendix A.1). Both steps are sequential: the triangulation and
+// mst.Kruskal, a Filter-Kruskal.
 func EMST(pts geometry.Points, stats *mst.Stats) []mst.Edge {
 	if pts.N <= 1 {
 		return nil

@@ -31,12 +31,13 @@ func connected(a, b *kdtree.Node) bool { return a.Comp >= 0 && a.Comp == b.Comp 
 // GFK is the parallel GeoFilterKruskal algorithm (Algorithm 2). It
 // materializes the full WSPD once, then proceeds in rounds: pairs with
 // cardinality at most beta whose BCCP is no heavier than the lightest
-// possible edge of the remaining pairs are resolved with Kruskal; pairs
-// whose endpoints become connected are filtered out; beta doubles.
-// Steady-state rounds reuse the workspace buffers; the only per-round
-// allocations are the small constant from the sort and reduction
-// scaffolding (pinned by TestGFKRoundAllocs). Returned edges carry
-// original ids in Kruskal acceptance order.
+// possible edge of the remaining pairs are resolved with KruskalBatch
+// (sequential Filter-Kruskal, in place); pairs whose endpoints become
+// connected are filtered out; beta doubles. Steady-state rounds reuse the
+// workspace buffers; the only per-round allocations are the small
+// constant from the parallel loop and reduction scaffolding (pinned by
+// TestGFKRoundAllocs). Returned edges carry original ids in Kruskal
+// acceptance order.
 func GFK(cfg Config) []Edge {
 	t := cfg.Tree
 	n := t.Pts.N

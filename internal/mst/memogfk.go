@@ -14,11 +14,12 @@ import (
 // traversals: GetRho computes the weight ceiling rho_hi for the round (the
 // minimum node-pair lower bound over not-yet-connected well-separated pairs
 // with cardinality above beta), and GetPairs retrieves only the pairs whose
-// BCCP lands in [rho_lo, rho_hi), feeding their edges to Kruskal. The
+// BCCP lands in [rho_lo, rho_hi), feeding their edges to KruskalBatch. The
 // union-find, component labels and the round's edge batch live in the
-// reusable workspace: the retrieval appends into the batch in place, and
-// only a fork above spawnSize gives a branch its own buffer. Returned
-// edges carry original ids in Kruskal acceptance order.
+// reusable workspace: the retrieval appends into the batch in place, only
+// a fork above spawnSize gives a branch its own buffer, and KruskalBatch
+// filters and sorts the batch in place. Returned edges carry original ids
+// in Kruskal acceptance order.
 func MemoGFK(cfg Config) []Edge {
 	t := cfg.Tree
 	n := t.Pts.N

@@ -2,11 +2,12 @@ package mst
 
 import "parclust/internal/unionfind"
 
-// Workspace holds the reusable per-round buffers of the MST algorithms so
-// steady-state Borůvka/filter-Kruskal rounds allocate nothing. A zero
-// Workspace is ready to use; buffers grow lazily to the point count and are
-// reused across rounds (and across runs when the caller passes the same
-// Workspace through Config.WS). A Workspace serves one run at a time.
+// Workspace holds the reusable per-round buffers of the MST algorithms, so
+// no round allocates per point, pair or edge (a steady-state Borůvka round
+// allocates nothing at all). A zero Workspace is ready to use; buffers
+// grow lazily to the point count and are reused across rounds (and across
+// runs when the caller passes the same Workspace through Config.WS). A
+// Workspace serves one run at a time.
 type Workspace struct {
 	uf   *unionfind.UF
 	comp []int32 // per-position union-find labels (RefreshComponentsInto)

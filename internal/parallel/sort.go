@@ -6,9 +6,11 @@ import (
 )
 
 // Sort sorts a in place with a parallel merge sort using less as the strict
-// weak ordering. It falls back to the standard library generic sort (no
-// reflection, monomorphized comparator) for small inputs or single-worker
-// runs. The sort is not stable.
+// weak ordering, allocating an n-element merge buffer. Inputs below 8,192
+// elements and single-worker runs use slices.SortFunc instead. Either way
+// less stays a func value: generic code is compiled once per GC shape, so
+// every comparison calls less indirectly, through seqSort's adapter
+// closure, and it is never inlined. The sort is not stable.
 func Sort[T any](a []T, less func(x, y T) bool) {
 	n := len(a)
 	if Workers() == 1 || n < 1<<13 {

@@ -48,6 +48,9 @@ func TestEMSTInvalidInput(t *testing.T) {
 	if edges, err := EMST(NewPoints(1, 2)); err != nil || len(edges) != 0 {
 		t.Fatal("singleton input should yield an empty EMST")
 	}
+	if h, err := ApproxOPTICS(NewPoints(0, 2), 5, 0.1); err != nil || h.N != 0 || len(h.MST) != 0 {
+		t.Fatalf("empty input: ApproxOPTICS = %+v, %v; want an empty hierarchy", h, err)
+	}
 }
 
 func TestHDBSCANEndToEnd(t *testing.T) {
