@@ -13,6 +13,23 @@ import (
 	"parclust/internal/mst"
 )
 
+// TestEmptyPointSetHierarchies: the one-shot hierarchies over zero points
+// are empty, not missing their dendrogram.
+func TestEmptyPointSetHierarchies(t *testing.T) {
+	pts := NewPoints(0, 2)
+	for name, build := range map[string]func() (*Hierarchy, error){
+		"hdbscan":        func() (*Hierarchy, error) { return HDBSCAN(pts, 1) },
+		"single-linkage": func() (*Hierarchy, error) { return SingleLinkage(pts) },
+		"approx-optics":  func() (*Hierarchy, error) { return ApproxOPTICS(pts, 1, 0.125) },
+	} {
+		h, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkEmptyHierarchy(t, h)
+	}
+}
+
 func oracleEMSTWeight(pts Points) float64 {
 	return mst.TotalWeight(mst.PrimDense(pts.N, func(i, j int32) float64 {
 		return pts.Dist(int(i), int(j))
@@ -27,7 +44,7 @@ func checkAllEMST(t *testing.T, pts Points, label string) {
 		algos = append(algos, EMSTDelaunay2D)
 	}
 	for _, algo := range algos {
-		edges, err := EMSTWithStats(pts, algo, nil)
+		edges, err := emstWith(pts, algo, MetricL2)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", label, algo, err)
 		}

@@ -56,7 +56,7 @@ func BenchmarkTable3_DualTreeBoruvka(b *testing.B) {
 		pts := benchPoints(dim)
 		b.Run(fmt.Sprintf("%dD-UniformFill", dim), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := EMSTWithStats(pts, EMSTBoruvka, nil); err != nil {
+				if _, err := emstWith(pts, EMSTBoruvka, MetricL2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkTable4_EMST(b *testing.B) {
 			for _, algo := range algos {
 				b.Run(fmt.Sprintf("%dD-%s/%v", dim, gen.name, algo), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := EMSTWithStats(gen.pts, algo, nil); err != nil {
+						if _, err := emstWith(gen.pts, algo, MetricL2); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -90,7 +90,7 @@ func BenchmarkTable4_EMST(b *testing.B) {
 	pts2 := benchPoints(2)
 	b.Run("2D-UniformFill/EMST-Delaunay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := EMSTWithStats(pts2, EMSTDelaunay2D, nil); err != nil {
+			if _, err := emstWith(pts2, EMSTDelaunay2D, MetricL2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -105,7 +105,7 @@ func BenchmarkTable5_HDBSCAN(b *testing.B) {
 			pts := benchVarden(dim)
 			b.Run(fmt.Sprintf("%dD-SS-varden/%v", dim, algo), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := HDBSCANWithStats(pts, 10, algo, nil); err != nil {
+					if _, err := hdbscanWith(pts, 10, algo); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -210,6 +210,20 @@ func BenchmarkFig10_ApproxOPTICS(b *testing.B) {
 	})
 }
 
+// emstPeakPairs builds the MST of pts with algo on a fresh Index and
+// returns the build report's peak resident pairs.
+func emstPeakPairs(b *testing.B, pts Points, algo EMSTAlgorithm) int64 {
+	idx, err := NewIndex(pts, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := idx.EMSTBuildReport(algo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.PeakPairsResident
+}
+
 // BenchmarkMemory_PairsMaterialized quantifies the MemoGFK memory win
 // (Section 3.1.3): peak resident pairs, reported as custom metrics.
 func BenchmarkMemory_PairsMaterialized(b *testing.B) {
@@ -217,22 +231,14 @@ func BenchmarkMemory_PairsMaterialized(b *testing.B) {
 	b.Run("GFK-full-WSPD", func(b *testing.B) {
 		var peak int64
 		for i := 0; i < b.N; i++ {
-			stats := NewStats()
-			if _, err := EMSTWithStats(pts, EMSTGFK, stats); err != nil {
-				b.Fatal(err)
-			}
-			peak = stats.PeakPairsResident
+			peak = emstPeakPairs(b, pts, EMSTGFK)
 		}
 		b.ReportMetric(float64(peak), "peak-pairs")
 	})
 	b.Run("MemoGFK", func(b *testing.B) {
 		var peak int64
 		for i := 0; i < b.N; i++ {
-			stats := NewStats()
-			if _, err := EMSTWithStats(pts, EMSTMemoGFK, stats); err != nil {
-				b.Fatal(err)
-			}
-			peak = stats.PeakPairsResident
+			peak = emstPeakPairs(b, pts, EMSTMemoGFK)
 		}
 		b.ReportMetric(float64(peak), "peak-pairs")
 	})
@@ -246,7 +252,7 @@ func BenchmarkAblation_WellSeparation(b *testing.B) {
 	for _, algo := range []HDBSCANAlgorithm{HDBSCANMemoGFK, HDBSCANGanTao} {
 		b.Run(algo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := HDBSCANWithStats(pts, 10, algo, nil); err != nil {
+				if _, err := hdbscanWith(pts, 10, algo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -337,7 +343,7 @@ func BenchmarkAblation_MSTStrategy(b *testing.B) {
 	for _, algo := range []EMSTAlgorithm{EMSTMemoGFK, EMSTWSPDBoruvka, EMSTBoruvka} {
 		b.Run(algo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := EMSTWithStats(pts, algo, nil); err != nil {
+				if _, err := emstWith(pts, algo, MetricL2); err != nil {
 					b.Fatal(err)
 				}
 			}

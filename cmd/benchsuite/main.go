@@ -254,9 +254,7 @@ func table3() {
 	for _, d := range datasets() {
 		pts := gen(d)
 		tb := withThreads(1, func() {
-			if _, err := parclust.EMSTWithStats(pts, parclust.EMSTBoruvka, nil); err != nil {
-				panic(err)
-			}
+			emstReport(pts, parclust.EMSTBoruvka)
 		})
 		tm := withThreads(1, func() {
 			if _, err := parclust.EMST(pts); err != nil {
@@ -528,31 +526,43 @@ func fig8() {
 			if (a.algo == parclust.EMSTNaive || a.algo == parclust.EMSTGFK) && wspdTooLarge(pts) {
 				continue
 			}
-			stats := parclust.NewStats()
-			if _, err := parclust.EMSTWithStats(pts, a.algo, stats); err != nil {
-				panic(err)
-			}
-			fmt.Printf("%s | %s | %s\n", d.Name, a.name, phaseString(stats))
+			fmt.Printf("%s | %s | %s\n", d.Name, a.name, phaseString(emstReport(pts, a.algo)))
 		}
 		for _, a := range hdbAlgos {
-			stats := parclust.NewStats()
-			if _, err := parclust.HDBSCANWithStats(pts, *minPtsFlag, a.algo, stats); err != nil {
+			idx, err := parclust.NewIndex(pts, nil)
+			if err != nil {
 				panic(err)
 			}
-			fmt.Printf("%s | %s | %s\n", d.Name, a.name, phaseString(stats))
+			h, err := idx.HDBSCANWithAlgorithm(*minPtsFlag, a.algo)
+			if err != nil {
+				panic(err)
+			}
+			fmt.Printf("%s | %s | %s\n", d.Name, a.name, phaseString(h.BuildReport()))
 		}
 	}
 }
 
-func phaseString(s *parclust.Stats) string {
-	keys := make([]string, 0, len(s.Phases))
-	for k := range s.Phases {
-		keys = append(keys, k)
+// emstReport builds the MST of pts with algo on a fresh Index and returns
+// the build's report.
+func emstReport(pts parclust.Points, algo parclust.EMSTAlgorithm) parclust.Stats {
+	idx, err := parclust.NewIndex(pts, nil)
+	if err != nil {
+		panic(err)
 	}
-	sort.Strings(keys)
+	rep, err := idx.EMSTBuildReport(algo)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+// phaseString formats the phases a build ran, in pipeline order.
+func phaseString(s parclust.Stats) string {
 	var parts []string
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%.3f", k, s.Phases[k].Seconds()))
+	for p, d := range s.Phases {
+		if d > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%.3f", parclust.Phase(p), d.Seconds()))
+		}
 	}
 	return strings.Join(parts, " ")
 }
@@ -621,14 +631,8 @@ func memoryStudy() {
 			fmt.Printf("%s | - | - | - (pair budget exceeded)\n", d.Name)
 			continue
 		}
-		sf := parclust.NewStats()
-		if _, err := parclust.EMSTWithStats(pts, parclust.EMSTGFK, sf); err != nil {
-			panic(err)
-		}
-		sm := parclust.NewStats()
-		if _, err := parclust.EMSTWithStats(pts, parclust.EMSTMemoGFK, sm); err != nil {
-			panic(err)
-		}
+		sf := emstReport(pts, parclust.EMSTGFK)
+		sm := emstReport(pts, parclust.EMSTMemoGFK)
 		red := float64(sf.PeakPairsResident) / math.Max(1, float64(sm.PeakPairsResident))
 		fmt.Printf("%s | %d | %d | %.2fx\n", d.Name, sf.PeakPairsResident, sm.PeakPairsResident, red)
 	}

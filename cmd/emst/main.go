@@ -32,7 +32,7 @@ func main() {
 		algo    = flag.String("algo", "memogfk", "algorithm: memogfk | gfk | naive | boruvka | delaunay")
 		metricF = flag.String("metric", "l2", "distance kernel: l2 | sql2 | l1 | linf | angular (delaunay is l2-only)")
 		out     = flag.String("out", "", "write MST edges (u,v,w per line) to this file")
-		phases  = flag.Bool("phases", false, "print per-phase timing decomposition")
+		phases  = flag.Bool("phases", false, "print the MST's build report: the time of each phase that ran, in pipeline order, and the work counters")
 		threads = flag.Int("threads", 0, "GOMAXPROCS override (0 = all cores)")
 	)
 	flag.Parse()
@@ -65,9 +65,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "emst:", err)
 		os.Exit(2)
 	}
-	stats := parclust.NewStats()
 	start := time.Now()
-	edges, err := parclust.EMSTMetricWithStats(pts, a, m, stats)
+	idx, err := parclust.NewIndex(pts, &parclust.IndexOptions{Metric: m})
+	var edges []parclust.Edge
+	if err == nil {
+		edges, err = idx.EMSTWithAlgorithm(a)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "emst:", err)
 		os.Exit(1)
@@ -76,11 +79,15 @@ func main() {
 	fmt.Printf("algorithm=%v metric=%v n=%d dim=%d threads=%d\n", a, m, pts.N, pts.Dim, runtime.GOMAXPROCS(0))
 	fmt.Printf("edges=%d total_weight=%.6f time=%.3fs\n", len(edges), mst.TotalWeight(edges), elapsed.Seconds())
 	if *phases {
-		for name, d := range stats.Phases {
-			fmt.Printf("phase %-12s %.3fs\n", name, d.Seconds())
+		// The MST is memoized, so this reads the report of the build above.
+		rep, _ := idx.EMSTBuildReport(a)
+		for p, d := range rep.Phases {
+			if d > 0 {
+				fmt.Printf("phase %-12s %.3fs\n", parclust.Phase(p), d.Seconds())
+			}
 		}
 		fmt.Printf("pairs_materialized=%d peak_resident=%d bccp=%d rounds=%d\n",
-			stats.PairsMaterialized, stats.PeakPairsResident, stats.BCCPComputed, stats.Rounds)
+			rep.PairsMaterialized, rep.PeakPairsResident, rep.BCCPComputed, rep.Rounds)
 	}
 	if *out != "" {
 		f, err := os.Create(*out)

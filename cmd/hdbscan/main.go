@@ -37,7 +37,7 @@ func main() {
 		plot    = flag.String("plot", "", "write the reachability plot (idx,height per line) to this file")
 		newick  = flag.String("newick", "", "write the dendrogram in Newick format to this file")
 		stable  = flag.Int("stable", 0, "extract stability-optimal clusters with this minimum cluster size")
-		phases  = flag.Bool("phases", false, "print per-phase timing decomposition")
+		phases  = flag.Bool("phases", false, "print the hierarchy's build report (the time of each phase that ran, in pipeline order) and the stage cache counters")
 		threads = flag.Int("threads", 0, "GOMAXPROCS override (0 = all cores)")
 	)
 	flag.Parse()
@@ -54,7 +54,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hdbscan:", err)
 		os.Exit(2)
 	}
-	stats := parclust.NewStats()
 	start := time.Now()
 	// Everything below runs off one Index: the hierarchy, every -eps cut,
 	// the stable extraction, and the plot share a single tree build.
@@ -69,15 +68,12 @@ func main() {
 				ha = parclust.HDBSCANGanTao
 			}
 			h, err = idx.HDBSCANWithAlgorithm(*minPts, ha)
-			if err == nil {
-				stats = h.Stats
-			}
 		}
 	case "approx":
 		if m != parclust.MetricL2 {
 			err = fmt.Errorf("algorithm approx supports the l2 metric only, got %v", m)
 		} else {
-			h, err = parclust.ApproxOPTICSWithStats(pts, *minPts, *rho, stats)
+			h, err = parclust.ApproxOPTICS(pts, *minPts, *rho)
 		}
 	default:
 		err = fmt.Errorf("unknown algorithm %q", *algo)
@@ -92,8 +88,10 @@ func main() {
 	fmt.Printf("mst_edges=%d mst_weight=%.6f time=%.3fs\n",
 		len(h.MST), h.TotalWeight(), elapsed.Seconds())
 	if *phases {
-		for name, d := range stats.Phases {
-			fmt.Printf("phase %-12s %.3fs\n", name, d.Seconds())
+		for p, d := range h.BuildReport().Phases {
+			if d > 0 {
+				fmt.Printf("phase %-12s %.3fs\n", parclust.Phase(p), d.Seconds())
+			}
 		}
 		if idx != nil {
 			s := idx.Stats()

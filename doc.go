@@ -31,6 +31,10 @@
 // hit/miss counters. The one-shot package-level functions are thin
 // wrappers over a throwaway Index and behave exactly as before.
 //
+// Hierarchy.BuildReport and Index.EMSTBuildReport return the phase times
+// (the paper's Figure 8 split) and MST work counters of the build that
+// published a memoized stage; every caller of the stage reads that report.
+//
 // Concurrency: an Index is safe for concurrent use. Memoized stage
 // outputs are immutable after publication and read without locking; stage
 // computation is serialized internally (MST runs annotate the shared

@@ -15,14 +15,15 @@ import (
 
 func main() {
 	pts := parclust.GenerateVarden(20000, 2, 7)
-	stats := parclust.NewStats()
-	h, err := parclust.HDBSCANWithStats(pts, 10, parclust.HDBSCANMemoGFK, stats)
+	h, err := parclust.HDBSCAN(pts, 10)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("HDBSCAN* on %d variable-density points (minPts=10)\n", pts.N)
-	for name, d := range stats.Phases {
-		fmt.Printf("  phase %-12s %.3fs\n", name, d.Seconds())
+	for p, d := range h.BuildReport().Phases {
+		if d > 0 {
+			fmt.Printf("  phase %-12s %.3fs\n", parclust.Phase(p), d.Seconds())
+		}
 	}
 
 	// Sweep eps geometrically across the edge-weight range of the MST.

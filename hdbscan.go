@@ -56,10 +56,9 @@ type Hierarchy struct {
 	MinPts int
 	// Start is the reachability-plot start vertex of the ordered dendrogram.
 	Start int32
-	// Stats holds phase timings and counters when requested.
-	Stats *Stats
 
 	dendro *Dendrogram
+	report Stats
 
 	// stage is the Index-memoized hierarchy stage backing this Hierarchy
 	// (nil for hierarchies built outside the engine, e.g. ApproxOPTICS);
@@ -72,14 +71,14 @@ type Hierarchy struct {
 }
 
 // newHierarchy wraps a memoized engine hierarchy stage in the public type.
-func newHierarchy(st *engine.HierStage, minPts int, stats *Stats) *Hierarchy {
+func newHierarchy(st *engine.HierStage, minPts int) *Hierarchy {
 	return &Hierarchy{
 		N:        st.N,
 		MST:      st.MST,
 		CoreDist: st.CoreDist,
 		MinPts:   minPts,
-		Stats:    stats,
 		dendro:   st.Dendro,
+		report:   st.Report,
 		stage:    st,
 	}
 }
@@ -87,71 +86,44 @@ func newHierarchy(st *engine.HierStage, minPts int, stats *Stats) *Hierarchy {
 // HDBSCAN computes the HDBSCAN* hierarchy for pts with the default
 // space-efficient algorithm and dendrogram start vertex 0.
 func HDBSCAN(pts Points, minPts int) (*Hierarchy, error) {
-	return HDBSCANWithStats(pts, minPts, HDBSCANMemoGFK, nil)
-}
-
-// HDBSCANWithStats computes the HDBSCAN* hierarchy with an explicit
-// algorithm choice, recording phase timings into stats when non-nil.
-// The returned hierarchy includes the ordered dendrogram (the paper's
-// HDBSCAN* timings likewise include dendrogram construction).
-func HDBSCANWithStats(pts Points, minPts int, algo HDBSCANAlgorithm, stats *Stats) (*Hierarchy, error) {
-	return HDBSCANMetricWithStats(pts, minPts, algo, MetricL2, stats)
+	return HDBSCANMetric(pts, minPts, MetricL2)
 }
 
 // HDBSCANMetric computes the HDBSCAN* hierarchy with the base distance
 // taken under the given metric kernel, using the default space-efficient
-// algorithm.
+// algorithm: core distances, mutual reachability, and the well-separation
+// predicate all run under m. It is a thin wrapper over a throwaway Index;
+// use Index.HDBSCANWithAlgorithm for another MST algorithm.
 func HDBSCANMetric(pts Points, minPts int, m Metric) (*Hierarchy, error) {
-	return HDBSCANMetricWithStats(pts, minPts, HDBSCANMemoGFK, m, nil)
-}
-
-// HDBSCANMetricWithStats is HDBSCANWithStats under an arbitrary metric
-// kernel: core distances, mutual reachability, and the well-separation
-// predicate all run under m. It is a thin wrapper over a throwaway Index.
-func HDBSCANMetricWithStats(pts Points, minPts int, algo HDBSCANAlgorithm, m Metric, stats *Stats) (*Hierarchy, error) {
 	idx, err := NewIndex(pts, &IndexOptions{Metric: m})
 	if err != nil {
 		return nil, err
 	}
-	return idx.hdbscanWithStats(minPts, algo, stats)
+	return idx.HDBSCAN(minPts)
 }
 
 // SingleLinkage computes the single-linkage clustering hierarchy of pts:
 // the ordered dendrogram over the EMST (Section 4).
 func SingleLinkage(pts Points) (*Hierarchy, error) {
-	return SingleLinkageWithStats(pts, nil)
+	return SingleLinkageMetric(pts, MetricL2)
 }
 
 // SingleLinkageMetric computes the single-linkage hierarchy over the MST
-// under the given metric kernel.
+// under the given metric kernel. It is a thin wrapper over a throwaway
+// Index.
 func SingleLinkageMetric(pts Points, m Metric) (*Hierarchy, error) {
-	return SingleLinkageMetricWithStats(pts, m, nil)
-}
-
-// SingleLinkageWithStats is SingleLinkage with instrumentation.
-func SingleLinkageWithStats(pts Points, stats *Stats) (*Hierarchy, error) {
-	return SingleLinkageMetricWithStats(pts, MetricL2, stats)
-}
-
-// SingleLinkageMetricWithStats is SingleLinkage under an arbitrary metric
-// kernel with instrumentation. It is a thin wrapper over a throwaway Index.
-func SingleLinkageMetricWithStats(pts Points, m Metric, stats *Stats) (*Hierarchy, error) {
 	idx, err := NewIndex(pts, &IndexOptions{Metric: m})
 	if err != nil {
 		return nil, err
 	}
-	return idx.singleLinkageWithStats(stats)
+	return idx.SingleLinkage()
 }
 
 // ApproxOPTICS computes the approximate OPTICS hierarchy of Appendix C with
 // approximation parameter rho > 0 (the paper evaluates rho = 0.125). Its
 // (1+rho) guarantee is Euclidean-specific, so it runs under MetricL2 only.
+// The hierarchy's BuildReport covers this run.
 func ApproxOPTICS(pts Points, minPts int, rho float64) (*Hierarchy, error) {
-	return ApproxOPTICSWithStats(pts, minPts, rho, nil)
-}
-
-// ApproxOPTICSWithStats is ApproxOPTICS with instrumentation.
-func ApproxOPTICSWithStats(pts Points, minPts int, rho float64, stats *Stats) (*Hierarchy, error) {
 	if err := validatePoints(pts); err != nil {
 		return nil, err
 	}
@@ -161,30 +133,23 @@ func ApproxOPTICSWithStats(pts Points, minPts int, rho float64, stats *Stats) (*
 	if rho <= 0 {
 		return nil, fmt.Errorf("parclust: rho must be > 0, got %v", rho)
 	}
-	res := hdbscan.ApproxOPTICS(pts, minPts, rho, stats)
-	h := &Hierarchy{
-		N:        pts.N,
-		MST:      res.MST,
-		CoreDist: res.CoreDist,
-		MinPts:   minPts,
-		Stats:    res.Stats,
-	}
-	h.buildDendrogram()
+	h := &Hierarchy{N: pts.N, MinPts: minPts}
+	res := hdbscan.ApproxOPTICS(pts, minPts, rho, &h.report)
+	h.MST, h.CoreDist = res.MST, res.CoreDist
+	h.report.Time(mst.PhaseDendrogram, func() {
+		h.dendro = dendrogram.BuildParallel(h.N, h.MST, h.Start)
+	})
 	return h, nil
 }
 
-func (h *Hierarchy) buildDendrogram() {
-	if h.N == 0 {
-		return
-	}
-	timed := func(f func()) { f() }
-	if h.Stats != nil {
-		timed = func(f func()) { h.Stats.Time("dendrogram", f) }
-	}
-	timed(func() {
-		h.dendro = dendrogram.BuildParallel(h.N, h.MST, h.Start)
-	})
-}
+// BuildReport returns the report of the build that produced the
+// hierarchy: the phases it timed and the MST's work counters. An
+// Index-backed hierarchy reports the build that published its memoized
+// stage, so the caller that ran the build, callers that waited on it and
+// later cache hits all read the same value. The report includes the
+// upstream phases (tree, core distances, MST) only when that build ran
+// them, and is zero for a hierarchy restored from a snapshot.
+func (h *Hierarchy) BuildReport() Stats { return h.report }
 
 // Dendrogram returns the ordered dendrogram of the hierarchy.
 func (h *Hierarchy) Dendrogram() *Dendrogram { return h.dendro }

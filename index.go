@@ -209,15 +209,11 @@ func (ix *Index) ApproxBytes() int64 {
 // distances and the mutual-reachability MST over the shared tree; later
 // calls are cache hits.
 func (ix *Index) HDBSCAN(minPts int) (*Hierarchy, error) {
-	return ix.hdbscanWithStats(minPts, HDBSCANMemoGFK, nil)
+	return ix.HDBSCANWithAlgorithm(minPts, HDBSCANMemoGFK)
 }
 
 // HDBSCANWithAlgorithm is HDBSCAN with an explicit MST algorithm choice.
 func (ix *Index) HDBSCANWithAlgorithm(minPts int, algo HDBSCANAlgorithm) (*Hierarchy, error) {
-	return ix.hdbscanWithStats(minPts, algo, nil)
-}
-
-func (ix *Index) hdbscanWithStats(minPts int, algo HDBSCANAlgorithm, stats *Stats) (*Hierarchy, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("parclust: minPts must be >= 1, got %d", minPts)
 	}
@@ -228,60 +224,61 @@ func (ix *Index) hdbscanWithStats(minPts int, algo HDBSCANAlgorithm, stats *Stat
 	if err != nil {
 		return nil, err
 	}
-	if stats == nil {
-		stats = NewStats()
-	}
-	st, err := ix.eng.Hierarchy(ix.ctx, engine.KindHDBSCAN, uint8(ha), minPts, stats)
+	st, err := ix.eng.Hierarchy(ix.ctx, engine.KindHDBSCAN, uint8(ha), minPts)
 	if err != nil {
 		return nil, err
 	}
-	return newHierarchy(st, minPts, stats), nil
+	return newHierarchy(st, minPts), nil
 }
 
 // SingleLinkage returns the memoized single-linkage hierarchy (the ordered
 // dendrogram over the EMST).
 func (ix *Index) SingleLinkage() (*Hierarchy, error) {
-	return ix.singleLinkageWithStats(nil)
-}
-
-func (ix *Index) singleLinkageWithStats(stats *Stats) (*Hierarchy, error) {
-	st, err := ix.eng.Hierarchy(ix.ctx, engine.KindEMST, uint8(engine.EMSTMemoGFK), 1, stats)
+	st, err := ix.eng.Hierarchy(ix.ctx, engine.KindEMST, uint8(engine.EMSTMemoGFK), 1)
 	if err != nil {
 		return nil, err
 	}
-	return newHierarchy(st, 1, stats), nil
+	return newHierarchy(st, 1), nil
 }
 
 // EMST returns the memoized minimum spanning tree under the Index's kernel
 // with the default (MemoGFK) algorithm. The returned slice is shared and
 // must be treated as read-only.
 func (ix *Index) EMST() ([]Edge, error) {
-	return ix.emstWithStats(EMSTMemoGFK, nil)
+	return ix.EMSTWithAlgorithm(EMSTMemoGFK)
 }
 
 // EMSTWithAlgorithm is EMST with an explicit algorithm choice.
 // EMSTDelaunay2D requires MetricL2 and 2D points.
 func (ix *Index) EMSTWithAlgorithm(algo EMSTAlgorithm) ([]Edge, error) {
-	return ix.emstWithStats(algo, nil)
+	edges, _, err := ix.emst(algo)
+	return edges, err
 }
 
-func (ix *Index) emstWithStats(algo EMSTAlgorithm, stats *Stats) ([]Edge, error) {
+// EMSTBuildReport returns the build report of the memoized MST for algo
+// (see Hierarchy.BuildReport), building the MST first if no query has.
+func (ix *Index) EMSTBuildReport(algo EMSTAlgorithm) (Stats, error) {
+	_, rep, err := ix.emst(algo)
+	return rep, err
+}
+
+func (ix *Index) emst(algo EMSTAlgorithm) ([]Edge, Stats, error) {
 	if ix.N() <= 1 {
-		return nil, nil
+		return nil, Stats{}, nil
 	}
 	ea, err := emstAlgoFor(algo)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	if algo == EMSTDelaunay2D {
 		if ix.metric != MetricL2 {
-			return nil, fmt.Errorf("parclust: %v requires the l2 metric, got %v", algo, ix.metric)
+			return nil, Stats{}, fmt.Errorf("parclust: %v requires the l2 metric, got %v", algo, ix.metric)
 		}
 		if ix.Dim() != 2 {
-			return nil, fmt.Errorf("parclust: %v requires 2D points, got %dD", algo, ix.Dim())
+			return nil, Stats{}, fmt.Errorf("parclust: %v requires 2D points, got %dD", algo, ix.Dim())
 		}
 	}
-	return ix.eng.EMST(ix.ctx, ea, stats)
+	return ix.eng.EMST(ix.ctx, ea)
 }
 
 // DBSCANStar computes the flat DBSCAN* clustering at (minPts, eps) over
@@ -294,7 +291,7 @@ func (ix *Index) DBSCANStar(minPts int, eps float64) (Clustering, error) {
 	if err != nil || done {
 		return r, err
 	}
-	t, err := ix.eng.CanonTree(ix.ctx, nil)
+	t, err := ix.eng.CanonTree(ix.ctx)
 	if err != nil {
 		return Clustering{}, err
 	}
@@ -309,7 +306,7 @@ func (ix *Index) DBSCAN(minPts int, eps float64) (Clustering, error) {
 	if err != nil || done {
 		return r, err
 	}
-	t, err := ix.eng.CanonTree(ix.ctx, nil)
+	t, err := ix.eng.CanonTree(ix.ctx)
 	if err != nil {
 		return Clustering{}, err
 	}
@@ -420,7 +417,7 @@ func (ix *Index) CoreDistances(minPts int) ([]float64, error) {
 	if n := ix.N(); minPts > n && n > 0 {
 		return nil, fmt.Errorf("parclust: minPts=%d exceeds number of points %d", minPts, n)
 	}
-	return ix.eng.CoreDist(ix.ctx, minPts, nil)
+	return ix.eng.CoreDist(ix.ctx, minPts)
 }
 
 func allNoise(n int) Clustering {

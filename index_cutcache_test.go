@@ -52,7 +52,7 @@ func TestIndexCutCache(t *testing.T) {
 
 	// The cached result agrees with a hierarchy built outside any Index
 	// (the non-stage-backed ClustersAt path).
-	plain, err := HDBSCANWithStats(pts, 5, HDBSCANGanTao, nil)
+	plain, err := hdbscanWith(pts, 5, HDBSCANGanTao)
 	if err != nil {
 		t.Fatal(err)
 	}

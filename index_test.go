@@ -144,7 +144,7 @@ func TestIndexMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", m, algo, err)
 			}
-			e2, err := EMSTMetricWithStats(pts, algo, m, nil)
+			e2, err := emstWith(pts, algo, m)
 			if err != nil {
 				t.Fatal(err)
 			}

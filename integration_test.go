@@ -42,7 +42,7 @@ func TestPipelineOnAllPaperDatasets(t *testing.T) {
 			// HDBSCAN*: both algorithms must match the mutual oracle.
 			want := mst.TotalWeight(mst.PrimDense(pts.N, oracle.MutualReachability(pts, minPts, metric.L2{})))
 			for _, algo := range []HDBSCANAlgorithm{HDBSCANMemoGFK, HDBSCANGanTao} {
-				h, err := HDBSCANWithStats(pts, minPts, algo, NewStats())
+				h, err := hdbscanWith(pts, minPts, algo)
 				if err != nil {
 					t.Fatalf("%v: %v", algo, err)
 				}

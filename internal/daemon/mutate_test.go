@@ -125,6 +125,28 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 }
 
+// TestHDBSCANOnDrainedDataset: once every point of a dataset is deleted,
+// the HDBSCAN* endpoint answers both the stability extraction and an eps
+// cut with an empty clustering.
+func TestHDBSCANOnDrainedDataset(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	if code := ts.upload("drain", testPoints(3), ""); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	if code := ts.do(http.MethodDelete, "/v1/datasets/drain/points", deleteBody(t, []int64{0, 1, 2}), "application/json", nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+	for _, q := range []string{"minpts=1&minclustersize=2", "minpts=1&eps=1"} {
+		var res labelsResponse
+		if code := ts.get("/v1/datasets/drain/hdbscan?"+q, &res); code != http.StatusOK {
+			t.Fatalf("%s: status %d", q, code)
+		}
+		if res.NumClusters != 0 || len(res.Labels) != 0 {
+			t.Fatalf("%s: %+v", q, res)
+		}
+	}
+}
+
 // TestMutationInvalidationCounters pins the stage-epoch invalidation
 // contract at the daemon level: one mutation patches the tree exactly once
 // (no rebuild), forces exactly k core-distance rebuilds on the next

@@ -284,18 +284,8 @@ func EMST(pts geometry.Points, stats *mst.Stats) []mst.Edge {
 	if pts.N <= 1 {
 		return nil
 	}
-	var edges []mst.Edge
-	if stats != nil {
-		stats.Time("delaunay", func() { edges = Triangulate(pts).Edges() })
-	} else {
-		edges = Triangulate(pts).Edges()
-	}
-	var out []mst.Edge
-	run := func() { out = mst.Kruskal(pts.N, edges) }
-	if stats != nil {
-		stats.Time("kruskal", run)
-	} else {
-		run()
-	}
+	var edges, out []mst.Edge
+	stats.Time(mst.PhaseDelaunay, func() { edges = Triangulate(pts).Edges() })
+	stats.Time(mst.PhaseKruskal, func() { out = mst.Kruskal(pts.N, edges) })
 	return out
 }

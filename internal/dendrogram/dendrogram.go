@@ -22,7 +22,8 @@ import (
 
 // Dendrogram is a binary merge tree over n points. Internal node id x
 // (n <= x <= 2n-2) has children Left[x-n], Right[x-n] and merge height
-// Height[x-n] (the weight of the tree edge whose removal splits it).
+// Height[x-n] (the weight of the tree edge whose removal splits it). The
+// dendrogram of zero points has no nodes and Root -1.
 type Dendrogram struct {
 	N      int
 	Left   []int32

@@ -21,6 +21,9 @@ type Bar struct {
 // predecessor (the dendrogram is the Cartesian tree of the plot).
 func (d *Dendrogram) ReachabilityPlot() []Bar {
 	out := make([]Bar, 0, d.N)
+	if d.N == 0 {
+		return out
+	}
 	pending := math.Inf(1)
 	// Iterative in-order traversal (the dendrogram can be path-shaped).
 	type frame struct {

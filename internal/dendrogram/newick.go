@@ -11,11 +11,14 @@ import (
 // standard dendrogram/phylogeny viewers. Leaves are named by their point
 // index (or by names[i] when names is non-nil); branch lengths are the
 // height differences between a node and its parent, so root-to-leaf path
-// lengths equal merge heights.
+// lengths equal merge heights. The dendrogram of zero points is the empty
+// tree ";".
 func (d *Dendrogram) WriteNewick(w io.Writer, names []string) error {
 	bw := bufio.NewWriter(w)
-	if err := d.writeNewickNode(bw, d.Root, d.rootHeight(), names); err != nil {
-		return err
+	if d.N > 0 {
+		if err := d.writeNewickNode(bw, d.Root, d.rootHeight(), names); err != nil {
+			return err
+		}
 	}
 	if _, err := bw.WriteString(";\n"); err != nil {
 		return err

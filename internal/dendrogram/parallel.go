@@ -34,6 +34,9 @@ func BuildParallel(n int, edges []mst.Edge, s int32) *Dendrogram {
 // BuildParallelThreshold is BuildParallel with an explicit sequential
 // cutoff, used by the ablation benchmarks.
 func BuildParallelThreshold(n int, edges []mst.Edge, s int32, seqThreshold int) *Dendrogram {
+	if n == 0 && len(edges) == 0 {
+		return &Dendrogram{Root: -1}
+	}
 	if len(edges) != n-1 {
 		panic(fmt.Sprintf("dendrogram: need a spanning tree, got %d edges for %d points", len(edges), n))
 	}

@@ -61,6 +61,9 @@ func (d *Dendrogram) Condense(minClusterSize int) *Condensed {
 		leaveLambda: make([]float64, d.N),
 		d:           d,
 	}
+	if d.N == 0 {
+		return c // no points, no clusters
+	}
 	// Root cluster is born at lambda = 0.
 	c.Clusters = append(c.Clusters, CondensedCluster{ID: d.Root, Parent: -1, BirthLambda: 0, Size: sz[d.Root]})
 	type frame struct {

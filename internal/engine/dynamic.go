@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"parclust/internal/abort"
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
 	"parclust/internal/mst"
@@ -377,7 +376,7 @@ func (e *Engine) publishMutationLocked(nd *dynState) {
 	e.dyn = nd
 	hiers := e.hiers
 	e.cores = make(map[int][]float64)
-	e.msts = make(map[mstKey][]mst.Edge)
+	e.msts = make(map[mstKey]mstStage)
 	e.hiers = make(map[mstKey]*HierStage)
 	e.regMu.Unlock()
 	for _, st := range hiers {
@@ -414,7 +413,9 @@ func (e *Engine) maybeCompactLocked(nd *dynState) {
 		return
 	}
 	if e.f32 || nd.backlog()*compactDen > nd.liveLen() {
-		e.compactLocked(nil, nil)
+		// A mutation's compaction belongs to no flight: nothing can abort
+		// it, and no stage keeps its report.
+		e.compactLocked(&exec{})
 	}
 }
 
@@ -425,7 +426,7 @@ func (e *Engine) maybeCompactLocked(nd *dynState) {
 // the equivalent point set. Publishes points, tree, and the clean dynamic
 // state together; an abort mid-build publishes nothing. buildMu must be
 // held.
-func (e *Engine) compactLocked(af *abort.Flag, stats *mst.Stats) {
+func (e *Engine) compactLocked(x *exec) {
 	d := e.dyn
 	if d == nil || !d.dirty {
 		return
@@ -442,8 +443,8 @@ func (e *Engine) compactLocked(af *abort.Flag, stats *mst.Stats) {
 		}
 	}
 	var t *kdtree.Tree
-	stats.Time("build-tree", func() {
-		t = kdtree.BuildMetricCancel(np, 1, e.Kern, af)
+	x.report.Time(mst.PhaseBuildTree, func() {
+		t = kdtree.BuildMetricCancel(np, 1, e.Kern, &x.abort)
 		if e.f32 {
 			if err := t.EnableFloat32(); err != nil {
 				panic(fmt.Sprintf("engine: float32 attach failed during compaction: %v", err))
@@ -466,9 +467,9 @@ func (e *Engine) compactLocked(af *abort.Flag, stats *mst.Stats) {
 // engine is dirty, so the returned tree covers exactly the live points in
 // dense-id order. Global stages and snapshot writes use this instead of
 // treeLocked. buildMu must be held.
-func (e *Engine) canonLocked(af *abort.Flag, stats *mst.Stats) *kdtree.Tree {
-	e.compactLocked(af, stats)
-	return e.treeLocked(af, stats)
+func (e *Engine) canonLocked(x *exec) *kdtree.Tree {
+	e.compactLocked(x)
+	return e.treeLocked(x)
 }
 
 // liveNLocked is LiveN under buildMu (no registry lock needed: dyn is only
@@ -485,7 +486,7 @@ func (e *Engine) liveNLocked() int {
 // coalesce). Queries that must reflect the full live set — DBSCAN, OPTICS,
 // border attachment — use this; patched point queries use the live entry
 // points below instead.
-func (e *Engine) CanonTree(ctx context.Context, stats *mst.Stats) (*kdtree.Tree, error) {
+func (e *Engine) CanonTree(ctx context.Context) (*kdtree.Tree, error) {
 	for {
 		e.regMu.RLock()
 		t, d := e.tree, e.dyn
@@ -494,10 +495,10 @@ func (e *Engine) CanonTree(ctx context.Context, stats *mst.Stats) (*kdtree.Tree,
 			e.c.treeHits.Add(1)
 			return t, nil
 		}
-		err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(af *abort.Flag) {
+		err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(x *exec) {
 			e.buildMu.Lock()
 			defer e.buildMu.Unlock()
-			e.canonLocked(af, stats)
+			e.canonLocked(x)
 		})
 		if err != nil {
 			return nil, err
@@ -512,7 +513,7 @@ func (e *Engine) Compact(ctx context.Context) error {
 	if !e.Dirty() {
 		return nil
 	}
-	_, err := e.CanonTree(ctx, nil)
+	_, err := e.CanonTree(ctx)
 	return err
 }
 
@@ -526,7 +527,7 @@ func (e *Engine) liveView(ctx context.Context) (*kdtree.Tree, *dynState, error) 
 		if t != nil {
 			return t, d, nil
 		}
-		if _, err := e.Tree(ctx, nil); err != nil {
+		if _, err := e.Tree(ctx); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -149,11 +149,11 @@ func TestDynamicMutationsMatchFresh(t *testing.T) {
 	}
 
 	// Global stages compact first and agree with the fresh build exactly.
-	cd, err := e.CoreDist(ctx, 5, nil)
+	cd, err := e.CoreDist(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdF, err := fresh.CoreDist(ctx, 5, nil)
+	cdF, err := fresh.CoreDist(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCompactAndCanonTree(t *testing.T) {
 	if _, err := e.Insert(randPoints(2, 2, 34)); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := e.CanonTree(ctx, nil)
+	tr, err := e.CanonTree(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestDynamicShrinkGrow(t *testing.T) {
 	if err := e.Delete(ids[:3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CanonTree(ctx, nil); err != nil {
+	if _, err := e.CanonTree(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if e.LiveN() != 7 || e.Dirty() {

@@ -135,13 +135,15 @@ type mstKey struct {
 // HierStage is a memoized hierarchy stage output: the MST, the ordered
 // dendrogram built from it, and the lazily-built cut structure. All fields
 // are immutable after publication; CoreDist is nil for single-linkage
-// hierarchies.
+// hierarchies. Report is the build report of the flight that published the
+// stage (see exec); it is zero for a stage seeded from a snapshot.
 type HierStage struct {
 	N        int
 	MST      []mst.Edge
 	CoreDist []float64
 	MinPts   int
 	Dendro   *dendrogram.Dendrogram
+	Report   mst.Stats
 
 	cutOnce sync.Once
 	cutter  *dendrogram.Cutter
@@ -269,7 +271,7 @@ type Engine struct {
 
 	tree  *kdtree.Tree
 	cores map[int][]float64 // minPts -> core distances, original-id order
-	msts  map[mstKey][]mst.Edge
+	msts  map[mstKey]mstStage
 	hiers map[mstKey]*HierStage
 
 	// dyn is the dynamic-layer state (overlay inserts, tombstoned deletes,
@@ -324,7 +326,7 @@ func New(pts geometry.Points, kern metric.Metric) *Engine {
 		Kern:     kern,
 		inflight: make(map[sfKey]*flight),
 		cores:    make(map[int][]float64),
-		msts:     make(map[mstKey][]mst.Edge),
+		msts:     make(map[mstKey]mstStage),
 		hiers:    make(map[mstKey]*HierStage),
 	}
 }
@@ -387,7 +389,19 @@ type flight struct {
 	stop    chan struct{} // closed when the leader concludes; parks the ctx watcher
 	err     error         // write-once before close(done)
 	waiters atomic.Int64
-	abort   abort.Flag
+	exec
+}
+
+// exec is what a stage build sees of its flight: the abort flag its
+// cooperative checkpoints poll, and the report its phase times and MST
+// counters are recorded into. Every stage the flight publishes keeps a copy
+// of the report as it stands at publication, so a stage's report covers
+// exactly what its publishing flight ran — upstream stages included when
+// that flight built them — and every reader of the stage (the leader,
+// coalesced followers, later hits) reads the same value.
+type exec struct {
+	abort  abort.Flag
+	report mst.Stats
 }
 
 // TestBuildHook, when non-nil, is invoked by a singleflight leader (with the
@@ -426,7 +440,7 @@ func sfStageName(stage uint8) string {
 // ErrAborted is only ever surfaced to requests whose own ctx is done
 // concurrently with the abort; a live follower that finds its flight
 // aborted retries as the new leader.
-func (e *Engine) coalesce(ctx context.Context, key sfKey, coalesced *atomic.Int64, build func(af *abort.Flag)) error {
+func (e *Engine) coalesce(ctx context.Context, key sfKey, coalesced *atomic.Int64, build func(x *exec)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -466,7 +480,7 @@ func (e *Engine) coalesce(ctx context.Context, key sfKey, coalesced *atomic.Int6
 // lead executes one flight as its leader: it watches ctx to release the
 // leader's waiter share, recovers aborts and panics into errors, and — in
 // every path — clears the flight and wakes all followers.
-func (e *Engine) lead(ctx context.Context, key sfKey, f *flight, build func(af *abort.Flag)) (err error) {
+func (e *Engine) lead(ctx context.Context, key sfKey, f *flight, build func(x *exec)) (err error) {
 	if done := ctx.Done(); done != nil {
 		go func() {
 			select {
@@ -513,7 +527,7 @@ func (e *Engine) lead(ctx context.Context, key sfKey, f *flight, build func(af *
 	if ferr := faultinject.Check("engine.build"); ferr != nil {
 		return ferr
 	}
-	build(&f.abort)
+	build(&f.exec)
 	return nil
 }
 
@@ -521,11 +535,10 @@ func (e *Engine) lead(ctx context.Context, key sfKey, f *flight, build func(af *
 // uncompacted inserts and deletes).
 func (e *Engine) N() int { return e.LiveN() }
 
-// Tree returns the shared k-d tree, building it on first use. stats (which
-// may be nil) receives the "build-tree" phase time on a miss. ctx (nil
+// Tree returns the shared k-d tree, building it on first use. ctx (nil
 // means background) bounds a cold build: see coalesce for the error
 // contract. Memoized reads never fail.
-func (e *Engine) Tree(ctx context.Context, stats *mst.Stats) (*kdtree.Tree, error) {
+func (e *Engine) Tree(ctx context.Context) (*kdtree.Tree, error) {
 	e.regMu.RLock()
 	t := e.tree
 	e.regMu.RUnlock()
@@ -533,10 +546,10 @@ func (e *Engine) Tree(ctx context.Context, stats *mst.Stats) (*kdtree.Tree, erro
 		e.c.treeHits.Add(1)
 		return t, nil
 	}
-	err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(af *abort.Flag) {
+	err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(x *exec) {
 		e.buildMu.Lock()
 		defer e.buildMu.Unlock()
-		e.treeLocked(af, stats)
+		e.treeLocked(x)
 	})
 	if err != nil {
 		return nil, err
@@ -551,17 +564,17 @@ func (e *Engine) Tree(ctx context.Context, stats *mst.Stats) (*kdtree.Tree, erro
 // never count cache hits — hits are recorded only at the public entry
 // points, so the counters mean "public queries served from a memoized
 // stage output", not internal plumbing lookups.
-func (e *Engine) treeLocked(af *abort.Flag, stats *mst.Stats) *kdtree.Tree {
+func (e *Engine) treeLocked(x *exec) *kdtree.Tree {
 	e.regMu.RLock()
 	t := e.tree
 	e.regMu.RUnlock()
 	if t != nil {
 		return t
 	}
-	stats.Time("build-tree", func() {
+	x.report.Time(mst.PhaseBuildTree, func() {
 		// Leaf size 1 is required by the WSPD construction and serves every
 		// other stage and query.
-		t = kdtree.BuildMetricCancel(e.Pts, 1, e.Kern, af)
+		t = kdtree.BuildMetricCancel(e.Pts, 1, e.Kern, &x.abort)
 		if e.f32 {
 			// EnableFloat32 validated the points and kernel up front, so
 			// this can fail only on internal inconsistency.
@@ -580,7 +593,7 @@ func (e *Engine) treeLocked(af *abort.Flag, stats *mst.Stats) *kdtree.Tree {
 // CoreDist returns the core distances for minPts in original-id order,
 // computing (and memoizing) them on first use. The returned slice is shared
 // and must not be mutated. ctx bounds a cold build (see coalesce).
-func (e *Engine) CoreDist(ctx context.Context, minPts int, stats *mst.Stats) ([]float64, error) {
+func (e *Engine) CoreDist(ctx context.Context, minPts int) ([]float64, error) {
 	// The post-flight lookup can miss when a mutation invalidated the stage
 	// between the leader's publish and this read; loop until a lookup lands
 	// on a published value (each round is a fresh flight).
@@ -592,10 +605,10 @@ func (e *Engine) CoreDist(ctx context.Context, minPts int, stats *mst.Stats) ([]
 			e.c.coreHits.Add(1)
 			return cd, nil
 		}
-		err := e.coalesce(ctx, sfKey{stage: sfCore, minPts: minPts}, &e.c.coreCoalesced, func(af *abort.Flag) {
+		err := e.coalesce(ctx, sfKey{stage: sfCore, minPts: minPts}, &e.c.coreCoalesced, func(x *exec) {
 			e.buildMu.Lock()
 			defer e.buildMu.Unlock()
-			e.coreDistLocked(af, minPts, stats)
+			e.coreDistLocked(x, minPts)
 		})
 		if err != nil {
 			return nil, err
@@ -618,10 +631,10 @@ func (e *Engine) CoreDist(ctx context.Context, minPts int, stats *mst.Stats) ([]
 // a mutation's compaction. Otherwise it fetches again.
 func (e *Engine) CoreDistTree(ctx context.Context, minPts int) (*kdtree.Tree, []float64, error) {
 	for {
-		if _, err := e.CanonTree(ctx, nil); err != nil {
+		if _, err := e.CanonTree(ctx); err != nil {
 			return nil, nil, err
 		}
-		cd, err := e.CoreDist(ctx, minPts, nil)
+		cd, err := e.CoreDist(ctx, minPts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -635,16 +648,16 @@ func (e *Engine) CoreDistTree(ctx context.Context, minPts int) (*kdtree.Tree, []
 	}
 }
 
-func (e *Engine) coreDistLocked(af *abort.Flag, minPts int, stats *mst.Stats) []float64 {
+func (e *Engine) coreDistLocked(x *exec, minPts int) []float64 {
 	e.regMu.RLock()
 	cd, ok := e.cores[minPts]
 	e.regMu.RUnlock()
 	if ok {
 		return cd
 	}
-	t := e.canonLocked(af, stats)
-	stats.Time("core-dist", func() {
-		cd = t.CoreDistancesCancel(minPts, af)
+	t := e.canonLocked(x)
+	x.report.Time(mst.PhaseCoreDist, func() {
+		cd = t.CoreDistancesCancel(minPts, &x.abort)
 	})
 	e.c.coreBuilds.Add(1)
 	e.regMu.Lock()
@@ -658,85 +671,92 @@ func (e *Engine) coreDistLocked(af *abort.Flag, minPts int, stats *mst.Stats) []
 // cleared before the rewrite starts so an abort or panic that unwinds
 // mid-annotation can never leave a stale minPts claiming half-written
 // bounds — the next build under buildMu re-annotates from scratch.
-func (e *Engine) annotateLocked(af *abort.Flag, minPts int, cd []float64, stats *mst.Stats) {
+func (e *Engine) annotateLocked(x *exec, minPts int, cd []float64) {
 	if e.annotated == minPts {
 		return
 	}
-	t := e.treeLocked(af, stats)
+	t := e.treeLocked(x)
 	e.annotated = 0
-	stats.Time("core-dist", func() {
+	x.report.Time(mst.PhaseCoreDist, func() {
 		t.AnnotateCoreDists(cd)
 	})
 	e.annotated = minPts
 }
 
-func (e *Engine) lookupMST(key mstKey) ([]mst.Edge, bool) {
-	e.regMu.RLock()
-	edges, ok := e.msts[key]
-	e.regMu.RUnlock()
-	return edges, ok
+// mstStage is a memoized MST stage output: its edges and the report of the
+// flight that published them (zero when seeded from a snapshot).
+type mstStage struct {
+	edges  []mst.Edge
+	report mst.Stats
 }
 
-func (e *Engine) storeMST(key mstKey, edges []mst.Edge) {
+func (e *Engine) lookupMST(key mstKey) (mstStage, bool) {
+	e.regMu.RLock()
+	st, ok := e.msts[key]
+	e.regMu.RUnlock()
+	return st, ok
+}
+
+// storeMST publishes an MST stage with a copy of the flight's report.
+func (e *Engine) storeMST(x *exec, key mstKey, edges []mst.Edge) []mst.Edge {
 	e.c.mstBuilds.Add(1)
 	e.regMu.Lock()
-	e.msts[key] = edges
+	e.msts[key] = mstStage{edges: edges, report: x.report}
 	e.regMu.Unlock()
+	return edges
 }
 
 // EMST returns the memoized MST of the point set under the engine's kernel
-// with the selected algorithm. Delaunay preconditions (2D, L2) are the
-// caller's responsibility. An input of fewer than two points yields nil
-// without building anything (the one-shot API contract). ctx bounds a cold
-// build (see coalesce).
-func (e *Engine) EMST(ctx context.Context, algo EMSTAlgo, stats *mst.Stats) ([]mst.Edge, error) {
+// with the selected algorithm, and the report of the flight that built it.
+// Delaunay preconditions (2D, L2) are the caller's responsibility. An input
+// of fewer than two points yields nil without building anything (the
+// one-shot API contract). ctx bounds a cold build (see coalesce).
+func (e *Engine) EMST(ctx context.Context, algo EMSTAlgo) ([]mst.Edge, mst.Stats, error) {
 	if e.LiveN() <= 1 {
-		return nil, nil
+		return nil, mst.Stats{}, nil
 	}
 	key := mstKey{Kind: KindEMST, Algo: uint8(algo)}
 	// Loop: a mutation can clear the memo between the leader's publish and
 	// the post-flight lookup (see CoreDist).
 	for {
-		if edges, ok := e.lookupMST(key); ok {
+		if st, ok := e.lookupMST(key); ok {
 			e.c.mstHits.Add(1)
-			return edges, nil
+			return st.edges, st.report, nil
 		}
-		err := e.coalesce(ctx, sfKey{stage: sfMST, kind: KindEMST, algo: uint8(algo)}, &e.c.mstCoalesced, func(af *abort.Flag) {
+		err := e.coalesce(ctx, sfKey{stage: sfMST, kind: KindEMST, algo: uint8(algo)}, &e.c.mstCoalesced, func(x *exec) {
 			e.buildMu.Lock()
 			defer e.buildMu.Unlock()
-			e.emstLocked(af, key, algo, stats)
+			e.emstLocked(x, key, algo)
 		})
 		if err != nil {
-			return nil, err
+			return nil, mst.Stats{}, err
 		}
-		if edges, ok := e.lookupMST(key); ok {
-			return edges, nil
+		if st, ok := e.lookupMST(key); ok {
+			return st.edges, st.report, nil
 		}
 		if e.LiveN() <= 1 {
-			return nil, nil
+			return nil, mst.Stats{}, nil
 		}
 	}
 }
 
-func (e *Engine) emstLocked(af *abort.Flag, key mstKey, algo EMSTAlgo, stats *mst.Stats) []mst.Edge {
+func (e *Engine) emstLocked(x *exec, key mstKey, algo EMSTAlgo) []mst.Edge {
 	if e.liveNLocked() <= 1 {
 		return nil // nothing to span; matches the one-shot early return
 	}
-	if edges, ok := e.lookupMST(key); ok {
-		return edges
+	if st, ok := e.lookupMST(key); ok {
+		return st.edges
 	}
-	var edges []mst.Edge
 	if algo == EMSTDelaunay2D {
-		af.Check() // the Delaunay path has no interior checkpoints
-		e.compactLocked(af, stats)
-		edges = delaunay.EMST(e.Pts, stats)
-		e.storeMST(key, edges)
-		return edges
+		x.abort.Check() // the Delaunay path has no interior checkpoints
+		e.compactLocked(x)
+		return e.storeMST(x, key, delaunay.EMST(e.Pts, &x.report))
 	}
-	t := e.canonLocked(af, stats)
+	t := e.canonLocked(x)
 	ws := wsPool.Get().(*mst.Workspace)
 	defer wsPool.Put(ws)
-	cfg := mst.Config{Tree: t, Metric: edgeMetricFor(t), Sep: separationFor(e.Kern), Stats: stats, WS: ws, Abort: af}
+	cfg := mst.Config{Tree: t, Metric: edgeMetricFor(t), Sep: separationFor(e.Kern), Stats: &x.report, WS: ws, Abort: &x.abort}
+	var edges []mst.Edge
 	switch algo {
 	case EMSTMemoGFK:
 		edges = mst.MemoGFK(cfg)
@@ -751,65 +771,31 @@ func (e *Engine) emstLocked(af *abort.Flag, key mstKey, algo EMSTAlgo, stats *ms
 	default:
 		panic("engine: unknown EMST algorithm")
 	}
-	e.storeMST(key, edges)
-	return edges
+	return e.storeMST(x, key, edges)
 }
 
-// HDBSCANMST returns the memoized MST of the mutual-reachability graph for
-// minPts with the selected algorithm, together with the memoized core
-// distances. minPts has been validated by the caller (>= 1, <= N for
-// non-empty inputs). ctx bounds a cold build (see coalesce).
-func (e *Engine) HDBSCANMST(ctx context.Context, minPts int, algo hdbscan.Algorithm, stats *mst.Stats) ([]mst.Edge, []float64, error) {
-	key := mstKey{Kind: KindHDBSCAN, Algo: uint8(algo), MinPts: minPts}
-	if edges, ok := e.lookupMST(key); ok {
-		e.regMu.RLock()
-		cd := e.cores[minPts]
-		e.regMu.RUnlock()
-		if cd != nil {
-			e.c.mstHits.Add(1)
-			return edges, cd, nil
-		}
+// hdbscanMSTLocked builds (or looks up) the MST of the mutual-reachability
+// graph for minPts with the selected algorithm, together with the core
+// distances it runs over. minPts has been validated by the caller (>= 1,
+// <= N for non-empty inputs).
+func (e *Engine) hdbscanMSTLocked(x *exec, key mstKey, minPts int, algo hdbscan.Algorithm) ([]mst.Edge, []float64) {
+	cd := e.coreDistLocked(x, minPts)
+	if st, ok := e.lookupMST(key); ok {
+		return st.edges, cd
 	}
-	// Loop: a mutation can clear the memos between the leader's publish and
-	// the post-flight lookup (see CoreDist).
-	for {
-		err := e.coalesce(ctx, sfKey{stage: sfMST, kind: KindHDBSCAN, algo: uint8(algo), minPts: minPts}, &e.c.mstCoalesced, func(af *abort.Flag) {
-			e.buildMu.Lock()
-			defer e.buildMu.Unlock()
-			e.hdbscanMSTLocked(af, key, minPts, algo, stats)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		edges, ok := e.lookupMST(key)
-		e.regMu.RLock()
-		cd := e.cores[minPts]
-		e.regMu.RUnlock()
-		if ok && cd != nil {
-			return edges, cd, nil
-		}
-	}
-}
-
-func (e *Engine) hdbscanMSTLocked(af *abort.Flag, key mstKey, minPts int, algo hdbscan.Algorithm, stats *mst.Stats) ([]mst.Edge, []float64) {
-	cd := e.coreDistLocked(af, minPts, stats)
-	if edges, ok := e.lookupMST(key); ok {
-		return edges, cd
-	}
-	t := e.canonLocked(af, stats)
-	e.annotateLocked(af, minPts, cd, stats)
+	t := e.canonLocked(x)
+	e.annotateLocked(x, minPts, cd)
 	ws := wsPool.Get().(*mst.Workspace)
 	defer wsPool.Put(ws)
-	edges := hdbscan.MSTOnAnnotatedTreeCancel(t, algo, e.Kern, ws, stats, af)
-	e.storeMST(key, edges)
-	return edges, cd
+	edges := hdbscan.MSTOnAnnotatedTreeCancel(t, algo, e.Kern, ws, &x.report, &x.abort)
+	return e.storeMST(x, key, edges), cd
 }
 
 // Hierarchy returns the memoized hierarchy stage — MST, ordered dendrogram
 // (start vertex 0), and cut structure — for the given MST stage. For
 // KindEMST the algorithm is an EMSTAlgo and CoreDist is nil (single-linkage
 // semantics); for KindHDBSCAN it is an hdbscan.Algorithm.
-func (e *Engine) Hierarchy(ctx context.Context, kind Kind, algo uint8, minPts int, stats *mst.Stats) (*HierStage, error) {
+func (e *Engine) Hierarchy(ctx context.Context, kind Kind, algo uint8, minPts int) (*HierStage, error) {
 	key := mstKey{Kind: kind, Algo: algo, MinPts: minPts}
 	if kind == KindEMST {
 		key.MinPts = 0
@@ -824,10 +810,10 @@ func (e *Engine) Hierarchy(ctx context.Context, kind Kind, algo uint8, minPts in
 			e.c.hierHits.Add(1)
 			return st, nil
 		}
-		err := e.coalesce(ctx, sfKey{stage: sfHier, kind: kind, algo: algo, minPts: key.MinPts}, &e.c.hierCoalesced, func(af *abort.Flag) {
+		err := e.coalesce(ctx, sfKey{stage: sfHier, kind: kind, algo: algo, minPts: key.MinPts}, &e.c.hierCoalesced, func(x *exec) {
 			e.buildMu.Lock()
 			defer e.buildMu.Unlock()
-			e.hierarchyLocked(af, key, kind, algo, minPts, stats)
+			e.hierarchyLocked(x, key, kind, algo, minPts)
 		})
 		if err != nil {
 			return nil, err
@@ -842,7 +828,7 @@ func (e *Engine) Hierarchy(ctx context.Context, kind Kind, algo uint8, minPts in
 }
 
 // hierarchyLocked is the build-mutex-held hierarchy stage body.
-func (e *Engine) hierarchyLocked(af *abort.Flag, key mstKey, kind Kind, algo uint8, minPts int, stats *mst.Stats) *HierStage {
+func (e *Engine) hierarchyLocked(x *exec, key mstKey, kind Kind, algo uint8, minPts int) *HierStage {
 	e.regMu.RLock()
 	st := e.hiers[key]
 	e.regMu.RUnlock()
@@ -852,17 +838,16 @@ func (e *Engine) hierarchyLocked(af *abort.Flag, key mstKey, kind Kind, algo uin
 	var edges []mst.Edge
 	var cd []float64
 	if kind == KindEMST {
-		edges = e.emstLocked(af, key, EMSTAlgo(algo), stats)
+		edges = e.emstLocked(x, key, EMSTAlgo(algo))
 	} else {
-		edges, cd = e.hdbscanMSTLocked(af, key, minPts, hdbscan.Algorithm(algo), stats)
+		edges, cd = e.hdbscanMSTLocked(x, key, minPts, hdbscan.Algorithm(algo))
 	}
-	af.Check() // last checkpoint before the (uncancellable) dendrogram build
+	x.abort.Check() // last checkpoint before the (uncancellable) dendrogram build
 	st = &HierStage{N: e.liveNLocked(), MST: edges, CoreDist: cd, MinPts: minPts, eng: e}
-	if st.N > 0 {
-		stats.Time("dendrogram", func() {
-			st.Dendro = dendrogram.BuildParallel(st.N, edges, 0)
-		})
-	}
+	x.report.Time(mst.PhaseDendrogram, func() {
+		st.Dendro = dendrogram.BuildParallel(st.N, edges, 0)
+	})
+	st.Report = x.report
 	e.c.hierBuilds.Add(1)
 	e.regMu.Lock()
 	e.hiers[key] = st

@@ -40,8 +40,8 @@ func TestStageMemoizationCounters(t *testing.T) {
 	if c.MSTBuilds != 3 {
 		t.Fatalf("MSTBuilds = %d, want 3", c.MSTBuilds)
 	}
-	if c.MSTHits != 3 {
-		t.Fatalf("MSTHits = %d, want 3", c.MSTHits)
+	if c.DendrogramHits != 3 {
+		t.Fatalf("DendrogramHits = %d, want 3", c.DendrogramHits)
 	}
 	// A different algorithm at a known minPts reuses tree and core
 	// distances but runs a new MST.

@@ -210,7 +210,7 @@ func goldenFingerprints(t *testing.T, pts geometry.Points, m metric.Metric, f32 
 	tr := testTree(e)
 	n := pts.N
 	const minPts, k = 10, 8
-	cd, err := e.CoreDist(context.Background(), minPts, nil)
+	cd, err := e.CoreDist(context.Background(), minPts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // expect a build to fail.
 
 func testTree(e *Engine) *kdtree.Tree {
-	tr, err := e.Tree(context.Background(), nil)
+	tr, err := e.Tree(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -21,23 +21,22 @@ func testTree(e *Engine) *kdtree.Tree {
 }
 
 func testHier(e *Engine, kind Kind, algo uint8, minPts int) *HierStage {
-	st, err := e.Hierarchy(context.Background(), kind, algo, minPts, nil)
+	st, err := e.Hierarchy(context.Background(), kind, algo, minPts)
 	if err != nil {
 		panic(err)
 	}
 	return st
 }
 
+// testHDB returns the MST and core distances of the HDBSCAN* hierarchy
+// stage for minPts.
 func testHDB(e *Engine, minPts int, algo hdbscan.Algorithm) ([]mst.Edge, []float64) {
-	edges, cd, err := e.HDBSCANMST(context.Background(), minPts, algo, nil)
-	if err != nil {
-		panic(err)
-	}
-	return edges, cd
+	st := testHier(e, KindHDBSCAN, uint8(algo), minPts)
+	return st.MST, st.CoreDist
 }
 
 func testEMST(e *Engine, algo EMSTAlgo) []mst.Edge {
-	edges, err := e.EMST(context.Background(), algo, nil)
+	edges, _, err := e.EMST(context.Background(), algo)
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,7 @@ func TestCancelMidTreeBuild(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.Tree(ctx, nil)
+		_, err := e.Tree(ctx)
 		errc <- err
 	}()
 
@@ -101,7 +101,7 @@ func TestCancelledFollowerAbandonsFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := e.Tree(ctx, nil)
+		_, err := e.Tree(ctx)
 		follower <- err
 	}()
 	waitForCoalesced(t, release, func() int64 { return e.Counters().TreeCoalesced }, 1)
@@ -142,7 +142,7 @@ func TestLeaderPanicWakesAllFollowers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.Hierarchy(context.Background(), KindHDBSCAN, uint8(hdbscan.MemoGFK), 10, nil)
+			_, err := e.Hierarchy(context.Background(), KindHDBSCAN, uint8(hdbscan.MemoGFK), 10)
 			errs <- err
 		}()
 	}
@@ -199,10 +199,10 @@ func TestBuildGateShedsColdBuilds(t *testing.T) {
 	tr := testTree(e) // warm the tree before closing the gate
 
 	e.SetBuildGate(func() (func(), bool) { return nil, false })
-	if _, err := e.CoreDist(context.Background(), 5, nil); !errors.Is(err, ErrOverloaded) {
+	if _, err := e.CoreDist(context.Background(), 5); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("cold CoreDist under closed gate: %v, want ErrOverloaded", err)
 	}
-	got, err := e.Tree(context.Background(), nil)
+	got, err := e.Tree(context.Background())
 	if err != nil || got != tr {
 		t.Fatalf("warm Tree under closed gate: (%p, %v), want memoized hit", got, err)
 	}
@@ -213,7 +213,7 @@ func TestBuildGateShedsColdBuilds(t *testing.T) {
 		admitted++
 		return func() { released++ }, true
 	})
-	if _, err := e.CoreDist(context.Background(), 5, nil); err != nil {
+	if _, err := e.CoreDist(context.Background(), 5); err != nil {
 		t.Fatalf("cold CoreDist under open gate: %v", err)
 	}
 	if admitted != 1 || released != 1 {
@@ -230,7 +230,7 @@ func TestBuildFaultInjection(t *testing.T) {
 	boom := errors.New("injected: disk on fire")
 	faultinject.Activate("engine.build", faultinject.Fault{Mode: faultinject.Error, Err: boom, Count: 1})
 
-	if _, err := e.Tree(context.Background(), nil); !errors.Is(err, boom) {
+	if _, err := e.Tree(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Tree under fault = %v, want %v", err, boom)
 	}
 	if c := e.Counters(); c.TreeBuilds != 0 {

@@ -12,7 +12,8 @@ import (
 // serialization and installed back into a fresh engine after a restart. A
 // seeded stage is indistinguishable from a built one to every query path —
 // except that the build counters stay at zero, which is exactly how the
-// warm-restart tests prove nothing was recomputed.
+// warm-restart tests prove nothing was recomputed — and that a seeded
+// stage's build report is zero, since no flight built it.
 
 // StageKey identifies one MST/hierarchy stage across the engine boundary.
 // It mirrors the unexported mstKey: for KindEMST, Algo is an EMSTAlgo and
@@ -64,11 +65,11 @@ func (e *Engine) exportStagesLocked() StageSet {
 	for mp, cd := range e.cores {
 		s.Cores[mp] = cd
 	}
-	for k, edges := range e.msts {
-		s.MSTs[StageKey(k)] = edges
+	for k, st := range e.msts {
+		s.MSTs[StageKey(k)] = st.edges
 	}
 	for k, st := range e.hiers {
-		if st.Dendro != nil {
+		if st.N > 0 { // the store encodes no dendrogram of zero points
 			s.Hiers[StageKey(k)] = st.Dendro
 		}
 	}
@@ -100,18 +101,18 @@ func (e *Engine) SeedStages(s StageSet) {
 	}
 	for k, edges := range s.MSTs {
 		if _, ok := e.msts[mstKey(k)]; !ok && edges != nil {
-			e.msts[mstKey(k)] = edges
+			e.msts[mstKey(k)] = mstStage{edges: edges}
 		}
 	}
 	for k, d := range s.Hiers {
 		if _, ok := e.hiers[mstKey(k)]; ok || d == nil {
 			continue
 		}
-		edges, ok := e.msts[mstKey(k)]
+		ms, ok := e.msts[mstKey(k)]
 		if !ok {
 			continue
 		}
-		st := &HierStage{N: e.Pts.N, MST: edges, MinPts: k.MinPts, Dendro: d, eng: e}
+		st := &HierStage{N: e.Pts.N, MST: ms.edges, MinPts: k.MinPts, Dendro: d, eng: e}
 		if k.Kind == KindHDBSCAN {
 			cd, ok := e.cores[k.MinPts]
 			if !ok {

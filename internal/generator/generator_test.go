@@ -84,3 +84,60 @@ func TestPaperDatasets(t *testing.T) {
 		}
 	}
 }
+
+// TestEmbedShape: Embed returns unit rows, is deterministic in its seed,
+// forms k direction clusters (most points lie close to another point of
+// their cone), treats k < 1 as one cluster, and rejects dimensions outside
+// [2, EmbedMaxDim].
+func TestEmbedShape(t *testing.T) {
+	const n, dim, k = 600, 16, 4
+	pts := Embed(n, dim, k, 3)
+	if pts.N != n || pts.Dim != dim {
+		t.Fatalf("wrong shape %dx%d", pts.N, pts.Dim)
+	}
+	for i := 0; i < n; i++ {
+		var s float64
+		for _, v := range pts.At(i) {
+			s += v * v
+		}
+		if math.Abs(s-1) > 1e-9 {
+			t.Fatalf("row %d has squared norm %v", i, s)
+		}
+	}
+	again := Embed(n, dim, k, 3)
+	for i := range pts.Data {
+		if pts.Data[i] != again.Data[i] {
+			t.Fatal("Embed is not deterministic in its seed")
+		}
+	}
+	// Uniform directions in 16D are nearly orthogonal (chord ~ sqrt 2);
+	// clustered ones have a much closer neighbour.
+	close := 0
+	for i := 0; i < n; i++ {
+		best := math.Inf(1)
+		for j := 0; j < n; j++ {
+			if j != i {
+				best = math.Min(best, pts.Dist(i, j))
+			}
+		}
+		if best < 1 {
+			close++
+		}
+	}
+	if close < n*9/10 {
+		t.Fatalf("only %d of %d points have a neighbour within chord 1", close, n)
+	}
+	if one := Embed(50, 2, 0, 1); one.N != 50 {
+		t.Fatalf("k=0: %d points", one.N)
+	}
+	for _, bad := range []int{1, EmbedMaxDim + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("dim=%d accepted", bad)
+				}
+			}()
+			Embed(10, bad, 2, 1)
+		}()
+	}
+}

@@ -154,3 +154,100 @@ func TestEmptyBoxExtend(t *testing.T) {
 		t.Fatal("ExtendBox mismatch")
 	}
 }
+
+// TestBoundedBoxDistances pins the early-exit contract of the bounded box
+// distances: below bound the result equals the full scan exactly, and at
+// or above bound the full distance is at least bound too.
+func TestBoundedBoxDistances(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	box := func(dim int) Box {
+		b := EmptyBox(dim)
+		b.Extend(randPoints(1, dim, rng.Int63()).At(0))
+		b.Extend(randPoints(1, dim, rng.Int63()).At(0))
+		return b
+	}
+	for trial := 0; trial < 200; trial++ {
+		dim := 1 + trial%8
+		a, b := box(dim), box(dim)
+		lo, hi := SqDistBoxes(a, b), SqMaxDistBoxes(a, b)
+		for _, bound := range []float64{0, lo / 2, lo, hi / 2, hi, 2*hi + 1, math.Inf(1)} {
+			for _, c := range []struct {
+				name        string
+				full, bound float64
+			}{
+				{"min", lo, SqDistBoxesBounded(a, b, bound)},
+				{"max", hi, SqMaxDistBoxesBounded(a, b, bound)},
+			} {
+				if c.bound < bound && c.bound != c.full {
+					t.Fatalf("%s dim=%d bound=%v: %v below bound, full scan %v", c.name, dim, bound, c.bound, c.full)
+				}
+				if c.bound >= bound && c.full < bound {
+					t.Fatalf("%s dim=%d bound=%v: %v certifies the bound, full scan %v", c.name, dim, bound, c.bound, c.full)
+				}
+			}
+		}
+	}
+}
+
+// TestSqDistKernelsAgree: the monomorphized 2D/3D kernels, the generic
+// scan and the per-dimension row kernel compute the same squared distance.
+func TestSqDistKernelsAgree(t *testing.T) {
+	for _, dim := range []int{1, 2, 3, 5} {
+		p := randPoints(20, dim, int64(dim))
+		kern := SqDistRowKernel(p)
+		for i := 0; i < p.N; i++ {
+			for j := 0; j < p.N; j++ {
+				want := sqDistGeneric(p.At(i), p.At(j))
+				if got := SqDistVec(p.At(i), p.At(j)); got != want {
+					t.Fatalf("dim=%d: SqDistVec %v, generic %v", dim, got, want)
+				}
+				if got := kern(p.At(i), int32(j)); got != want {
+					t.Fatalf("dim=%d: row kernel %v, generic %v", dim, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoxBuilders: the range and box-union builders agree with the
+// index-list bounding box.
+func TestBoxBuilders(t *testing.T) {
+	p := randPoints(40, 3, 6)
+	idx := make([]int32, p.N)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	want := BoundingBox(p, idx)
+	got := EmptyBox(3)
+	BoundingBoxRange(&got, p, 0, p.N)
+	left, right := BoundingBox(p, idx[:15]), BoundingBox(p, idx[15:])
+	left.ExtendBox(right)
+	for k := 0; k < 3; k++ {
+		if got.Lo[k] != want.Lo[k] || got.Hi[k] != want.Hi[k] || left.Lo[k] != want.Lo[k] || left.Hi[k] != want.Hi[k] {
+			t.Fatalf("dim %d: range [%v,%v], union [%v,%v], want [%v,%v]",
+				k, got.Lo[k], got.Hi[k], left.Lo[k], left.Hi[k], want.Lo[k], want.Hi[k])
+		}
+	}
+}
+
+// TestPointSetConstructorsReject: malformed shapes panic, and no rows make
+// an empty set.
+func TestPointSetConstructorsReject(t *testing.T) {
+	if p := FromSlices(nil); p.N != 0 {
+		t.Fatalf("FromSlices(nil) has %d points", p.N)
+	}
+	for name, f := range map[string]func(){
+		"negative n":   func() { NewPoints(-1, 2) },
+		"zero dim":     func() { NewPoints(3, 0) },
+		"ragged slice": func() { FromSlices([][]float64{{1, 2}, {3}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

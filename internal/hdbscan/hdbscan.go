@@ -21,7 +21,6 @@ type Result struct {
 	MST      []mst.Edge
 	CoreDist []float64
 	Tree     *kdtree.Tree
-	Stats    *mst.Stats
 }
 
 // Algorithm selects the HDBSCAN* MST variant.
@@ -51,20 +50,17 @@ func Build(pts geometry.Points, minPts int, algo Algorithm, stats *mst.Stats) Re
 // the paper's bounding-sphere separation tests; other kernels use their
 // own box-bound ball geometry.
 func BuildMetric(pts geometry.Points, minPts int, algo Algorithm, m metric.Metric, stats *mst.Stats) Result {
-	if stats == nil {
-		stats = mst.NewStats()
-	}
 	var t *kdtree.Tree
-	stats.Time("build-tree", func() {
+	stats.Time(mst.PhaseBuildTree, func() {
 		t = kdtree.BuildMetric(pts, 1, m)
 	})
 	var cd []float64
-	stats.Time("core-dist", func() {
+	stats.Time(mst.PhaseCoreDist, func() {
 		cd = t.CoreDistances(minPts)
 		t.AnnotateCoreDists(cd)
 	})
 	edges := MSTOnAnnotatedTree(t, algo, m, nil, stats)
-	return Result{MST: edges, CoreDist: cd, Tree: t, Stats: stats}
+	return Result{MST: edges, CoreDist: cd, Tree: t}
 }
 
 // MSTOnAnnotatedTree runs the selected HDBSCAN* MST variant over a tree
@@ -100,16 +96,4 @@ func MSTOnAnnotatedTreeCancel(t *kdtree.Tree, algo Algorithm, m metric.Metric, w
 	default:
 		panic("hdbscan: unknown algorithm")
 	}
-}
-
-// PairCounts reports the number of WSPD pairs generated under the classic
-// geometric separation and under the new disjunctive separation for the
-// same point set — the "2.5-10.29x fewer pairs" measurement of Section 5.
-func PairCounts(pts geometry.Points, minPts int) (geo, mutual int) {
-	t := kdtree.Build(pts, 1)
-	cd := t.CoreDistances(minPts)
-	t.AnnotateCoreDists(cd)
-	geo = wspd.Count(t, wspd.Geometric{S: 2})
-	mutual = wspd.Count(t, wspd.MutualUnreachable{})
-	return geo, mutual
 }

@@ -134,9 +134,14 @@ func TestFigure1WorkedExample(t *testing.T) {
 	}
 }
 
+// TestPairCounts: the disjunctive mutual-unreachability separation yields
+// no more pairs than the classic geometric one on the same annotated tree
+// (Section 5's "2.5-10.29x fewer pairs").
 func TestPairCounts(t *testing.T) {
 	pts := randPoints(1000, 3, 17)
-	geo, mu := PairCounts(pts, 10)
+	tr := kdtree.Build(pts, 1)
+	tr.AnnotateCoreDists(tr.CoreDistances(10))
+	geo, mu := wspd.Count(tr, wspd.Geometric{S: 2}), wspd.Count(tr, wspd.MutualUnreachable{})
 	if mu > geo {
 		t.Fatalf("new separation produced more pairs (%d > %d)", mu, geo)
 	}
@@ -203,9 +208,15 @@ func TestStatsPhases(t *testing.T) {
 	pts := randPoints(500, 2, 29)
 	stats := mst.NewStats()
 	Build(pts, 10, MemoGFK, stats)
-	for _, phase := range []string{"build-tree", "core-dist", "wspd", "kruskal"} {
-		if _, ok := stats.Phases[phase]; !ok {
-			t.Fatalf("phase %q missing from stats", phase)
+	for _, phase := range []mst.Phase{mst.PhaseBuildTree, mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal} {
+		if stats.Phases[phase] <= 0 {
+			t.Fatalf("phase %v missing from stats", phase)
+		}
+	}
+	// MemoGFK never runs the other algorithms' phases.
+	for _, phase := range []mst.Phase{mst.PhaseRefresh, mst.PhaseQuery, mst.PhaseMerge, mst.PhaseDelaunay, mst.PhaseGenEdges, mst.PhaseDendrogram} {
+		if stats.Phases[phase] != 0 {
+			t.Fatalf("phase %v timed by an HDBSCAN* MemoGFK build", phase)
 		}
 	}
 }

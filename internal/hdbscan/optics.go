@@ -20,24 +20,21 @@ import (
 // Following the paper's implementation note, the representative point of a
 // node is a fixed sample (its first point) rather than an approximate BCCP.
 func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats) Result {
-	if stats == nil {
-		stats = mst.NewStats()
-	}
 	if rho <= 0 {
 		panic("hdbscan: ApproxOPTICS requires rho > 0")
 	}
 	var t *kdtree.Tree
-	stats.Time("build-tree", func() {
+	stats.Time(mst.PhaseBuildTree, func() {
 		t = kdtree.Build(pts, 1)
 	})
 	var cd []float64
-	stats.Time("core-dist", func() {
+	stats.Time(mst.PhaseCoreDist, func() {
 		cd = t.CoreDistances(minPts)
 		t.AnnotateCoreDists(cd)
 	})
 	s := math.Sqrt(8 / rho)
 	var pairs []wspd.Pair
-	stats.Time("wspd", func() {
+	stats.Time(mst.PhaseWSPD, func() {
 		pairs = wspd.Decompose(t, wspd.Geometric{S: s}, nil)
 	})
 	// Candidate generation runs in the tree's kd-order space (node point
@@ -81,7 +78,7 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 		})
 	}
 	var edges []mst.Edge
-	stats.Time("gen-edges", func() {
+	stats.Time(mst.PhaseGenEdges, func() {
 		genEdges()
 		total := 0
 		for _, es := range perPair {
@@ -95,11 +92,11 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 	stats.AddPairs(int64(len(pairs)))
 	stats.NotePeak(int64(len(edges)))
 	var out []mst.Edge
-	stats.Time("kruskal", func() {
+	stats.Time(mst.PhaseKruskal, func() {
 		out = mst.Kruskal(pts.N, edges)
 	})
 	for i, e := range out {
 		out[i] = mst.MakeEdge(t.Orig[e.U], t.Orig[e.V], e.W)
 	}
-	return Result{MST: out, CoreDist: cd, Tree: t, Stats: stats}
+	return Result{MST: out, CoreDist: cd, Tree: t}
 }

@@ -182,9 +182,6 @@ func BuildMetricCancel(pts geometry.Points, leafSize int, m metric.Metric, af *a
 	return t
 }
 
-// NodeAt returns the node at slab index i.
-func (t *Tree) NodeAt(i int32) *Node { return &t.nodes[i] }
-
 // NumNodes returns the number of nodes in the tree.
 func (t *Tree) NumNodes() int { return int(t.nalloc.Load()) }
 

@@ -102,11 +102,11 @@ func (r *boruvkaRun) round() bool {
 	n := t.Pts.N
 	start := time.Now()
 	t.RefreshComponentsInto(ws.uf, ws.comp)
-	stats.AddPhase("refresh", time.Since(start))
+	stats.AddPhase(PhaseRefresh, time.Since(start))
 
 	start = time.Now()
 	parallel.ForRange(n, 32, r.queryBody)
-	stats.AddPhase("query", time.Since(start))
+	stats.AddPhase(PhaseQuery, time.Since(start))
 
 	start = time.Now()
 	// Reduce candidates to the lightest edge per component, then merge.
@@ -123,6 +123,6 @@ func (r *boruvkaRun) round() bool {
 			ws.out = append(ws.out, e)
 		}
 	}
-	stats.AddPhase("merge", time.Since(start))
+	stats.AddPhase(PhaseMerge, time.Since(start))
 	return true
 }

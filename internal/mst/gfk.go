@@ -45,7 +45,7 @@ func GFK(cfg Config) []Edge {
 		return nil
 	}
 	var raw []wspd.Pair
-	cfg.Stats.Time("wspd", func() {
+	cfg.Stats.Time(PhaseWSPD, func() {
 		raw = wspd.Decompose(t, cfg.Sep, cfg.Abort)
 	})
 	cfg.Stats.AddPairs(int64(len(raw)))
@@ -92,12 +92,14 @@ func newGFKRun(cfg Config, ws *Workspace, s []gfkPair) *gfkRun {
 	r := &gfkRun{cfg: cfg, ws: ws, s: s}
 	r.bccpBody = func(lo, hi int) {
 		cfg.Abort.Check()
+		var calls int64
 		for i := lo; i < hi; i++ {
 			if r.s[i].res.U < 0 {
 				r.s[i].res = kdtree.BCCP(cfg.Tree, cfg.Metric, r.s[i].a, r.s[i].b)
-				cfg.Stats.AddBCCP(1)
+				calls++
 			}
 		}
+		cfg.Stats.AddBCCP(calls)
 	}
 	r.rhoBody = func(i int) float64 {
 		return cfg.Metric.NodeLB(r.su[i].a, r.su[i].b)
@@ -137,7 +139,7 @@ func (r *gfkRun) round(beta int) {
 	r.s = sl // bccpBody indexes r.s
 	start := time.Now()
 	parallel.ForRange(len(sl), 4, r.bccpBody)
-	cfg.Stats.AddPhase("bccp", time.Since(start))
+	cfg.Stats.AddPhase(PhaseBCCP, time.Since(start))
 
 	batch := ws.batch[:0]
 	keep := 0
@@ -155,7 +157,7 @@ func (r *gfkRun) round(beta int) {
 	// Lines 7-8: Kruskal on the batch.
 	start = time.Now()
 	ws.out = KruskalBatch(batch, ws.uf, ws.out)
-	cfg.Stats.AddPhase("kruskal", time.Since(start))
+	cfg.Stats.AddPhase(PhaseKruskal, time.Since(start))
 
 	// Line 9: drop pairs whose sides are now in one component. The
 	// survivors of S_l2 and S_u are compacted back into the main buffer.

@@ -20,7 +20,9 @@ import (
 // and a 16D embedding set. The oracle sweeps compare only weights and
 // merge heights, so these fingerprints are what catch a change in which of
 // several equal-weight edges the MST keeps; a refactor of the traversals
-// or of Kruskal must leave them unchanged.
+// or of Kruskal must leave them unchanged. The run's work counters (pairs
+// materialized, peak pairs resident, BCCP calls, rounds) are pinned too, so
+// a change to how the traversals count work must count the same work.
 func TestMemoGFKGoldenEdges(t *testing.T) {
 	geoLife := geometry.NewPoints(0, 3)
 	for b := int64(0); b < 8; b++ {
@@ -42,6 +44,16 @@ func TestMemoGFKGoldenEdges(t *testing.T) {
 		"embed16/emst/f32=true":     0xe6d7335b33886ae9,
 		"embed16/hdbscan/f32=true":  0x48277dd7b92ab021,
 	}
+	counts := map[string][4]int64{
+		"geolife/emst/f32=false":    {26318, 10877, 28226, 9},
+		"geolife/hdbscan/f32=false": {36819, 13294, 39279, 9},
+		"geolife/emst/f32=true":     {158984, 87669, 3223, 9},
+		"geolife/hdbscan/f32=true":  {229484, 121314, 4269, 9},
+		"embed16/emst/f32=false":    {120701, 84846, 268217, 7},
+		"embed16/hdbscan/f32=false": {132679, 105923, 285029, 7},
+		"embed16/emst/f32=true":     {178641, 139329, 1934, 7},
+		"embed16/hdbscan/f32=true":  {209923, 177293, 2155, 7},
+	}
 	for _, name := range []string{"geolife", "embed16"} {
 		for _, f32 := range []bool{false, true} {
 			tr := kdtree.BuildMetric(inputs[name], 1, metric.L2{})
@@ -50,14 +62,22 @@ func TestMemoGFKGoldenEdges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			emst := MemoGFK(Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}})
+			se, sh := NewStats(), NewStats()
+			emst := MemoGFK(Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}, Stats: se})
 			tr.AnnotateCoreDists(tr.CoreDistances(10))
-			hdb := MemoGFK(Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}})
+			hdb := MemoGFK(Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}, Stats: sh})
 			for kind, edges := range map[string][]Edge{"emst": emst, "hdbscan": hdb} {
 				key := fmt.Sprintf("%s/%s/f32=%v", name, kind, f32)
 				checkSpanningTree(t, inputs[name].N, edges)
 				if got := edgeFingerprint(edges); got != want[key] {
 					t.Errorf("%s: edge fingerprint %#x, want %#x", key, got, want[key])
+				}
+				s := se
+				if kind == "hdbscan" {
+					s = sh
+				}
+				if got := [4]int64{s.PairsMaterialized, s.PeakPairsResident, s.BCCPComputed, s.Rounds}; got != counts[key] {
+					t.Errorf("%s: counters (pairs, peak, bccp, rounds) %v, want %v", key, got, counts[key])
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func MemoGFK(cfg Config) []Edge {
 
 		// Line 4: rho_hi via the first pruned traversal.
 		var rhoHi float64
-		cfg.Stats.Time("wspd", func() {
+		cfg.Stats.Time(PhaseWSPD, func() {
 			rho := parallel.NewAtomicMinFloat64(math.Inf(1))
 			r.getRhoNode(t.Root, beta, rho)
 			rhoHi = rho.Load()
@@ -53,13 +53,15 @@ func MemoGFK(cfg Config) []Edge {
 		if rhoHi > rhoLo {
 			// Line 5: retrieve only pairs with BCCP in [rho_lo, rho_hi).
 			ws.batch = ws.batch[:0]
-			cfg.Stats.Time("wspd", func() {
-				r.getPairsNode(t.Root, beta, rhoLo, rhoHi, &ws.batch)
+			var calls int64
+			cfg.Stats.Time(PhaseWSPD, func() {
+				calls = r.getPairsNode(t.Root, beta, rhoLo, rhoHi, &ws.batch)
 			})
+			cfg.Stats.AddBCCP(calls)
 			cfg.Stats.AddPairs(int64(len(ws.batch)))
 			cfg.Stats.NotePeak(int64(len(ws.batch)))
 			// Lines 6-7.
-			cfg.Stats.Time("kruskal", func() {
+			cfg.Stats.Time(PhaseKruskal, func() {
 				ws.out = KruskalBatch(ws.batch, ws.uf, ws.out)
 			})
 			if !math.IsInf(rhoHi, 1) {
@@ -239,54 +241,55 @@ func (r *memoRun) getRhoPair(p, q *kdtree.Node, beta int, rho *parallel.AtomicMi
 
 // getPairsNode appends to *out the edges of well-separated pairs whose BCCP
 // falls in [rhoLo, rhoHi), pruning connected pairs and pairs whose bounds
-// place them wholly outside the range (Figure 3). Sequential recursion
-// appends in place; at a fork, only one branch writes *out and each other
-// branch fills its own buffer, appended after the join.
-func (r *memoRun) getPairsNode(a *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
+// place them wholly outside the range (Figure 3), and returns the number of
+// BCCPs it computed. Sequential recursion appends in place; at a fork, only
+// one branch writes *out and each other branch fills its own buffer,
+// appended after the join, and the branches' counts are summed there.
+func (r *memoRun) getPairsNode(a *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) int64 {
 	if a.IsLeaf() || a.Size() <= 1 || a.Comp >= 0 {
-		return
+		return 0
 	}
 	al, ar := r.Tree.LeftOf(a), r.Tree.RightOf(a)
 	if a.Size() > spawnSize {
 		r.Abort.Check()
 		var right, mid []Edge
+		var calls [3]int64
 		var g parallel.Group
-		g.Spawn(func() { r.getPairsNode(al, beta, rhoLo, rhoHi, out) })
-		g.Spawn(func() { r.getPairsNode(ar, beta, rhoLo, rhoHi, &right) })
-		g.Run(func() { r.getPairsPair(al, ar, beta, rhoLo, rhoHi, &mid) })
+		g.Spawn(func() { calls[0] = r.getPairsNode(al, beta, rhoLo, rhoHi, out) })
+		g.Spawn(func() { calls[1] = r.getPairsNode(ar, beta, rhoLo, rhoHi, &right) })
+		g.Run(func() { calls[2] = r.getPairsPair(al, ar, beta, rhoLo, rhoHi, &mid) })
 		g.Sync()
 		*out = append(append(*out, right...), mid...)
-		return
+		return calls[0] + calls[1] + calls[2]
 	}
-	r.getPairsNode(al, beta, rhoLo, rhoHi, out)
-	r.getPairsNode(ar, beta, rhoLo, rhoHi, out)
-	r.getPairsPair(al, ar, beta, rhoLo, rhoHi, out)
+	calls := r.getPairsNode(al, beta, rhoLo, rhoHi, out)
+	calls += r.getPairsNode(ar, beta, rhoLo, rhoHi, out)
+	return calls + r.getPairsPair(al, ar, beta, rhoLo, rhoHi, out)
 }
 
-func (r *memoRun) getPairsPair(p, q *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) {
+func (r *memoRun) getPairsPair(p, q *kdtree.Node, beta int, rhoLo, rhoHi float64, out *[]Edge) int64 {
 	if connected(p, q) {
-		return
+		return 0
 	}
 	if r.lb(p, q, rhoHi) >= rhoHi {
-		return // BCCPs of this pair and its descendants are >= rhoHi
+		return 0 // BCCPs of this pair and its descendants are >= rhoHi
 	}
 	if r.ub(p, q, rhoLo) < rhoLo {
-		return // BCCPs of this pair and its descendants are < rhoLo
+		return 0 // BCCPs of this pair and its descendants are < rhoLo
 	}
 	if p.Radius < q.Radius {
 		p, q = q, p
 	}
 	if r.Sep.WellSeparated(p, q) {
 		res := r.bccp(p, q)
-		r.Stats.AddBCCP(1)
 		if res.W >= rhoLo && res.W < rhoHi {
 			*out = append(*out, r.edge(res.U, res.V, res.W))
 		}
-		return
+		return 1
 	}
 	if r.brute && p.Size()+q.Size() <= bruteSize {
 		r.brutePairs(p, q, rhoLo, rhoHi, out)
-		return
+		return 0
 	}
 	if p.IsLeaf() {
 		p, q = q, p
@@ -295,15 +298,16 @@ func (r *memoRun) getPairsPair(p, q *kdtree.Node, beta int, rhoLo, rhoHi float64
 	if p.Size()+q.Size() > spawnSize {
 		r.Abort.Check()
 		var o []Edge
+		var calls [2]int64
 		parallel.Do(
-			func() { r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out) },
-			func() { r.getPairsPair(pr, q, beta, rhoLo, rhoHi, &o) },
+			func() { calls[0] = r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out) },
+			func() { calls[1] = r.getPairsPair(pr, q, beta, rhoLo, rhoHi, &o) },
 		)
 		*out = append(*out, o...)
-		return
+		return calls[0] + calls[1]
 	}
-	r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out)
-	r.getPairsPair(pr, q, beta, rhoLo, rhoHi, out)
+	calls := r.getPairsPair(pl, q, beta, rhoLo, rhoHi, out)
+	return calls + r.getPairsPair(pr, q, beta, rhoLo, rhoHi, out)
 }
 
 // spawnSize mirrors the WSPD spawning threshold.

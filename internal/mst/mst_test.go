@@ -229,6 +229,19 @@ func TestStatsCounters(t *testing.T) {
 	if cfgMemo.Stats.Rounds == 0 {
 		t.Fatal("MemoGFK recorded no rounds")
 	}
+	// BCCP calls are counted per parallel chunk. GFK caches each pair's
+	// BCCP, so it computes at most one per pair; Naive and WSPD-Borůvka
+	// compute exactly one per pair.
+	if b := cfgFull.Stats.BCCPComputed; b == 0 || b > cfgFull.Stats.PairsMaterialized {
+		t.Fatalf("GFK computed %d BCCPs over %d pairs", b, cfgFull.Stats.PairsMaterialized)
+	}
+	for _, algo := range []func(Config) []Edge{Naive, WSPDBoruvka} {
+		cfg := euclidConfig(pts)
+		algo(cfg)
+		if cfg.Stats.BCCPComputed != cfg.Stats.PairsMaterialized {
+			t.Fatalf("%d BCCPs over %d pairs, want one per pair", cfg.Stats.BCCPComputed, cfg.Stats.PairsMaterialized)
+		}
+	}
 }
 
 func TestClusteredData(t *testing.T) {

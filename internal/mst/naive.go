@@ -63,13 +63,13 @@ func Naive(cfg Config) []Edge {
 		return nil
 	}
 	var pairs []wspd.Pair
-	cfg.Stats.Time("wspd", func() {
+	cfg.Stats.Time(PhaseWSPD, func() {
 		pairs = wspd.Decompose(t, cfg.Sep, cfg.Abort)
 	})
 	cfg.Stats.AddPairs(int64(len(pairs)))
 	cfg.Stats.NotePeak(int64(len(pairs)))
 	edges := make([]Edge, len(pairs))
-	cfg.Stats.Time("bccp", func() {
+	cfg.Stats.Time(PhaseBCCP, func() {
 		parallel.For(len(pairs), 8, func(i int) {
 			if i%512 == 0 {
 				cfg.Abort.Check()
@@ -80,7 +80,7 @@ func Naive(cfg Config) []Edge {
 	})
 	cfg.Stats.AddBCCP(int64(len(pairs)))
 	var out []Edge
-	cfg.Stats.Time("kruskal", func() {
+	cfg.Stats.Time(PhaseKruskal, func() {
 		out = Kruskal(n, edges)
 	})
 	for i, e := range out {

@@ -1,14 +1,48 @@
 package mst
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
 
+// Phase names one timed phase of a build: the stages of the pipeline and
+// the per-round steps of the MST algorithms (the paper's Figure 8).
+type Phase uint8
+
+const (
+	PhaseBuildTree Phase = iota
+	PhaseCoreDist
+	PhaseWSPD
+	PhaseBCCP
+	PhaseKruskal
+	PhaseRefresh
+	PhaseQuery
+	PhaseMerge
+	PhaseDelaunay
+	PhaseGenEdges
+	PhaseDendrogram
+	NumPhases
+)
+
+var phaseNames = [NumPhases]string{
+	"build-tree", "core-dist", "wspd", "bccp", "kruskal", "refresh",
+	"query", "merge", "delaunay", "gen-edges", "dendrogram",
+}
+
+func (p Phase) String() string {
+	if p < NumPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("Phase(%d)", uint8(p))
+}
+
 // Stats collects the instrumentation the paper's experiments report:
 // per-phase wall-clock times (Figure 8) and work/memory counters for the
-// MemoGFK memory study. Counter fields are updated atomically; timer maps
-// are only touched from the coordinating goroutine.
+// MemoGFK memory study. Counter fields are updated atomically; phase times
+// are only touched from the coordinating goroutine. Stats holds no
+// pointers, so a copy taken while no run is recording into it is an
+// independent snapshot, and two reports compare with ==.
 type Stats struct {
 	// PairsMaterialized counts WSPD pairs actually stored in memory
 	// (all pairs for Naive/GFK; only per-round S_l1 pairs for MemoGFK).
@@ -20,29 +54,31 @@ type Stats struct {
 	// Rounds counts filter-Kruskal rounds.
 	Rounds int64
 
-	Phases map[string]time.Duration
+	// Phases holds the accumulated wall-clock time of each Phase; phases
+	// that did not run read zero.
+	Phases [NumPhases]time.Duration
 }
 
 // NewStats returns an empty Stats.
-func NewStats() *Stats { return &Stats{Phases: make(map[string]time.Duration)} }
+func NewStats() *Stats { return &Stats{} }
 
-// AddPhase accumulates wall-clock time for a named phase.
-func (s *Stats) AddPhase(name string, d time.Duration) {
+// AddPhase accumulates wall-clock time for a phase.
+func (s *Stats) AddPhase(p Phase, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.Phases[name] += d
+	s.Phases[p] += d
 }
 
-// Time runs f and accounts its duration under the named phase.
-func (s *Stats) Time(name string, f func()) {
+// Time runs f and accounts its duration under the phase.
+func (s *Stats) Time(p Phase, f func()) {
 	if s == nil {
 		f()
 		return
 	}
 	start := time.Now()
 	f()
-	s.AddPhase(name, time.Since(start))
+	s.AddPhase(p, time.Since(start))
 }
 
 func (s *Stats) AddPairs(n int64) {
@@ -65,8 +101,10 @@ func (s *Stats) NotePeak(resident int64) {
 	}
 }
 
+// AddBCCP adds n bichromatic-closest-pair calls. Parallel drivers count
+// per task and add once per task, not once per call.
 func (s *Stats) AddBCCP(n int64) {
-	if s == nil {
+	if s == nil || n == 0 {
 		return
 	}
 	atomic.AddInt64(&s.BCCPComputed, n)

@@ -29,7 +29,7 @@ func WSPDBoruvka(cfg Config) []Edge {
 		return nil
 	}
 	var pairs []wspdPairList
-	cfg.Stats.Time("wspd", func() {
+	cfg.Stats.Time(PhaseWSPD, func() {
 		pairs = decomposePairs(cfg)
 	})
 	cfg.Stats.AddPairs(int64(len(pairs)))
@@ -79,12 +79,14 @@ func newWSPDBoruvkaRun(cfg Config, ws *Workspace, pairs []wspdPairList) *wspdBor
 	r := &wspdBoruvkaRun{cfg: cfg, ws: ws, pairs: pairs}
 	r.bccpBody = func(lo, hi int) {
 		cfg.Abort.Check()
+		var calls int64
 		for i := lo; i < hi; i++ {
 			if r.pairs[i].res.U < 0 {
 				r.pairs[i].res = kdtree.BCCP(cfg.Tree, cfg.Metric, r.pairs[i].a, r.pairs[i].b)
-				cfg.Stats.AddBCCP(1)
+				calls++
 			}
 		}
+		cfg.Stats.AddBCCP(calls)
 	}
 	r.reduceBody = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -129,7 +131,7 @@ func (r *wspdBoruvkaRun) round() bool {
 	// Compute (and cache) the BCCP of every surviving pair.
 	start := time.Now()
 	parallel.ForRange(len(r.pairs), 4, r.bccpBody)
-	cfg.Stats.AddPhase("bccp", time.Since(start))
+	cfg.Stats.AddPhase(PhaseBCCP, time.Since(start))
 
 	// Per-component lightest outgoing edge via dense write-min, then merge.
 	parallel.ForRange(len(r.pairs), 256, r.reduceBody)

@@ -1,6 +1,6 @@
 // Package parallel implements the shared-memory parallel primitives from
-// Section 2.2 of the paper: fork-join helpers, parallel for, prefix sum,
-// filter, split, parallel merge sort, parallel selection, priority
+// Section 2.2 of the paper that the pipeline uses: fork-join helpers,
+// parallel for, parallel merge sort, parallel selection, priority
 // concurrent writes (write-min), Euler tours, and list ranking.
 //
 // All parallelism runs on a persistent work-stealing fork-join scheduler
@@ -8,7 +8,7 @@
 // per-worker steal queues, a Group/Spawn/Sync task API with panic
 // propagation, and work-first inline execution so that subproblems below
 // the sequential cutoffs never leave the goroutine that forked them. The
-// primitives here — Do, DoN, For, ForRange, ReduceMin and everything built
+// primitives here — Do, For, ForRange, ReduceMin and everything built
 // on them — are thin layers over that scheduler.
 //
 // The worker count follows runtime.GOMAXPROCS, matching the paper's
@@ -41,28 +41,6 @@ func Do(f, g func()) {
 	} else {
 		gr.Spawn(g)
 		gr.Run(f)
-	}
-	gr.Sync()
-	gr.release()
-}
-
-// DoN runs all fns as one fork-join group: fns[1:] become stealable while
-// fns[0] runs on the calling goroutine. Like Do, a panic in one function
-// does not stop its siblings; the first panic re-raises here.
-func DoN(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	gr := newGroup()
-	if Workers() == 1 {
-		for _, f := range fns {
-			gr.Run(f)
-		}
-	} else {
-		for _, f := range fns[1:] {
-			gr.Spawn(f)
-		}
-		gr.Run(fns[0])
 	}
 	gr.Sync()
 	gr.release()

@@ -51,125 +51,6 @@ func TestForRangePartition(t *testing.T) {
 	}
 }
 
-func TestDoNRunsAll(t *testing.T) {
-	var a, b, c bool
-	DoN(func() { a = true }, func() { b = true }, func() { c = true })
-	if !a || !b || !c {
-		t.Fatal("DoN skipped a function")
-	}
-}
-
-func TestPrefixSum(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 100, 5000} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		a := make([]int, n)
-		want := make([]int, n)
-		sum := 0
-		for i := range a {
-			a[i] = rng.Intn(10)
-			want[i] = sum
-			sum += a[i]
-		}
-		got := PrefixSum(a)
-		if got != sum {
-			t.Fatalf("n=%d: total %d, want %d", n, got, sum)
-		}
-		if n > 0 && !reflect.DeepEqual(a, want) {
-			t.Fatalf("n=%d: prefix mismatch", n)
-		}
-	}
-}
-
-func TestPrefixSumLargeParallel(t *testing.T) {
-	n := 100000
-	a := make([]int, n)
-	for i := range a {
-		a[i] = i % 7
-	}
-	b := append([]int(nil), a...)
-	totA := PrefixSum(a)
-	// sequential reference
-	sum := 0
-	for i := range b {
-		v := b[i]
-		b[i] = sum
-		sum += v
-	}
-	if totA != sum || !reflect.DeepEqual(a, b) {
-		t.Fatal("parallel prefix sum differs from sequential")
-	}
-}
-
-func TestFilterMatchesSequential(t *testing.T) {
-	f := func(a []int16) bool {
-		in := make([]int, len(a))
-		for i, v := range a {
-			in[i] = int(v)
-		}
-		pred := func(x int) bool { return x%3 == 0 }
-		var want []int
-		for _, v := range in {
-			if pred(v) {
-				want = append(want, v)
-			}
-		}
-		got := Filter(in, pred)
-		return reflect.DeepEqual(got, want) || (len(got) == 0 && len(want) == 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFilterLarge(t *testing.T) {
-	n := 50000
-	in := make([]int, n)
-	for i := range in {
-		in[i] = i
-	}
-	got := Filter(in, func(x int) bool { return x%2 == 0 })
-	if len(got) != n/2 {
-		t.Fatalf("got %d elements, want %d", len(got), n/2)
-	}
-	for i, v := range got {
-		if v != 2*i {
-			t.Fatalf("got[%d]=%d, want %d", i, v, 2*i)
-		}
-	}
-}
-
-func TestSplit(t *testing.T) {
-	for _, n := range []int{0, 1, 17, 50000} {
-		in := make([]int, n)
-		for i := range in {
-			in[i] = i * 3 % 11
-		}
-		pred := func(x int) bool { return x < 5 }
-		yes, no := Split(in, pred)
-		if len(yes)+len(no) != n {
-			t.Fatalf("n=%d: split sizes %d+%d", n, len(yes), len(no))
-		}
-		var wantYes, wantNo []int
-		for _, v := range in {
-			if pred(v) {
-				wantYes = append(wantYes, v)
-			} else {
-				wantNo = append(wantNo, v)
-			}
-		}
-		for i := range wantYes {
-			if yes[i] != wantYes[i] {
-				t.Fatalf("yes[%d] mismatch", i)
-			}
-		}
-		for i := range wantNo {
-			if no[i] != wantNo[i] {
-				t.Fatalf("no[%d] mismatch", i)
-			}
-		}
-	}
-}
-
 func TestSortMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 2, 100, 1 << 14} {
@@ -346,20 +227,5 @@ func TestEulerTourIsCircuit(t *testing.T) {
 	}
 	if a != start {
 		t.Fatalf("tour did not return to start")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	items := []int{5, 3, 8, 3, 5, 5}
-	groups := GroupBy(items, func(x int) int { return x % 5 })
-	if len(groups[0]) != 3 || len(groups[3]) != 3 {
-		t.Fatalf("unexpected group sizes: %v", groups)
-	}
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	if total != len(items) {
-		t.Fatalf("groups cover %d items, want %d", total, len(items))
 	}
 }

@@ -62,7 +62,8 @@ type task struct {
 }
 
 // groupInline is the number of task slots stored inside the Group itself;
-// two covers Do and three-way DoN forks without any per-spawn allocation.
+// two covers Do and three-way forks (two spawns plus an inline run) without
+// any per-spawn allocation.
 const groupInline = 2
 
 // A Group is a fork-join scope: Spawn hands tasks to the scheduler, Run
@@ -88,7 +89,7 @@ type panicValue struct {
 }
 
 // groupPool recycles Groups for the package's own fork-join entry points
-// (Do, DoN, ForRange), amortizing the Group and wake-channel allocations.
+// (Do, ForRange), amortizing the Group and wake-channel allocations.
 // Recycling is safe even though stale queue entries may still reference a
 // recycled group's inline task slots: a slot's state only returns to
 // taskPending (with its new fn already written) at the next Spawn, and the

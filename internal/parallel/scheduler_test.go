@@ -139,13 +139,11 @@ func TestNestedPanicUnwindsThroughLevels(t *testing.T) {
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	type results struct {
 		sorted    []float64
-		prefix    []int
-		total     int
-		filtered  []int
+		nth       []int
+		mapped    []int
 		minIdx    int
 		minVal    float64
 		rank      []float64
-		semisort  map[int64]int
 		treeDepth []int32
 	}
 	collect := func() results {
@@ -157,17 +155,14 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		Sort(r.sorted, func(x, y float64) bool { return x < y })
 
-		r.prefix = make([]int, 10000)
-		for i := range r.prefix {
-			r.prefix[i] = i % 13
+		r.nth = make([]int, 10000)
+		for i := range r.nth {
+			r.nth[i] = i * 7919 % 10007
 		}
-		r.total = PrefixSum(r.prefix)
+		NthElement(r.nth, len(r.nth)/3, func(x, y int) bool { return x < y })
 
-		in := make([]int, 50000)
-		for i := range in {
-			in[i] = i * 7 % 101
-		}
-		r.filtered = Filter(in, func(x int) bool { return x%3 == 1 })
+		r.mapped = make([]int, 50000)
+		For(len(r.mapped), 0, func(i int) { r.mapped[i] = i * 7 % 101 })
 
 		vals := make([]float64, 20000)
 		for i := range vals {
@@ -183,16 +178,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		next[len(next)-1] = -1
 		r.rank = ListRank(next, value)
-
-		items := make([]int, 30000)
-		for i := range items {
-			items[i] = i
-		}
-		groups := Semisort(items, func(x int) int64 { return int64(x % 257) })
-		r.semisort = make(map[int64]int)
-		for _, g := range groups {
-			r.semisort[int64(g[0]%257)] = len(g)
-		}
 
 		edges := make([]TreeEdge, 0, 999)
 		for i := 1; i < 1000; i++ {
@@ -245,11 +230,11 @@ func TestSchedulerStressNoDeadlock(t *testing.T) {
 							case 0:
 								Do(func() { walk(d-1, path*31+1) }, func() { walk(d-1, path*31+2) })
 							case 1:
-								DoN(
-									func() { walk(d-1, path*31+1) },
-									func() { walk(d-1, path*31+2) },
-									func() { walk(d-1, path*31+3) },
-								)
+								var g Group
+								g.Spawn(func() { walk(d-1, path*31+2) })
+								g.Spawn(func() { walk(d-1, path*31+3) })
+								g.Run(func() { walk(d-1, path*31+1) })
+								g.Sync()
 							default:
 								ForRange(64, 16, func(lo, hi int) { walk(d-1, path*31+uint64(lo)) })
 							}

@@ -10,7 +10,7 @@ import (
 // stage entries for these tests, which never expect a build to fail.
 
 func testHier(e *engine.Engine, kind engine.Kind, algo uint8, minPts int) *engine.HierStage {
-	st, err := e.Hierarchy(context.Background(), kind, algo, minPts, nil)
+	st, err := e.Hierarchy(context.Background(), kind, algo, minPts)
 	if err != nil {
 		panic(err)
 	}
@@ -18,7 +18,7 @@ func testHier(e *engine.Engine, kind engine.Kind, algo uint8, minPts int) *engin
 }
 
 func testCoreDist(e *engine.Engine, minPts int) []float64 {
-	cd, err := e.CoreDist(context.Background(), minPts, nil)
+	cd, err := e.CoreDist(context.Background(), minPts)
 	if err != nil {
 		panic(err)
 	}

@@ -43,7 +43,7 @@ func TestEMSTMetricMatchesOracle(t *testing.T) {
 	pts := GenerateUniform(300, 3, 11)
 	for _, m := range allMetrics() {
 		for _, algo := range []EMSTAlgorithm{EMSTMemoGFK, EMSTGFK, EMSTNaive, EMSTBoruvka, EMSTWSPDBoruvka} {
-			edges, err := EMSTMetricWithStats(pts, algo, m, nil)
+			edges, err := emstWith(pts, algo, m)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", m, algo, err)
 			}
@@ -115,10 +115,10 @@ func TestAngularRejectsZeroVectorAndPreservesInput(t *testing.T) {
 
 func TestDelaunayRequiresL2(t *testing.T) {
 	pts := GenerateUniform(50, 2, 1)
-	if _, err := EMSTMetricWithStats(pts, EMSTDelaunay2D, MetricL1, nil); err == nil {
+	if _, err := emstWith(pts, EMSTDelaunay2D, MetricL1); err == nil {
 		t.Fatal("Delaunay EMST accepted a non-L2 metric")
 	}
-	if _, err := EMSTMetricWithStats(pts, EMSTDelaunay2D, MetricL2, nil); err != nil {
+	if _, err := emstWith(pts, EMSTDelaunay2D, MetricL2); err != nil {
 		t.Fatalf("Delaunay EMST rejected l2: %v", err)
 	}
 }

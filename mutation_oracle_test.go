@@ -362,6 +362,16 @@ func TestMutationShrinkToEmpty(t *testing.T) {
 	if idx.N() != 0 {
 		t.Fatalf("N = %d after full drain", idx.N())
 	}
+	for _, build := range []func() (*Hierarchy, error){
+		func() (*Hierarchy, error) { return idx.HDBSCAN(1) },
+		idx.SingleLinkage,
+	} {
+		h, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEmptyHierarchy(t, h)
+	}
 	ins := randRows(rng, 30, 2)
 	ids, err := idx.Insert(ins)
 	if err != nil {
@@ -369,6 +379,25 @@ func TestMutationShrinkToEmpty(t *testing.T) {
 	}
 	model.insert(t, ids, ins)
 	assertMutationOracle(t, idx, model, nil, rng)
+}
+
+// checkEmptyHierarchy asserts that a hierarchy over zero points answers
+// every query with an empty result.
+func checkEmptyHierarchy(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	if plot := h.ReachabilityPlot(); len(plot) != 0 {
+		t.Fatalf("reachability plot of an empty hierarchy: %v", plot)
+	}
+	if c := h.ExtractStableClusters(2); c.NumClusters != 0 || len(c.Labels) != 0 {
+		t.Fatalf("stable clusters of an empty hierarchy: %+v", c)
+	}
+	if c := h.ClustersAt(1); c.NumClusters != 0 || len(c.Labels) != 0 {
+		t.Fatalf("cut of an empty hierarchy: %+v", c)
+	}
+	var b bytes.Buffer
+	if err := h.WriteNewick(&b, nil); err != nil || b.String() != ";\n" {
+		t.Fatalf("Newick of an empty hierarchy: (%q, %v)", b.String(), err)
+	}
 }
 
 // TestMutatedSnapshotRoundTrip pins snapshot durability across mutations:

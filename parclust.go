@@ -108,9 +108,13 @@ type Points = geometry.Points
 // Edge is a weighted undirected edge between point indices U < V.
 type Edge = mst.Edge
 
-// Stats collects per-phase wall-clock times and work/memory counters
-// (WSPD pairs materialized, BCCP invocations, filter rounds).
+// Stats is a build report: per-phase wall-clock times and the MST's work
+// counters. It holds no pointers, so a report is a snapshot and two reports
+// compare with ==; see Hierarchy.BuildReport.
 type Stats = mst.Stats
+
+// Phase indexes Stats.Phases in pipeline order; String names the phase.
+type Phase = mst.Phase
 
 // Dendrogram is a binary merge tree over the input points; see package
 // documentation for the ordered-dendrogram property.
@@ -121,9 +125,6 @@ type Bar = dendrogram.Bar
 
 // Clustering is a flat clustering with -1 labels for noise.
 type Clustering = dendrogram.Clustering
-
-// NewStats returns an empty Stats for passing to the *WithStats variants.
-func NewStats() *Stats { return mst.NewStats() }
 
 // NewPoints allocates an n x dim point set.
 func NewPoints(n, dim int) Points { return geometry.NewPoints(n, dim) }
@@ -188,30 +189,18 @@ func (a EMSTAlgorithm) String() string {
 
 // EMST computes the Euclidean minimum spanning tree of pts with the
 // default (MemoGFK) algorithm.
-func EMST(pts Points) ([]Edge, error) { return EMSTWithStats(pts, EMSTMemoGFK, nil) }
-
-// EMSTWithStats computes the EMST with an explicit algorithm choice,
-// recording phase timings and counters into stats when non-nil.
-func EMSTWithStats(pts Points, algo EMSTAlgorithm, stats *Stats) ([]Edge, error) {
-	return EMSTMetricWithStats(pts, algo, MetricL2, stats)
-}
+func EMST(pts Points) ([]Edge, error) { return EMSTMetric(pts, MetricL2) }
 
 // EMSTMetric computes the minimum spanning tree of pts under the given
-// metric kernel with the default (MemoGFK) algorithm.
+// metric kernel with the default (MemoGFK) algorithm. It is a thin wrapper
+// over a throwaway Index; use Index.EMSTWithAlgorithm for another
+// algorithm and Index.EMSTBuildReport for the build's phases and counters.
 func EMSTMetric(pts Points, m Metric) ([]Edge, error) {
-	return EMSTMetricWithStats(pts, EMSTMemoGFK, m, nil)
-}
-
-// EMSTMetricWithStats computes the MST of pts under the given metric
-// kernel with an explicit algorithm choice, recording phase timings and
-// counters into stats when non-nil. EMSTDelaunay2D supports MetricL2 only.
-// It is a thin wrapper over a throwaway Index.
-func EMSTMetricWithStats(pts Points, algo EMSTAlgorithm, m Metric, stats *Stats) ([]Edge, error) {
 	idx, err := NewIndex(pts, &IndexOptions{Metric: m})
 	if err != nil {
 		return nil, err
 	}
-	return idx.emstWithStats(algo, stats)
+	return idx.EMST()
 }
 
 func validatePoints(pts Points) error {

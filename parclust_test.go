@@ -1,6 +1,7 @@
 package parclust
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,11 +11,30 @@ import (
 	"parclust/internal/oracle"
 )
 
+// emstWith runs algo under m on a throwaway Index, as the one-shot EMST
+// functions do for the default algorithm.
+func emstWith(pts Points, algo EMSTAlgorithm, m Metric) ([]Edge, error) {
+	idx, err := NewIndex(pts, &IndexOptions{Metric: m})
+	if err != nil {
+		return nil, err
+	}
+	return idx.EMSTWithAlgorithm(algo)
+}
+
+// hdbscanWith runs HDBSCAN* with algo on a throwaway Index.
+func hdbscanWith(pts Points, minPts int, algo HDBSCANAlgorithm) (*Hierarchy, error) {
+	idx, err := NewIndex(pts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return idx.HDBSCANWithAlgorithm(minPts, algo)
+}
+
 func TestEMSTAlgorithmsAgreePublicAPI(t *testing.T) {
 	pts := GenerateUniform(800, 2, 1)
 	var weights []float64
 	for _, algo := range []EMSTAlgorithm{EMSTMemoGFK, EMSTGFK, EMSTNaive, EMSTBoruvka, EMSTDelaunay2D} {
-		edges, err := EMSTWithStats(pts, algo, nil)
+		edges, err := emstWith(pts, algo, MetricL2)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -32,7 +52,7 @@ func TestEMSTAlgorithmsAgreePublicAPI(t *testing.T) {
 
 func TestEMSTDelaunayRejectsNon2D(t *testing.T) {
 	pts := GenerateUniform(100, 3, 2)
-	if _, err := EMSTWithStats(pts, EMSTDelaunay2D, nil); err == nil {
+	if _, err := emstWith(pts, EMSTDelaunay2D, MetricL2); err == nil {
 		t.Fatal("expected an error for 3D input to the Delaunay algorithm")
 	}
 }
@@ -85,7 +105,7 @@ func TestHDBSCANAlgorithmsAgree(t *testing.T) {
 	pts := GenerateVarden(500, 3, 11)
 	var weights []float64
 	for _, algo := range []HDBSCANAlgorithm{HDBSCANMemoGFK, HDBSCANGanTao, HDBSCANGanTaoFull} {
-		h, err := HDBSCANWithStats(pts, 10, algo, NewStats())
+		h, err := hdbscanWith(pts, 10, algo)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -214,7 +234,7 @@ func TestWSPDBoruvkaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EMSTWithStats(pts, EMSTWSPDBoruvka, NewStats())
+	got, err := emstWith(pts, EMSTWSPDBoruvka, MetricL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,16 +349,20 @@ func TestHierarchyInputNotMutated(t *testing.T) {
 
 func TestStatsPublicAPI(t *testing.T) {
 	pts := GenerateUniform(2000, 3, 31)
-	stats := NewStats()
-	if _, err := HDBSCANWithStats(pts, 10, HDBSCANMemoGFK, stats); err != nil {
+	h, err := HDBSCAN(pts, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phase := range []string{"build-tree", "core-dist", "wspd", "kruskal", "dendrogram"} {
-		if stats.Phases[phase] <= 0 {
-			t.Fatalf("phase %q not timed", phase)
+	rep := h.BuildReport()
+	for _, phase := range []Phase{mst.PhaseBuildTree, mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseDendrogram} {
+		if rep.Phases[phase] <= 0 {
+			t.Fatalf("phase %v not timed", phase)
 		}
 	}
-	if stats.Rounds == 0 || stats.BCCPComputed == 0 {
+	if rep.Rounds == 0 || rep.BCCPComputed == 0 {
 		t.Fatal("counters not recorded")
+	}
+	if got := fmt.Sprint(Phase(0), " ", mst.PhaseDendrogram); got != "build-tree dendrogram" {
+		t.Fatalf("phase names %q", got)
 	}
 }
