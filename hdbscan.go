@@ -130,7 +130,7 @@ func ApproxOPTICS(pts Points, minPts int, rho float64) (*Hierarchy, error) {
 	if minPts < 1 || (minPts > pts.N && pts.N > 0) {
 		return nil, fmt.Errorf("parclust: invalid minPts=%d for %d points", minPts, pts.N)
 	}
-	if rho <= 0 {
+	if !(rho > 0) { // also rejects NaN
 		return nil, fmt.Errorf("parclust: rho must be > 0, got %v", rho)
 	}
 	h := &Hierarchy{N: pts.N, MinPts: minPts}

@@ -133,6 +133,28 @@ func sqDistGeneric(a, b []float64) float64 {
 	return s
 }
 
+// SqDistVecBounded is SqDistVec with an early exit once the partial sum
+// reaches bound. Below bound the result is SqDistVec's, bit for bit; at or
+// above it the scan may have stopped early, and it certifies only that
+// SqDistVec(a, b) >= bound: the partial sums of non-negative terms never
+// decrease under round-to-nearest, with or without fused multiply-adds.
+// Dimensions 2 and 3 have nothing to skip and take SqDistVec's kernels.
+func SqDistVecBounded(a, b []float64, bound float64) float64 {
+	if len(a) <= 3 {
+		return SqDistVec(a, b)
+	}
+	b = b[:len(a)]
+	var s float64
+	for k := range a {
+		d := a[k] - b[k]
+		s += d * d
+		if s >= bound {
+			return s
+		}
+	}
+	return s
+}
+
 // Box is an axis-aligned bounding box.
 type Box struct {
 	Lo, Hi []float64
@@ -229,15 +251,11 @@ func (b Box) WidestDim() (int, float64) {
 // SqDistBoxes returns the squared minimum distance between two boxes
 // (0 if they intersect).
 func SqDistBoxes(a, b Box) float64 {
+	n := len(a.Lo)
+	al, ah, bl, bh := a.Lo[:n], a.Hi[:n], b.Lo[:n], b.Hi[:n]
 	var s float64
-	for k := range a.Lo {
-		var d float64
-		switch {
-		case b.Lo[k] > a.Hi[k]:
-			d = b.Lo[k] - a.Hi[k]
-		case a.Lo[k] > b.Hi[k]:
-			d = a.Lo[k] - b.Hi[k]
-		}
+	for k := range al {
+		d := pos(bl[k]-ah[k]) + pos(al[k]-bh[k])
 		s += d * d
 	}
 	return s
@@ -251,23 +269,30 @@ func SqDistBoxes(a, b Box) float64 {
 // threshold within the first few coordinates, making this much cheaper
 // than the full scan on traversal-heavy workloads.
 func SqDistBoxesBounded(a, b Box, bound float64) float64 {
+	n := len(a.Lo)
+	al, ah, bl, bh := a.Lo[:n], a.Hi[:n], b.Lo[:n], b.Hi[:n]
 	var s float64
-	for k := range a.Lo {
-		var d float64
-		switch {
-		case b.Lo[k] > a.Hi[k]:
-			d = b.Lo[k] - a.Hi[k]
-		case a.Lo[k] > b.Hi[k]:
-			d = a.Lo[k] - b.Hi[k]
-		default:
-			continue
-		}
+	for k := range al {
+		d := pos(bl[k]-ah[k]) + pos(al[k]-bh[k])
 		s += d * d
 		if s >= bound {
 			return s
 		}
 	}
 	return s
+}
+
+// pos returns x when it is positive and +0 otherwise, without a branch: an
+// arithmetic shift spreads the sign bit into a mask that clears every bit
+// of a negative x. The box bounds add pos(lo-v) + pos(v-hi) per dimension:
+// with finite coordinates and lo <= hi at most one term is positive, and
+// x + 0 == x, so the gap, the partial sums and the early exits at any
+// positive bound are those of the comparison-per-dimension formula, bit
+// for bit, at a cost the data cannot mispredict. A difference that
+// overflows keeps that formula's value too (+Inf stays, -Inf becomes 0).
+func pos(x float64) float64 {
+	b := math.Float64bits(x)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
 // SqMaxDistBoxes returns the squared maximum distance between any two points
@@ -306,14 +331,29 @@ func SqMaxDistBoxesBounded(a, b Box, bound float64) float64 {
 func SqDistPointBox(q []float64, b Box) float64 {
 	var s float64
 	for k, v := range q {
-		var d float64
-		switch {
-		case v < b.Lo[k]:
-			d = b.Lo[k] - v
-		case v > b.Hi[k]:
-			d = v - b.Hi[k]
-		}
+		// pos(b.Lo[k]-v) + pos(v-b.Hi[k]), spelled out to keep the
+		// function within the inlining budget: the k-NN traversal calls
+		// it twice per node, and as a call it made 3D k-NN queries slower
+		// than the comparison-per-dimension loop it replaces.
+		x, y := math.Float64bits(b.Lo[k]-v), math.Float64bits(v-b.Hi[k])
+		d := math.Float64frombits(x&^uint64(int64(x)>>63)) + math.Float64frombits(y&^uint64(int64(y)>>63))
 		s += d * d
+	}
+	return s
+}
+
+// SqDistPointBoxBounded is SqDistPointBox with SqDistBoxesBounded's early
+// exit: exact below bound, and a result >= bound only certifies that the
+// true squared distance is >= bound.
+func SqDistPointBoxBounded(q []float64, b Box, bound float64) float64 {
+	lo, hi := b.Lo[:len(q)], b.Hi[:len(q)]
+	var s float64
+	for k, v := range q {
+		d := pos(lo[k]-v) + pos(v-hi[k])
+		s += d * d
+		if s >= bound {
+			return s
+		}
 	}
 	return s
 }

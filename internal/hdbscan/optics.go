@@ -20,7 +20,7 @@ import (
 // Following the paper's implementation note, the representative point of a
 // node is a fixed sample (its first point) rather than an approximate BCCP.
 func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats) Result {
-	if rho <= 0 {
+	if !(rho > 0) {
 		panic("hdbscan: ApproxOPTICS requires rho > 0")
 	}
 	var t *kdtree.Tree

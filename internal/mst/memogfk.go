@@ -342,30 +342,47 @@ const bruteSize = 64
 // well-separated — so its emitted edge set is a subset of this one, and
 // Kruskal discards the extra true-weight edges; what the scan saves is the
 // O(dim) box-bound evaluation at every intermediate node pair, the
-// dominant cost of high-dimensional traversals. Weights and window tests
-// stay in exact float64, so round structure is unaffected.
+// dominant cost of high-dimensional traversals.
+//
+// Most scanned pairs weigh rhoHi or more, so the scan stops computing a
+// weight as soon as the window has rejected it, cheapest test first: a
+// squared core distance at or above rhoHi rejects its whole row or column
+// (the weight is at least each term), a row whose point lies rhoHi or more
+// from q's box is skipped (each box gap is at most the matching coordinate
+// difference), and a pair's distance stops summing once its partial sum
+// reaches rhoHi. Partial sums never decrease, so each rejection is exact,
+// and a distance that stays below rhoHi is SqDistVec's value bit for bit:
+// window tests stay in exact float64, and the emitted edges, their order
+// and the round structure are those of the full scan.
 func (r *memoRun) brutePairs(p, q *kdtree.Node, rhoLo, rhoHi float64, out *[]Edge) {
 	pts := r.Tree.Pts
 	for u := p.Lo; u < p.Hi; u++ {
-		uc, cu := pts.At(int(u)), r.comp[u]
 		var cu2 float64
 		if r.cd != nil {
-			cu2 = r.cd[u] * r.cd[u]
+			if cu2 = r.cd[u] * r.cd[u]; cu2 >= rhoHi {
+				continue
+			}
+		}
+		uc, cu := pts.At(int(u)), r.comp[u]
+		if geometry.SqDistPointBoxBounded(uc, q.Box, rhoHi) >= rhoHi {
+			continue
 		}
 		for v := q.Lo; v < q.Hi; v++ {
 			if r.comp[v] == cu {
 				continue
 			}
-			w := geometry.SqDistVec(uc, pts.At(int(v)))
+			var cv2 float64
 			if r.cd != nil {
-				if cu2 > w {
-					w = cu2
-				}
-				if cv2 := r.cd[v] * r.cd[v]; cv2 > w {
-					w = cv2
+				if cv2 = r.cd[v] * r.cd[v]; cv2 >= rhoHi {
+					continue
 				}
 			}
-			if w >= rhoLo && w < rhoHi {
+			w := geometry.SqDistVecBounded(uc, pts.At(int(v)), rhoHi)
+			if w >= rhoHi {
+				continue
+			}
+			w = max(w, cu2, cv2)
+			if w >= rhoLo {
 				*out = append(*out, r.edge(u, v, w))
 			}
 		}

@@ -44,14 +44,26 @@ func (p Phase) String() string {
 // pointers, so a copy taken while no run is recording into it is an
 // independent snapshot, and two reports compare with ==.
 type Stats struct {
-	// PairsMaterialized counts WSPD pairs actually stored in memory
-	// (all pairs for Naive/GFK; only per-round S_l1 pairs for MemoGFK).
+	// PairsMaterialized and PeakPairsResident count what each algorithm
+	// holds in memory, which is not the same unit everywhere:
+	//   - EMST-Naive, GFK and WSPD-Borůvka store WSPD pairs: the sum is
+	//     every pair of the decomposition, the peak the most alive at once.
+	//   - MemoGFK stores no pairs. It counts the candidate edges each round
+	//     retrieves into its Kruskal batch (the sum over rounds, and the
+	//     largest batch): one edge per in-window BCCP on a float64 tree,
+	//     but on a float32 tree also every in-window edge of each small
+	//     node pair it brute-force scans, so there the counts can run far
+	//     above BCCPComputed.
+	//   - ApproxOPTICS counts its WSPD pairs in PairsMaterialized and its
+	//     candidate edges in PeakPairsResident.
+	//   - Borůvka and the Delaunay EMST record neither.
 	PairsMaterialized int64
-	// PeakPairsResident is the maximum number of pairs alive at once.
 	PeakPairsResident int64
-	// BCCPComputed counts bichromatic-closest-pair invocations.
+	// BCCPComputed counts bichromatic-closest-pair invocations; MemoGFK's
+	// brute-force scans of small node pairs count none.
 	BCCPComputed int64
-	// Rounds counts filter-Kruskal rounds.
+	// Rounds counts filter-Kruskal rounds (GFK, MemoGFK) or Borůvka
+	// rounds (Borůvka, WSPD-Borůvka).
 	Rounds int64
 
 	// Phases holds the accumulated wall-clock time of each Phase; phases

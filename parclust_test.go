@@ -71,6 +71,9 @@ func TestEMSTInvalidInput(t *testing.T) {
 	if h, err := ApproxOPTICS(NewPoints(0, 2), 5, 0.1); err != nil || h.N != 0 || len(h.MST) != 0 {
 		t.Fatalf("empty input: ApproxOPTICS = %+v, %v; want an empty hierarchy", h, err)
 	}
+	if _, err := ApproxOPTICS(GenerateGaussianMixture(50, 2, 2, 1), 5, math.NaN()); err == nil {
+		t.Fatal("expected an error for rho = NaN")
+	}
 }
 
 func TestHDBSCANEndToEnd(t *testing.T) {
