@@ -1,15 +1,16 @@
 package parclust
 
 // Benchmarks, one per table and figure of the paper's evaluation
-// (Section 5). Each benchmark exercises the exact code path the
-// corresponding cmd/benchsuite experiment uses; benchsuite produces the
-// paper-style rows, while these provide ns/op and allocation profiles.
-// Sizes are kept modest so `go test -bench=.` completes quickly; use
-// cmd/benchsuite -n to scale up.
+// (Section 5), plus the serving, float32 and incremental-ingest studies.
+// They report ns/op, allocation profiles and custom metrics for benchstat.
+// Sizes are kept modest so `go test -bench=.` completes quickly; sweep the
+// worker count with -cpu (e.g. -cpu 1,2,4) for the thread-scaling series.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"parclust/internal/dendrogram"
 	"parclust/internal/generator"
@@ -115,7 +116,7 @@ func BenchmarkTable5_HDBSCAN(b *testing.B) {
 }
 
 // BenchmarkFig6_EMSTThreads is the thread-scaling series of Figure 6;
-// vary GOMAXPROCS externally (benchsuite sweeps it automatically).
+// vary the worker count with -cpu.
 func BenchmarkFig6_EMSTThreads(b *testing.B) {
 	pts := benchPoints(3)
 	for i := 0; i < b.N; i++ {
@@ -353,7 +354,7 @@ func BenchmarkAblation_MSTStrategy(b *testing.B) {
 
 // BenchmarkIndexServe measures the serving regimes the Index separates: a
 // minPts x eps parameter sweep answered by one shared Index versus the
-// one-shot APIs in a loop (the cmd/benchsuite "serve" experiment).
+// one-shot APIs in a loop.
 func BenchmarkIndexServe(b *testing.B) {
 	pts := benchVarden(2)
 	minPtsList := []int{5, 10, 20}
@@ -419,15 +420,14 @@ func BenchmarkIndexCut(b *testing.B) {
 }
 
 // BenchmarkHighdim_Float32 compares the float32 SoA fast path against the
-// float64 default on embedding-style high-dimensional data (the benchsuite
-// `highdim` experiment in benchmark form): end-to-end HDBSCAN*, the
-// core-distance stage, and warm per-query k-NN. The float64 runs are the
-// baselines the acceptance ratios divide by.
+// float64 default on embedding-style high-dimensional data: end-to-end
+// HDBSCAN*, the core-distance stage, and warm per-query k-NN. The float64
+// runs are the baselines the acceptance ratios divide by.
 func BenchmarkHighdim_Float32(b *testing.B) {
 	for _, dim := range []int{16, 128} {
 		n := benchN / 2
 		if dim >= 128 {
-			n = benchN / 10 // keep the -bench=. sweep quick; benchsuite scales up
+			n = benchN / 10 // keep the -bench=. sweep quick
 		}
 		pts := generator.Embed(n, dim, 16, 1)
 		for _, dtype := range []string{"float64", "float32"} {
@@ -472,5 +472,79 @@ func BenchmarkHighdim_Float32(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkIngest measures the incremental-update contract on a stream of
+// 50 batches of n/100 SS-varden rows. One live Index absorbs every batch
+// (Insert, then a warm k-NN query), and its final Compact is charged to it
+// too; the alternative builds a fresh Index over all rows so far per batch
+// and runs the same query. It reports both amortized per-insert costs. It
+// fails if a query after a batch differs between the two, if k-NN of 256
+// points spread over base and stream differs from the last fresh build's,
+// or if, at n=100k, the incremental side is less than 10x cheaper per
+// insert.
+func BenchmarkIngest(b *testing.B) {
+	const batches, k, minSpeedup = 50, 8, 10
+	knn := func(ix *Index, q int) []Neighbor {
+		nb, err := ix.KNN(int32(q), k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return nb
+	}
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base := generator.SSVarden(n, 2, 42)
+			rows := n / 100
+			stream := generator.SSVarden(batches*rows, 2, 43)
+			var inc, reb time.Duration
+			for range b.N {
+				incIdx, err := NewIndex(base, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				knn(incIdx, 0) // build the base tree untimed
+				incKNN := make([][]Neighbor, batches)
+				start := time.Now()
+				for i := range batches {
+					if _, err := incIdx.Insert(Points{Data: stream.Data[i*rows*2 : (i+1)*rows*2], N: rows, Dim: 2}); err != nil {
+						b.Fatal(err)
+					}
+					incKNN[i] = knn(incIdx, 0)
+				}
+				if err := incIdx.Compact(); err != nil {
+					b.Fatal(err)
+				}
+				inc += time.Since(start)
+
+				all := slices.Clone(base.Data)
+				var fresh *Index
+				for i := range batches {
+					start := time.Now()
+					all = append(all, stream.Data[i*rows*2:(i+1)*rows*2]...)
+					if fresh, err = NewIndex(Points{Data: all, N: len(all) / 2, Dim: 2}, nil); err != nil {
+						b.Fatal(err)
+					}
+					want := knn(fresh, 0)
+					reb += time.Since(start)
+					if !slices.Equal(incKNN[i], want) {
+						b.Fatalf("batch %d: incremental k-NN %v, fresh build %v", i, incKNN[i], want)
+					}
+				}
+				for q := 0; q < fresh.N(); q += fresh.N() / 256 {
+					if got, want := knn(incIdx, q), knn(fresh, q); !slices.Equal(got, want) {
+						b.Fatalf("after the stream, k-NN of %d: incremental %v, fresh build %v", q, got, want)
+					}
+				}
+			}
+			inserts := float64(b.N * batches * rows)
+			incPer, rebPer := float64(inc.Nanoseconds())/inserts, float64(reb.Nanoseconds())/inserts
+			b.ReportMetric(incPer, "incremental-ns/insert")
+			b.ReportMetric(rebPer, "rebuild-ns/insert")
+			if speedup := rebPer / incPer; n >= 100_000 && speedup < minSpeedup {
+				b.Fatalf("incremental inserts only %.1fx cheaper than rebuild-per-batch, want >= %dx", speedup, minSpeedup)
+			}
+		})
 	}
 }

@@ -199,7 +199,8 @@ func (h *Hierarchy) NumNoiseAt(eps float64) int {
 func (h *Hierarchy) TotalWeight() float64 { return mst.TotalWeight(h.MST) }
 
 // WriteNewick serializes the hierarchy's dendrogram in Newick format for
-// standard dendrogram viewers; names may be nil to use point indices.
+// standard dendrogram viewers; names may be nil to use point indices, and
+// otherwise needs a name per point.
 func (h *Hierarchy) WriteNewick(w io.Writer, names []string) error {
 	return h.dendro.WriteNewick(w, names)
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"parclust"
 	"parclust/internal/engine"
 	"parclust/internal/faultinject"
 )
@@ -161,26 +163,32 @@ func TestPanickingBuildAnswers500Once(t *testing.T) {
 	}
 }
 
-// TestOverloadStressNoGoroutineLeak hammers a tightly-limited daemon with
-// 64 concurrent clients mixing warm queries, cold builds, rate-limited and
-// timed-out requests, then asserts the goroutine count settles back to the
-// pre-stress baseline: no flight watcher, limiter, or handler goroutine
-// leaks under sustained shedding.
+// TestOverloadStressNoGoroutineLeak drives 64 looping clients for 1.5 s
+// into a tightly-limited daemon (2 cold-build slots, a 200 qps per-tenant
+// rate limit, a 2 s query deadline) over eight 2,000-point datasets. Even
+// clients repeat a warm cut; odd clients rotate minPts across the seven
+// cold datasets, so cold builds keep arriving faster than the gate admits
+// them; eight tenants share the load. Every request must be served or
+// shed (200, 429, 503 or 504), never fail outright, and afterwards the
+// goroutine count must settle back to the pre-stress baseline: no flight
+// watcher, limiter, or handler goroutine leaks under sustained shedding.
 func TestOverloadStressNoGoroutineLeak(t *testing.T) {
 	ts := newTestServer(t, Config{
 		MaxColdBuilds: 2,
 		QueryTimeout:  2 * time.Second,
-		RateQPS:       500,
-		RateBurst:     50,
+		RateQPS:       200,
+		RateBurst:     20,
 	})
-	for _, name := range []string{"s0", "s1", "s2", "s3"} {
-		if code := ts.upload(name, testPoints(300), ""); code != http.StatusCreated {
-			t.Fatalf("upload %s: status %d", name, code)
+	const datasets, minPts = 8, 10
+	for i := range datasets {
+		if code := ts.upload(fmt.Sprintf("ov%d", i), parclust.GenerateVarden(2000, 2, 42+int64(i)), ""); code != http.StatusCreated {
+			t.Fatalf("upload ov%d: status %d", i, code)
 		}
 	}
-	// Warm one dataset and the scheduler/transport pools before taking the
+	// Warm ov0 and the scheduler/transport pools before taking the
 	// baseline, so the measurement sees steady state, not first-use setup.
-	if code := ts.get("/v1/datasets/s0/hdbscan?minpts=5&eps=0.5", nil); code != http.StatusOK {
+	warmPath := fmt.Sprintf("/v1/datasets/ov0/hdbscan?minpts=%d&eps=0.5&labels=false", minPts)
+	if code := ts.get(warmPath, nil); code != http.StatusOK {
 		t.Fatalf("warming query: status %d", code)
 	}
 	ts.Client().CloseIdleConnections()
@@ -188,42 +196,68 @@ func TestOverloadStressNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	const clients = 64
+	deadline := time.Now().Add(1500 * time.Millisecond)
 	var wg sync.WaitGroup
-	var served, shed atomic.Int64
-	for i := 0; i < clients; i++ {
+	var served, shed, failed atomic.Int64
+	for c := range clients {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			name := fmt.Sprintf("s%d", i%4)
-			mp := 5 + i%3
-			code := ts.get(fmt.Sprintf("/v1/datasets/%s/hdbscan?minpts=%d&eps=0.5", name, mp), nil)
-			switch code {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-				shed.Add(1)
-			default:
-				t.Errorf("client %d: unexpected status %d", i, code)
+			cl := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
+			defer cl.CloseIdleConnections()
+			for i := 0; time.Now().Before(deadline); i++ {
+				path := warmPath
+				if c%2 == 1 {
+					path = fmt.Sprintf("/v1/datasets/ov%d/hdbscan?minpts=%d&eps=0.5&labels=false",
+						1+(c/2+i)%(datasets-1), minPts+i%5)
+				}
+				req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+				if err != nil {
+					failed.Add(1)
+					return
+				}
+				req.Header.Set("X-Tenant", fmt.Sprintf("t%d", c%8))
+				resp, err := cl.Do(req)
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					served.Add(1)
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					shed.Add(1)
+					time.Sleep(5 * time.Millisecond) // honor the backoff
+				case http.StatusGatewayTimeout:
+					shed.Add(1)
+				default:
+					failed.Add(1)
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	if served.Load() == 0 {
-		t.Fatal("overload stress served nothing — limits are miscalibrated")
+	t.Logf("overload stress: served=%d shed=%d failed=%d", served.Load(), shed.Load(), failed.Load())
+	if failed.Load() != 0 {
+		t.Fatalf("%d requests failed outright instead of being served or shed", failed.Load())
 	}
-	t.Logf("overload stress: served=%d shed=%d", served.Load(), shed.Load())
+	if served.Load() == 0 || shed.Load() == 0 {
+		t.Fatal("overload stress must both serve and shed — limits are miscalibrated")
+	}
 
 	// Settle loop: transports, flight watchers, and timed-out handlers need
 	// a beat to unwind before the count is meaningful.
 	ts.Client().CloseIdleConnections()
-	deadline := time.Now().Add(15 * time.Second)
+	settle := time.Now().Add(15 * time.Second)
 	for {
 		runtime.GC()
 		now := runtime.NumGoroutine()
 		if now <= baseline+3 {
 			break
 		}
-		if time.Now().After(deadline) {
+		if time.Now().After(settle) {
 			buf := make([]byte, 1<<20)
 			t.Fatalf("goroutines: %d, baseline %d — leak?\n%s", now, baseline, buf[:runtime.Stack(buf, true)])
 		}

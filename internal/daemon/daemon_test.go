@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,7 +321,8 @@ func TestDaemonCSVUpload(t *testing.T) {
 // concurrent cold HTTP queries against one dataset perform exactly one
 // tree build, with the other 15 counted as coalesced. The engine build
 // hook holds the leader's pipeline run open until all followers have
-// parked, making the counter deterministic.
+// parked, making the counter deterministic. A warm phase then checks that
+// no query against the warm dataset fails, buffered, streamed or swept.
 func TestDaemonColdQueriesCoalesce(t *testing.T) {
 	const clients = 16
 	ts := newTestServer(t, Config{})
@@ -382,6 +384,97 @@ func TestDaemonColdQueriesCoalesce(t *testing.T) {
 	}
 	if c.CoreDistBuilds != 1 || c.MSTBuilds != 1 || c.DendrogramBuilds != 1 {
 		t.Fatalf("builds: core=%d mst=%d dendro=%d, want 1/1/1", c.CoreDistBuilds, c.MSTBuilds, c.DendrogramBuilds)
+	}
+
+	// Warm phase: the same clients read an eps ladder (MST weight
+	// quantiles) from the warm dataset, buffered and as NDJSON; then one
+	// sweep over three minPts and the equivalent loop of per-cell queries
+	// run. Every answer must be 200, every stream must end with its
+	// trailer, and the loop must agree with the sweep cell for cell.
+	probe, err := parclust.HDBSCAN(testPoints(400), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := make([]float64, len(probe.MST))
+	for i, e := range probe.MST {
+		ws[i] = e.W
+	}
+	slices.Sort(ws)
+	var epsList []float64
+	for _, q := range []float64{0.5, 0.7, 0.8, 0.9, 0.95} {
+		epsList = append(epsList, ws[int(q*float64(len(ws)-1))])
+	}
+	modes := []string{"", "application/x-ndjson"}
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	fetch := func(path, accept string) reply {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			return reply{err: err}
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			return reply{err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return reply{resp.StatusCode, body, err}
+	}
+	replies := make([][]reply, clients)
+	for cl := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, accept := range modes {
+				for i := range epsList {
+					path := fmt.Sprintf("/v1/datasets/cold/hdbscan?minpts=10&eps=%g", epsList[(cl+i)%len(epsList)])
+					replies[cl] = append(replies[cl], fetch(path, accept))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for cl, rs := range replies {
+		for i, r := range rs {
+			if r.err != nil || r.code != http.StatusOK {
+				t.Fatalf("warm client %d query %d: status %d, error %v", cl, i, r.code, r.err)
+			}
+			if i >= len(epsList) { // the NDJSON half
+				ndjsonLines(t, r.body)
+			}
+		}
+	}
+
+	minPts := []int{10, 15, 20}
+	sweepBody, err := json.Marshal(map[string]any{"minpts": minPts, "eps": epsList})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweep sweepResult
+	if code, raw := ts.postSweep("cold", string(sweepBody), ""); code != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", code, raw)
+	} else if err := json.Unmarshal(raw, &sweep); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Cells) != len(minPts)*len(epsList) {
+		t.Fatalf("sweep returned %d cells, want %d", len(sweep.Cells), len(minPts)*len(epsList))
+	}
+	for _, cell := range sweep.Cells {
+		var got labelsResponse
+		path := fmt.Sprintf("/v1/datasets/cold/hdbscan?minpts=%d&eps=%g&labels=false", cell.MinPts, cell.Eps)
+		if code := ts.get(path, &got); code != http.StatusOK {
+			t.Fatalf("per-cell query %s: status %d", path, code)
+		}
+		if got.NumClusters != cell.NumClusters || got.NumNoise != cell.NumNoise {
+			t.Fatalf("per-cell query %s: %d clusters, %d noise; sweep cell says %d, %d",
+				path, got.NumClusters, got.NumNoise, cell.NumClusters, cell.NumNoise)
+		}
 	}
 }
 

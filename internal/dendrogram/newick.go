@@ -5,15 +5,21 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
+	"unicode"
 )
 
 // WriteNewick serializes the dendrogram in Newick format for use with
 // standard dendrogram/phylogeny viewers. Leaves are named by their point
-// index (or by names[i] when names is non-nil); branch lengths are the
-// height differences between a node and its parent, so root-to-leaf path
-// lengths equal merge heights. The dendrogram of zero points is the empty
-// tree ";".
+// index (or by names[i] when names is non-nil, which then needs a name per
+// leaf); a name holding whitespace or one of ()[]':;, is written in single
+// quotes with any embedded quote doubled. Branch lengths are the height
+// differences between a node and its parent, so root-to-leaf path lengths
+// equal merge heights. The dendrogram of zero points is the empty tree ";".
 func (d *Dendrogram) WriteNewick(w io.Writer, names []string) error {
+	if names != nil && len(names) < d.N {
+		return fmt.Errorf("dendrogram: %d names for %d leaves", len(names), d.N)
+	}
 	bw := bufio.NewWriter(w)
 	if d.N > 0 {
 		if err := d.writeNewickNode(bw, d.Root, d.rootHeight(), names); err != nil {
@@ -55,7 +61,7 @@ func (d *Dendrogram) writeNewickNode(bw *bufio.Writer, root int32, rootH float64
 		if d.IsLeaf(a.id) {
 			name := strconv.Itoa(int(a.id))
 			if names != nil {
-				name = names[a.id]
+				name = newickLabel(names[a.id])
 			}
 			if _, err := fmt.Fprintf(bw, "%s:%g", name, a.parentH); err != nil {
 				return err
@@ -74,4 +80,15 @@ func (d *Dendrogram) writeNewickNode(bw *bufio.Writer, root int32, rootH float64
 		)
 	}
 	return nil
+}
+
+// newickLabel returns name as a Newick leaf label: unchanged unless it
+// holds whitespace or a character Newick reserves, in which case it is
+// quoted in single quotes with any embedded quote doubled.
+func newickLabel(name string) string {
+	reserved := func(r rune) bool { return unicode.IsSpace(r) || strings.ContainsRune("()[]':;,", r) }
+	if !strings.ContainsFunc(name, reserved) {
+		return name
+	}
+	return "'" + strings.ReplaceAll(name, "'", "''") + "'"
 }

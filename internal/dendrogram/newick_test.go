@@ -34,6 +34,37 @@ func TestWriteNewickNames(t *testing.T) {
 	}
 }
 
+// TestWriteNewickShortNames checks that a names slice with fewer entries
+// than leaves is an error, reported before anything is written.
+func TestWriteNewickShortNames(t *testing.T) {
+	n := 300
+	d := BuildParallel(n, randTree(n, 5), 0)
+	var sb strings.Builder
+	err := d.WriteNewick(&sb, []string{"a"})
+	if err == nil {
+		t.Fatal("WriteNewick with 1 name for 300 leaves: no error")
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("WriteNewick wrote %q before failing", sb.String())
+	}
+}
+
+// TestWriteNewickQuotedNames checks that a leaf name holding a Newick
+// metacharacter or whitespace is single-quoted, with embedded quotes
+// doubled, so it stays one leaf; a plain name is written as is.
+func TestWriteNewickQuotedNames(t *testing.T) {
+	edges := []mst.Edge{mst.MakeEdge(0, 1, 1), mst.MakeEdge(1, 2, 2), mst.MakeEdge(2, 3, 3)}
+	d := BuildSequential(4, edges, 0)
+	var sb strings.Builder
+	if err := d.WriteNewick(&sb, []string{"a,b", "it's", "x y", "plain"}); err != nil {
+		t.Fatal(err)
+	}
+	want := "((('a,b':1,'it''s':1):1,'x y':2):1,plain:3):0;\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("newick with quoted names = %q, want %q", got, want)
+	}
+}
+
 func TestWriteNewickBalanced(t *testing.T) {
 	n := 200
 	edges := randTree(n, 17)

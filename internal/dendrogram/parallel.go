@@ -132,13 +132,19 @@ func (b *builder) solve(edges []mst.Edge, rep, leaf map[int32]int32, base int32)
 			entry[r] = sv
 		}
 	}
-	// Deterministic component order (map iteration is randomized).
+	// Deterministic component order (map iteration is randomized): by the
+	// entry's vertex distance, ties broken by the entry itself, which is
+	// unique per component.
 	roots := make([]int32, 0, len(edgesOf))
 	for r := range edgesOf {
 		roots = append(roots, r)
 	}
 	sort.Slice(roots, func(i, j int) bool {
-		return b.vdist[entry[roots[i]]] < b.vdist[entry[roots[j]]]
+		ei, ej := entry[roots[i]], entry[roots[j]]
+		if b.vdist[ei] != b.vdist[ej] {
+			return b.vdist[ei] < b.vdist[ej]
+		}
+		return ei < ej
 	})
 
 	// Assign id ranges: light components first, heavy part last.

@@ -125,6 +125,7 @@ func sqDist3(a, b []float64) float64 {
 }
 
 func sqDistGeneric(a, b []float64) float64 {
+	b = b[:len(a)]
 	var s float64
 	for k := range a {
 		d := a[k] - b[k]

@@ -280,7 +280,7 @@ func TestForRangeFromManyGoroutines(t *testing.T) {
 }
 
 // TestGOMAXPROCSGrowth verifies the pool adapts when GOMAXPROCS rises
-// mid-process (the benchsuite raises and lowers it between runs).
+// mid-process (go test -cpu 1,4 raises and lowers it between runs).
 func TestGOMAXPROCSGrowth(t *testing.T) {
 	var first, second int64
 	withGOMAXPROCS(2, func() { first = schedTreeSum(0, 1<<14, 128) })

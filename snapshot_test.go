@@ -7,15 +7,30 @@ import (
 
 // TestIndexSnapshotRoundTrip warms an Index across the public query
 // surface, snapshots it, and checks the restored Index answers everything
-// byte-identically with zero stage rebuilds.
+// byte-identically with zero stage rebuilds: flat cuts, stable clusters,
+// EMST and k-NN. Besides three metrics on a small mixture, it restores
+// 2D SS-varden sets of 10,000 and (without -short) 100,000 points.
 func TestIndexSnapshotRoundTrip(t *testing.T) {
-	pts := GenerateGaussianMixture(800, 3, 4, 42)
-	for _, m := range []Metric{MetricL2, MetricL1, MetricAngular} {
+	type roundTrip struct {
+		pts    Points
+		m      Metric
+		minPts int
+	}
+	mix := GenerateGaussianMixture(800, 3, 4, 42)
+	cases := []roundTrip{{mix, MetricL2, 5}, {mix, MetricL1, 5}, {mix, MetricAngular, 5}}
+	for _, n := range []int{10_000, 100_000} {
+		if n > 10_000 && testing.Short() {
+			continue
+		}
+		cases = append(cases, roundTrip{GenerateVarden(n, 2, 42), MetricL2, 10})
+	}
+	for _, c := range cases {
+		pts, m, minPts := c.pts, c.m, c.minPts
 		ix, err := NewIndex(pts, &IndexOptions{Metric: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ix.HDBSCAN(5); err != nil {
+		if _, err := ix.HDBSCAN(minPts); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ix.EMST(); err != nil {
@@ -29,29 +44,36 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: read: %v", m, err)
 		}
-		if det.Metric != m || det.N != 800 || det.Dim != 3 || len(det.SkippedStages) != 0 {
+		if det.Metric != m || det.N != pts.N || det.Dim != pts.Dim || len(det.SkippedStages) != 0 {
 			t.Fatalf("%v: details %+v", m, det)
 		}
-		// tree + core(5) + HDBSCAN MST + EMST + HDBSCAN hierarchy
+		// tree + core(minPts) + HDBSCAN MST + EMST + HDBSCAN hierarchy
 		if det.Stages != 5 {
 			t.Fatalf("%v: %d stages, want 5", m, det.Stages)
 		}
 
-		wantH, err := ix.HDBSCAN(5)
+		wantH, err := ix.HDBSCAN(minPts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotH, err := back.HDBSCAN(5)
+		gotH, err := back.HDBSCAN(minPts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wc, gc := wantH.ClustersAt(1.2), gotH.ClustersAt(1.2)
-		if wc.NumClusters != gc.NumClusters {
-			t.Fatalf("%v: cluster count %d vs %d", m, gc.NumClusters, wc.NumClusters)
-		}
-		for i := range wc.Labels {
-			if wc.Labels[i] != gc.Labels[i] {
-				t.Fatalf("%v: label %d differs after restore", m, i)
+		for _, cut := range []struct {
+			name      string
+			want, got Clustering
+		}{
+			{"flat cut", wantH.ClustersAt(1.2), gotH.ClustersAt(1.2)},
+			{"stable clusters", wantH.ExtractStableClusters(minPts), gotH.ExtractStableClusters(minPts)},
+		} {
+			if cut.want.NumClusters != cut.got.NumClusters {
+				t.Fatalf("%v n=%d: %s count %d vs %d", m, pts.N, cut.name, cut.got.NumClusters, cut.want.NumClusters)
+			}
+			for i := range cut.want.Labels {
+				if cut.want.Labels[i] != cut.got.Labels[i] {
+					t.Fatalf("%v n=%d: %s label %d differs after restore", m, pts.N, cut.name, i)
+				}
 			}
 		}
 		we, _ := ix.EMST()
