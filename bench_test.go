@@ -164,6 +164,10 @@ func BenchmarkFig8_Decomposition(b *testing.B) {
 
 // BenchmarkFig9_Dendrogram compares sequential and parallel ordered
 // dendrogram construction for single-linkage and HDBSCAN* inputs (Figure 9).
+// The geolife-mix-20k case is the n=20,000 HDBSCAN* (minPts 10) input that
+// TestGoldenDendrogram pins, at the scale of the hierarchies the daemon
+// rebuilds after every insert or delete; run it under -cpu 1,2 to see what
+// a second worker costs or saves.
 func BenchmarkFig9_Dendrogram(b *testing.B) {
 	pts := benchVarden(2)
 	emst, err := EMST(pts)
@@ -174,18 +178,28 @@ func BenchmarkFig9_Dendrogram(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	mix := geoLifeMix20k()
+	hMix, err := HDBSCAN(mix, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, v := range []struct {
 		name  string
+		n     int
 		edges []Edge
-	}{{"single-linkage", emst}, {"hdbscan-minpts10", h.MST}} {
+	}{
+		{"single-linkage", pts.N, emst},
+		{"hdbscan-minpts10", pts.N, h.MST},
+		{"geolife-mix-20k-hdbscan-minpts10", mix.N, hMix.MST},
+	} {
 		b.Run(v.name+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dendrogram.BuildSequential(pts.N, v.edges, 0)
+			for b.Loop() {
+				dendrogram.BuildSequential(v.n, v.edges, 0)
 			}
 		})
 		b.Run(v.name+"/parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dendrogram.BuildParallel(pts.N, v.edges, 0)
+			for b.Loop() {
+				dendrogram.BuildParallel(v.n, v.edges, 0)
 			}
 		})
 	}

@@ -30,17 +30,13 @@ var goldenDendrograms = map[string][len(goldenDendrogramOutputs)]uint64{
 // GeoLife-like mix of 20,000 points: the reachability plot, the Newick
 // text, the stable-cluster labels, and the internal nodes' Left, Right and
 // Height arrays that Hierarchy.Dendrogram exposes. At this size the
-// parallel builder recurses past its sequential cutoff and, at two or more
-// workers, list ranking takes its parallel path, so CI's -cpu 1,2,4 run of
-// the goldens checks that none of these depends on the worker count.
+// parallel builder recurses past its sequential cutoff, and at two or more
+// workers it hands light subproblems, and the vertex-distance search that
+// runs beside its first heavy/light split, to other workers; CI's
+// -cpu 1,2,4 run of the goldens checks that none of these outputs depends
+// on the worker count.
 func TestGoldenDendrogram(t *testing.T) {
-	pts := NewPoints(0, 3)
-	for b := int64(0); b < 8; b++ {
-		blk := generator.GeoLifeLike(2500, 100+b)
-		pts.Data = append(pts.Data, blk.Data...)
-		pts.N += blk.N
-	}
-	idx, err := NewIndex(pts, nil)
+	idx, err := NewIndex(geoLifeMix20k(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +64,19 @@ func TestGoldenDendrogram(t *testing.T) {
 	if t.Failed() {
 		t.Logf("fingerprints of this build:\n%s", strings.Join(got, ""))
 	}
+}
+
+// geoLifeMix20k returns the 8-region GeoLife-like mix of 20,000 points
+// (seeds 100..107, 2,500 points each) that TestGoldenDendrogram pins and
+// BenchmarkFig9_Dendrogram measures.
+func geoLifeMix20k() Points {
+	pts := NewPoints(0, 3)
+	for b := int64(0); b < 8; b++ {
+		blk := generator.GeoLifeLike(2500, 100+b)
+		pts.Data = append(pts.Data, blk.Data...)
+		pts.N += blk.N
+	}
+	return pts
 }
 
 // dendrogramFingerprints hashes each goldenDendrogramOutputs output of h.

@@ -72,7 +72,13 @@
 // builder — cost a task handle, not a goroutine. The worker count follows
 // runtime.GOMAXPROCS; all algorithms are deterministic for a fixed input
 // regardless of the worker count or steal schedule, and with GOMAXPROCS=1
-// every code path runs as plain sequential code.
+// every code path runs as plain sequential code. One step the paper runs
+// in parallel is sequential here: the dendrogram's vertex distances come
+// from one O(n) breadth-first search, not Euler-tour list ranking. At two
+// workers a work-efficient list ranking measured faster only on trees of
+// more than about 300k–400k arcs (150k–200k points; see the README's
+// "Parallel runtime"), and that ranking is the route if a workload passes
+// that size.
 //
 // # Memory layout
 //

@@ -106,7 +106,11 @@ func TestSlowDiskDoesNotBlockWarmQueries(t *testing.T) {
 	})
 	coldDone := make(chan int, 1)
 	go func() {
-		coldDone <- ts.get("/v1/datasets/colddisk/hdbscan?minpts=5&eps=0.5", nil)
+		code, err := ts.tryGet("/v1/datasets/colddisk/hdbscan?minpts=5&eps=0.5", nil)
+		if err != nil {
+			t.Error(err)
+		}
+		coldDone <- code
 	}()
 
 	// The warm queries must finish while the cold load is still sleeping.

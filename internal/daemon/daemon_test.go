@@ -37,40 +37,55 @@ func newTestServer(t *testing.T, cfg Config) *testServer {
 	return &testServer{Server: ts, srv: s, t: t}
 }
 
-// do performs one request and decodes the JSON response into out (which
-// may be nil), returning the status code.
-func (ts *testServer) do(method, path string, body []byte, contentType string, out any) int {
-	ts.t.Helper()
+// try performs one request and decodes the JSON response into out (which
+// may be nil), returning the status code. It reports a failure to build,
+// send, read or decode the request as an error instead of failing the test,
+// so client goroutines call it and hand failures to the test goroutine.
+func (ts *testServer) try(method, path string, body []byte, contentType string, out any) (int, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequest(method, ts.URL+path, rd)
 	if err != nil {
-		ts.t.Fatal(err)
+		return 0, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := ts.Client().Do(req)
 	if err != nil {
-		ts.t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		ts.t.Fatal(err)
+		return resp.StatusCode, fmt.Errorf("read %s %s response: %w", method, path, err)
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
-			ts.t.Fatalf("decode %s %s response %q: %v", method, path, raw, err)
+			return resp.StatusCode, fmt.Errorf("decode %s %s response %q: %w", method, path, raw, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
+}
+
+// do is try for the test goroutine: it fails the test on an error.
+func (ts *testServer) do(method, path string, body []byte, contentType string, out any) int {
+	ts.t.Helper()
+	code, err := ts.try(method, path, body, contentType, out)
+	if err != nil {
+		ts.t.Fatal(err)
+	}
+	return code
 }
 
 func (ts *testServer) get(path string, out any) int {
 	return ts.do(http.MethodGet, path, nil, "", out)
+}
+
+func (ts *testServer) tryGet(path string, out any) (int, error) {
+	return ts.try(http.MethodGet, path, nil, "", out)
 }
 
 // upload stores pts under name via the JSON body format.
@@ -357,7 +372,9 @@ func TestDaemonColdQueriesCoalesce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var got labelsResponse
-			if code := ts.get("/v1/datasets/cold/hdbscan?minpts=10&eps=1.0&labels=false", &got); code != http.StatusOK {
+			code, err := ts.tryGet("/v1/datasets/cold/hdbscan?minpts=10&eps=1.0&labels=false", &got)
+			if err != nil || code != http.StatusOK {
+				t.Logf("cold query: status %d, error %v", code, err)
 				bad.Add(1)
 			}
 		}()
@@ -510,7 +527,11 @@ func TestDaemonEvictUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				var got labelsResponse
-				code := ts.get("/v1/datasets/churn/hdbscan?minpts=5&eps=1.5", &got)
+				code, err := ts.tryGet("/v1/datasets/churn/hdbscan?minpts=5&eps=1.5", &got)
+				if err != nil {
+					errs <- fmt.Sprintf("query under churn: %v", err)
+					return
+				}
 				switch code {
 				case http.StatusOK:
 					if len(got.Labels) != len(wantLabels) {

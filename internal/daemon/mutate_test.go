@@ -235,7 +235,10 @@ func TestConcurrentInsertSweep409(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		code := ts.do(http.MethodGet, "/v1/datasets/race/hdbscan?minpts=5&eps=1.0&labels=false", nil, "", nil)
+		code, err := ts.tryGet("/v1/datasets/race/hdbscan?minpts=5&eps=1.0&labels=false", nil)
+		if err != nil {
+			t.Error(err)
+		}
 		done <- result{code}
 	}()
 

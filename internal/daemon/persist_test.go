@@ -213,8 +213,8 @@ func TestDaemonSpillReloadRace(t *testing.T) {
 				name := names[(w+i)%2]
 				var out labelsResponse
 				p := fmt.Sprintf("/v1/datasets/%s/hdbscan?minpts=4&eps=1.5", name)
-				if code := ts.get(p, &out); code != http.StatusOK {
-					errc <- fmt.Errorf("worker %d iter %d: GET %s: status %d", w, i, p, code)
+				if code, err := ts.tryGet(p, &out); err != nil || code != http.StatusOK {
+					errc <- fmt.Errorf("worker %d iter %d: GET %s: status %d, error %v", w, i, p, code, err)
 					return
 				}
 				if len(out.Labels) != pts.N {

@@ -209,7 +209,11 @@ func TestColdBuildGateShedsWhileWarmServes(t *testing.T) {
 
 	heldDone := make(chan int, 1)
 	go func() {
-		heldDone <- ts.get("/v1/datasets/cold1/hdbscan?minpts=5&eps=0.5", nil)
+		code, err := ts.tryGet("/v1/datasets/cold1/hdbscan?minpts=5&eps=0.5", nil)
+		if err != nil {
+			t.Error(err)
+		}
+		heldDone <- code
 	}()
 	<-entered // cold1's leader now holds the only build slot
 

@@ -3,6 +3,7 @@ package dendrogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,19 +71,11 @@ func checkDendrogram(t *testing.T, d *Dendrogram, edges []mst.Edge) {
 	for i, e := range edges {
 		ws[i] = e.W
 	}
-	sortFloats(hs)
-	sortFloats(ws)
+	slices.Sort(hs)
+	slices.Sort(ws)
 	for i := range hs {
 		if hs[i] != ws[i] {
 			t.Fatalf("height multiset differs from edge weights at %d", i)
-		}
-	}
-}
-
-func sortFloats(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package dendrogram
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parclust/internal/mst"
 	"parclust/internal/parallel"
@@ -43,16 +44,23 @@ func BuildParallelThreshold(n int, edges []mst.Edge, s int32, seqThreshold int) 
 	if n == 1 {
 		return &Dendrogram{N: 1, Root: 0}
 	}
-	if seqThreshold < 1 {
-		seqThreshold = 1
-	}
-	b := &builder{
-		d:            newDendrogram(n),
-		vdist:        VertexDistances(n, edges, s),
-		seqThreshold: seqThreshold,
-	}
-	work := append([]mst.Edge(nil), edges...)
-	b.solve(work, nil, nil, int32(n))
+	b := &builder{d: newDendrogram(n), seqThreshold: max(seqThreshold, 1)}
+	m := len(edges)
+	buf := make([]subEdge, 2*m)
+	top := subproblem{edges: buf[:m], spare: buf[m:], verts: make([]vertex, n), base: int32(n)}
+	// Splitting off the heavy edges reads no vertex distance, so the top
+	// level splits while the search computes them.
+	var light *unionfind.UF
+	parallel.Do(func() { b.vdist = VertexDistances(n, edges, s) }, func() {
+		for i, e := range edges {
+			top.edges[i] = subEdge{e: e, u: e.U, v: e.V}
+		}
+		for v := range top.verts {
+			top.verts[v] = vertex{entry: int32(v), node: int32(v)}
+		}
+		light = b.split(top)
+	})
+	b.finish(top, light)
 	return b.d
 }
 
@@ -62,126 +70,159 @@ type builder struct {
 	seqThreshold int
 }
 
-func repOf(rep map[int32]int32, v int32) int32 {
-	if r, ok := rep[v]; ok {
-		return r
-	}
-	return v
+// subEdge is a tree edge of a subproblem: the original edge, whose place in
+// the shared total order fixes when it merges and whose endpoints' vertex
+// distances decide which side becomes the left child, and the local
+// vertices on the side of its U and of its V endpoint.
+type subEdge struct {
+	e    mst.Edge
+	u, v int32
 }
 
-func leafOf(leaf map[int32]int32, sv int32) int32 {
-	if l, ok := leaf[sv]; ok {
-		return l
-	}
-	return sv
+func lessSubEdge(a, b subEdge) bool { return mst.Less(a.e, b.e) }
+
+// vertex is a local vertex of a subproblem: a contracted cluster of
+// original vertices, given by its entry (the member of least vertex
+// distance, which Prim reaches first) and the dendrogram node that
+// represents it.
+type vertex struct {
+	entry, node int32
 }
 
-// solve builds the dendrogram of the subproblem given by edges, writing its
-// internal nodes into ids [base, base+len(edges)). rep maps an original edge
-// endpoint to its super-vertex (the entry vertex — minimum vertex distance —
-// of the contracted cluster containing it); leaf maps a super-vertex to the
-// dendrogram node representing its cluster. Missing map entries mean
-// identity. The subproblem's root is always id base+len(edges)-1.
-func (b *builder) solve(edges []mst.Edge, rep, leaf map[int32]int32, base int32) {
-	m := len(edges)
+// subproblem is a tree of m edges over the local vertices 0..m, whose
+// internal dendrogram nodes take ids [base, base+m); its root is base+m-1.
+// A subproblem owns its slices: it reorders edges and overwrites verts, and
+// spare, as long as edges, is scratch for relabelling its light edges.
+type subproblem struct {
+	edges, spare []subEdge
+	verts        []vertex
+	base         int32
+}
+
+// heavyCount is the number of heavy edges split off a subproblem of m edges.
+func heavyCount(m int) int { return max(m/heavyFraction, 1) }
+
+// solve builds the dendrogram of subproblem p.
+func (b *builder) solve(p subproblem) { b.finish(p, b.split(p)) }
+
+// split returns nil when p is at or below the sequential cutoff. Otherwise
+// it moves p's heavyCount heaviest edges to its end and returns the
+// union-find of the light forest that the other edges form over p's
+// vertices.
+func (b *builder) split(p subproblem) *unionfind.UF {
+	m := len(p.edges)
 	if m <= b.seqThreshold {
-		b.seqBuild(edges, rep, leaf, base)
+		return nil
+	}
+	k := heavyCount(m)
+	parallel.NthElement(p.edges, m-k, lessSubEdge)
+	uf := unionfind.New(m + 1)
+	for _, e := range p.edges[:m-k] {
+		uf.Union(e.u, e.v)
+	}
+	return uf
+}
+
+// finish completes subproblem p once split has returned light for it: with
+// the sequential base case when light is nil, and otherwise by contracting
+// the light forest's components, numbered by counting sort, and handing
+// each of them, and the heavy tree over all k+1 components, to a
+// subproblem of its own.
+func (b *builder) finish(p subproblem, light *unionfind.UF) {
+	if light == nil {
+		b.seqBuild(p)
 		return
 	}
-	k := m / heavyFraction
-	if k < 1 {
-		k = 1
-	}
-	// Heavy edges: the k heaviest under the shared total order.
-	parallel.NthElement(edges, m-k, mst.Less)
-	light, heavy := edges[:m-k], edges[m-k:]
+	m := len(p.edges)
+	k := heavyCount(m)
+	lightEdges, heavy := p.edges[:m-k], p.edges[m-k:]
 
-	// Light components over super-vertices (local union-find).
-	localIdx := make(map[int32]int32, 2*len(light))
-	svs := make([]int32, 0, 2*len(light))
-	local := func(sv int32) int32 {
-		if li, ok := localIdx[sv]; ok {
-			return li
-		}
-		li := int32(len(svs))
-		localIdx[sv] = li
-		svs = append(svs, sv)
-		return li
+	// Per local vertex v: comp[v] is the root of v's light component and
+	// local[v] is v's id in the subproblem it moves to. Per root r: head[r]
+	// is the member whose entry has the least vertex distance, which is
+	// unique because the component's clusters form a connected subtree of
+	// the tree rooted at s, and so is the whole component's entry; size[r]
+	// counts its light edges; id[r] is its vertex in the heavy tree, which
+	// for a component with edges is also its rank among them.
+	scratch := make([]int32, 5*(m+1))
+	perVertex := func(i int) []int32 { return scratch[i*(m+1) : (i+1)*(m+1)] }
+	comp, local, head, size, id := perVertex(0), perVertex(1), perVertex(2), perVertex(3), perVertex(4)
+	dist := func(v int32) int32 { return b.vdist[p.verts[v].entry] }
+	for v := range comp {
+		head[v] = int32(v)
 	}
-	lu := make([]int32, len(light))
-	lv := make([]int32, len(light))
-	for i, e := range light {
-		lu[i] = local(repOf(rep, e.U))
-		lv[i] = local(repOf(rep, e.V))
-	}
-	uf := unionfind.New(len(svs))
-	for i := range light {
-		uf.Union(lu[i], lv[i])
-	}
-	// Group light edges by component and find each component's entry
-	// super-vertex (minimum vertex distance).
-	edgesOf := make(map[int32][]mst.Edge)
-	for i, e := range light {
-		r := uf.Find(lu[i])
-		edgesOf[r] = append(edgesOf[r], e)
-	}
-	entry := make(map[int32]int32) // component local root -> entry sv
-	for li, sv := range svs {
-		r := uf.Find(int32(li))
-		if cur, ok := entry[r]; !ok || b.vdist[sv] < b.vdist[cur] {
-			entry[r] = sv
+	for v := range comp {
+		r := light.Find(int32(v))
+		comp[v] = r
+		if dist(int32(v)) < dist(head[r]) {
+			head[r] = int32(v)
 		}
 	}
-	// Deterministic component order (map iteration is randomized): by the
-	// entry's vertex distance, ties broken by the entry itself, which is
-	// unique per component.
-	roots := make([]int32, 0, len(edgesOf))
-	for r := range edgesOf {
-		roots = append(roots, r)
+	for _, e := range lightEdges {
+		size[comp[e.u]]++
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		ei, ej := entry[roots[i]], entry[roots[j]]
-		if b.vdist[ei] != b.vdist[ej] {
-			return b.vdist[ei] < b.vdist[ej]
+	roots := make([]int32, 0, k+1)
+	for v, r := range comp {
+		if r == int32(v) && size[r] > 0 {
+			roots = append(roots, r)
 		}
-		return ei < ej
+	}
+	// Light components take node ids in the order of their entry's vertex
+	// distance, ties broken by the entry itself; the heavy part comes last.
+	slices.SortFunc(roots, func(x, y int32) int {
+		ex, ey := p.verts[head[x]].entry, p.verts[head[y]].entry
+		if c := cmp.Compare(b.vdist[ex], b.vdist[ey]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ex, ey)
 	})
 
-	// Assign id ranges: light components first, heavy part last.
-	type sub struct {
-		edges []mst.Edge
-		base  int32
-	}
-	subs := make([]sub, 0, len(roots))
-	compRootNode := make(map[int32]int32, len(roots)) // entry sv -> light dendro root id
-	cursor := base
-	for _, r := range roots {
-		es := edgesOf[r]
-		subs = append(subs, sub{edges: es, base: cursor})
-		compRootNode[entry[r]] = cursor + int32(len(es)) - 1
-		cursor += int32(len(es))
-	}
-	heavyBase := cursor // == base + m - k
-
-	// Heavy subproblem maps: resolve endpoints through light contraction.
-	repH := make(map[int32]int32, 2*len(heavy))
-	leafH := make(map[int32]int32, 2*len(heavy))
-	for _, e := range heavy {
-		for _, v := range [2]int32{e.U, e.V} {
-			if _, done := repH[v]; done {
-				continue
-			}
-			sv := repOf(rep, v)
-			if li, ok := localIdx[sv]; ok {
-				sv = entry[uf.Find(li)]
-			}
-			repH[v] = sv
-			if node, ok := compRootNode[sv]; ok {
-				leafH[sv] = node
-			} else {
-				leafH[sv] = leafOf(leaf, sv)
-			}
+	// The level's vertex table holds each light component's vertices (one
+	// more than its edges) in that order, then the heavy tree's k+1: the
+	// light components in the same order, each as its dendrogram root, and
+	// the untouched vertices as they were.
+	nl := len(roots)
+	verts := make([]vertex, m-k+nl+k+1)
+	hverts := verts[m-k+nl:]
+	subs := make([]subproblem, nl)
+	var off int32
+	for c, r := range roots {
+		sz, voff := size[r], off+int32(c)
+		subs[c] = subproblem{
+			edges: p.spare[off : off+sz],
+			spare: p.edges[off : off+sz],
+			verts: verts[voff : voff+sz+1],
+			base:  p.base + off,
 		}
+		hverts[c] = vertex{entry: p.verts[head[r]].entry, node: p.base + off + sz - 1}
+		id[r] = int32(c)
+		off += sz
+	}
+	// Counting sort: nv[c] and ne[c] count the vertices and edges already
+	// moved into light component c's subproblem.
+	cursors := make([]int32, 2*nl)
+	nv, ne := cursors[:nl], cursors[nl:]
+	h := int32(nl)
+	for v, r := range comp {
+		switch {
+		case size[r] > 0:
+			c := id[r]
+			local[v] = nv[c]
+			subs[c].verts[nv[c]] = p.verts[v]
+			nv[c]++
+		case r == int32(v):
+			id[r] = h
+			hverts[h] = p.verts[v]
+			h++
+		}
+	}
+	for _, e := range lightEdges {
+		c := id[comp[e.u]]
+		subs[c].edges[ne[c]] = subEdge{e: e.e, u: local[e.u], v: local[e.v]}
+		ne[c]++
+	}
+	for i, e := range heavy {
+		heavy[i].u, heavy[i].v = id[comp[e.u]], id[comp[e.v]]
 	}
 
 	// Solve all subproblems as one fork-join group; id ranges are disjoint,
@@ -191,49 +232,31 @@ func (b *builder) solve(edges []mst.Edge, rep, leaf map[int32]int32, base int32)
 	// recursion stays depth-first wherever no steal happens.
 	var g parallel.Group
 	for _, sp := range subs {
-		g.Spawn(func() { b.solve(sp.edges, rep, leaf, sp.base) })
+		g.Spawn(func() { b.solve(sp) })
 	}
-	g.Run(func() { b.solve(heavy, repH, leafH, heavyBase) })
+	g.Run(func() {
+		b.solve(subproblem{edges: heavy, spare: p.spare[m-k:], verts: hverts, base: p.base + int32(m-k)})
+	})
 	g.Sync()
 }
 
-// seqBuild is the sequential bottom-up base case over super-vertices.
-func (b *builder) seqBuild(edges []mst.Edge, rep, leaf map[int32]int32, base int32) {
-	m := len(edges)
-	if m == 0 {
-		return
-	}
-	sort.Slice(edges, func(i, j int) bool { return mst.Less(edges[i], edges[j]) })
-	localIdx := make(map[int32]int32, m+1)
-	cur := make([]int32, 0, m+1) // dendro node per local sv cluster root
-	local := func(sv int32) int32 {
-		if li, ok := localIdx[sv]; ok {
-			return li
-		}
-		li := int32(len(cur))
-		localIdx[sv] = li
-		cur = append(cur, leafOf(leaf, sv))
-		return li
-	}
-	// Pre-register svs so the union-find can be sized; edges are a tree over
-	// svs, so there are exactly m+1 of them.
-	lus := make([]int32, m)
-	lvs := make([]int32, m)
-	for i, e := range edges {
-		lus[i] = local(repOf(rep, e.U))
-		lvs[i] = local(repOf(rep, e.V))
-	}
-	uf := unionfind.New(len(cur))
+// seqBuild is the sequential bottom-up base case: Kruskal over the
+// subproblem's edges in the shared total order, placing the cluster that
+// Prim reaches first (the side whose original endpoint has the smaller
+// vertex distance) as the left child.
+func (b *builder) seqBuild(p subproblem) {
+	slices.SortFunc(p.edges, func(x, y subEdge) int { return mst.Compare(x.e, y.e) })
+	uf := unionfind.New(len(p.verts))
 	n := int32(b.d.N)
-	for j, e := range edges {
-		ru, rv := uf.Find(lus[j]), uf.Find(lvs[j])
-		nu, nv := cur[ru], cur[rv]
-		id := base + int32(j)
-		if b.vdist[e.U] > b.vdist[e.V] {
-			nu, nv = nv, nu
+	for j, e := range p.edges {
+		ru, rv := uf.Find(e.u), uf.Find(e.v)
+		l, r := p.verts[ru].node, p.verts[rv].node
+		if b.vdist[e.e.U] > b.vdist[e.e.V] {
+			l, r = r, l
 		}
-		b.d.Left[id-n], b.d.Right[id-n], b.d.Height[id-n] = nu, nv, e.W
-		uf.Union(lus[j], lvs[j])
-		cur[uf.Find(lus[j])] = id
+		id := p.base + int32(j)
+		b.d.Left[id-n], b.d.Right[id-n], b.d.Height[id-n] = l, r, e.e.W
+		uf.Union(ru, rv)
+		p.verts[uf.Find(ru)].node = id
 	}
 }

@@ -6,7 +6,10 @@
 // so they also compute the HDBSCAN* MST of the mutual reachability graph.
 package mst
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // Edge is a weighted undirected edge between point indices U < V.
 type Edge struct {
@@ -34,6 +37,22 @@ func Less(a, b Edge) bool {
 		return a.U < b.U
 	}
 	return a.V < b.V
+}
+
+// Compare is Less as a three-way comparison, for slices.SortFunc: it is
+// negative exactly when Less(a, b) and, for weights that are not NaN,
+// positive exactly when Less(b, a).
+func Compare(a, b Edge) int {
+	if a.W != b.W {
+		if a.W < b.W {
+			return -1
+		}
+		return 1
+	}
+	if a.U != b.U {
+		return cmp.Compare(a.U, b.U)
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // TotalWeight sums edge weights.

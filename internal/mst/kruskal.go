@@ -1,7 +1,6 @@
 package mst
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -43,7 +42,7 @@ func filterKruskal(edges []Edge, uf *unionfind.UF, out []Edge, depth int) []Edge
 		out = filterKruskal(edges[:light], uf, out, depth)
 		edges = dropConnected(edges[light:], uf)
 	}
-	slices.SortFunc(edges, compareEdges)
+	slices.SortFunc(edges, Compare)
 	for _, e := range edges {
 		if uf.Union(e.U, e.V) {
 			out = append(out, e)
@@ -97,22 +96,6 @@ func dropConnected(edges []Edge, uf *unionfind.UF) []Edge {
 		}
 	}
 	return edges[:k]
-}
-
-// compareEdges is Less as a three-way comparison: it is negative exactly
-// when Less(a, b) and, for weights that are not NaN, positive exactly when
-// Less(b, a).
-func compareEdges(a, b Edge) int {
-	if a.W != b.W {
-		if a.W < b.W {
-			return -1
-		}
-		return 1
-	}
-	if a.U != b.U {
-		return cmp.Compare(a.U, b.U)
-	}
-	return cmp.Compare(a.V, b.V)
 }
 
 // Kruskal computes an MST (or spanning forest) of the given edge list over

@@ -1,7 +1,10 @@
 // Package parallel implements the shared-memory parallel primitives from
 // Section 2.2 of the paper that the pipeline uses: fork-join helpers,
-// parallel for, parallel merge sort, parallel selection, priority
-// concurrent writes (write-min), Euler tours, and list ranking.
+// parallel for, parallel merge sort, selection and priority concurrent
+// writes (write-min). It has no Euler tours or list ranking: the ordered
+// dendrogram takes its vertex distances from a sequential breadth-first
+// search (dendrogram.VertexDistances), which at two workers beats
+// work-efficient list ranking below about 300k tree arcs.
 //
 // All parallelism runs on a persistent work-stealing fork-join scheduler
 // (see scheduler.go): a process-wide pool of GOMAXPROCS workers with

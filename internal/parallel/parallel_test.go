@@ -3,7 +3,6 @@ package parallel
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -139,93 +138,5 @@ func TestAtomicMinFloat64(t *testing.T) {
 	}
 	if a.Min(5) {
 		t.Fatal("Min reported a store for a larger value")
-	}
-}
-
-func TestListRankSequentialAndParallel(t *testing.T) {
-	for _, n := range []int{1, 5, 100, 1 << 15} {
-		next := make([]int32, n)
-		value := make([]float64, n)
-		for i := 0; i < n-1; i++ {
-			next[i] = int32(i + 1)
-		}
-		next[n-1] = -1
-		for i := range value {
-			value[i] = 1
-		}
-		rank := ListRank(next, value)
-		for i := 0; i < n; i++ {
-			want := float64(n - i)
-			if rank[i] != want {
-				t.Fatalf("n=%d: rank[%d]=%v, want %v", n, i, rank[i], want)
-			}
-		}
-	}
-}
-
-func TestRootTreeMatchesBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 10, 200} {
-		// random tree: vertex i attaches to a random earlier vertex
-		edges := make([]TreeEdge, 0, n-1)
-		for i := 1; i < n; i++ {
-			edges = append(edges, TreeEdge{U: int32(rng.Intn(i)), V: int32(i)})
-		}
-		s := int32(rng.Intn(n))
-		parent, depth := RootTree(n, edges, s)
-		// BFS reference
-		adj := make([][]int32, n)
-		for _, e := range edges {
-			adj[e.U] = append(adj[e.U], e.V)
-			adj[e.V] = append(adj[e.V], e.U)
-		}
-		wantDepth := make([]int32, n)
-		wantParent := make([]int32, n)
-		for i := range wantDepth {
-			wantDepth[i] = -1
-			wantParent[i] = -1
-		}
-		wantDepth[s] = 0
-		queue := []int32{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if wantDepth[w] < 0 && w != s {
-					wantDepth[w] = wantDepth[v] + 1
-					wantParent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-		if !reflect.DeepEqual(depth, wantDepth) {
-			t.Fatalf("n=%d s=%d: depth mismatch\n got %v\nwant %v", n, s, depth, wantDepth)
-		}
-		if !reflect.DeepEqual(parent, wantParent) {
-			t.Fatalf("n=%d s=%d: parent mismatch\n got %v\nwant %v", n, s, parent, wantParent)
-		}
-	}
-}
-
-func TestEulerTourIsCircuit(t *testing.T) {
-	edges := []TreeEdge{{0, 1}, {1, 2}, {1, 3}, {3, 4}}
-	et := NewEulerTour(5, edges)
-	// Following Next from any arc must visit all 2m arcs and return.
-	start := int32(0)
-	seen := make(map[int32]bool)
-	a := start
-	for i := 0; i < 2*len(edges); i++ {
-		if seen[a] {
-			t.Fatalf("arc %d revisited before circuit complete", a)
-		}
-		seen[a] = true
-		// consecutive arcs must share a vertex: head(a) == tail(next(a))
-		if arcHead(et.Edges, a) != arcTail(et.Edges, et.Next[a]) {
-			t.Fatalf("tour discontinuity at arc %d", a)
-		}
-		a = et.Next[a]
-	}
-	if a != start {
-		t.Fatalf("tour did not return to start")
 	}
 }

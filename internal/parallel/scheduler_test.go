@@ -138,13 +138,11 @@ func TestNestedPanicUnwindsThroughLevels(t *testing.T) {
 // every primitive returns identical results for any GOMAXPROCS.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	type results struct {
-		sorted    []float64
-		nth       []int
-		mapped    []int
-		minIdx    int
-		minVal    float64
-		rank      []float64
-		treeDepth []int32
+		sorted []float64
+		nth    []int
+		mapped []int
+		minIdx int
+		minVal float64
 	}
 	collect := func() results {
 		rng := rand.New(rand.NewSource(99))
@@ -169,21 +167,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			vals[i] = float64((i*2654435761)%977) / 977
 		}
 		r.minIdx, r.minVal = ReduceMin(len(vals), 0, func(i int) float64 { return vals[i] })
-
-		next := make([]int32, 1<<15)
-		value := make([]float64, len(next))
-		for i := 0; i < len(next)-1; i++ {
-			next[i] = int32(i + 1)
-			value[i] = float64(i % 5)
-		}
-		next[len(next)-1] = -1
-		r.rank = ListRank(next, value)
-
-		edges := make([]TreeEdge, 0, 999)
-		for i := 1; i < 1000; i++ {
-			edges = append(edges, TreeEdge{U: int32(rng.Intn(i)), V: int32(i)})
-		}
-		_, r.treeDepth = RootTree(1000, edges, 0)
 		return r
 	}
 
