@@ -3,8 +3,11 @@ package parclust
 // Benchmarks, one per table and figure of the paper's evaluation
 // (Section 5), plus the serving, float32 and incremental-ingest studies.
 // They report ns/op, allocation profiles and custom metrics for benchstat.
-// Sizes are kept modest so `go test -bench=.` completes quickly; sweep the
-// worker count with -cpu (e.g. -cpu 1,2,4) for the thread-scaling series.
+// Sizes are kept modest so `go test -bench=.` completes quickly. Sweep the
+// worker count with one invocation per -cpu value, e.g.
+// `for p in 1 2 4; do go test -run '^$' -bench Fig6 -cpu $p .; done`:
+// one `-cpu 1,2,4` run times a benchmark with sub-benchmarks at the default
+// GOMAXPROCS for the first value's first sample.
 
 import (
 	"fmt"
@@ -116,7 +119,7 @@ func BenchmarkTable5_HDBSCAN(b *testing.B) {
 }
 
 // BenchmarkFig6_EMSTThreads is the thread-scaling series of Figure 6;
-// vary the worker count with -cpu.
+// vary the worker count with -cpu, one invocation per value.
 func BenchmarkFig6_EMSTThreads(b *testing.B) {
 	pts := benchPoints(3)
 	for i := 0; i < b.N; i++ {
@@ -166,8 +169,9 @@ func BenchmarkFig8_Decomposition(b *testing.B) {
 // dendrogram construction for single-linkage and HDBSCAN* inputs (Figure 9).
 // The geolife-mix-20k case is the n=20,000 HDBSCAN* (minPts 10) input that
 // TestGoldenDendrogram pins, at the scale of the hierarchies the daemon
-// rebuilds after every insert or delete; run it under -cpu 1,2 to see what
-// a second worker costs or saves.
+// rebuilds after every insert or delete; run it once under -cpu 1 and once
+// under -cpu 2 to see what a second worker costs or saves (one invocation
+// per value, as the file header explains).
 func BenchmarkFig9_Dendrogram(b *testing.B) {
 	pts := benchVarden(2)
 	emst, err := EMST(pts)

@@ -1,8 +1,8 @@
 // Command parclustd serves clustering queries over HTTP: upload named
 // datasets, then answer HDBSCAN*/DBSCAN/OPTICS/EMST/k-NN/range queries
-// from each dataset's memoized stage pipeline. Datasets live in a sharded
-// LRU registry under a -max-bytes admission budget; concurrent cold
-// queries for the same stage coalesce into a single build.
+// from each dataset's memoized stage pipeline. Datasets live in an LRU
+// registry under a -max-bytes admission budget; concurrent cold queries
+// for the same stage coalesce into a single build.
 //
 // Usage:
 //
@@ -49,7 +49,6 @@ import (
 var (
 	addrFlag       = flag.String("addr", ":8650", "listen address")
 	maxBytesFlag   = flag.Int64("max-bytes", 1<<30, "dataset registry memory budget in bytes (0 = unlimited): uploads are admitted against Index.ApproxBytes estimates, evicting idle datasets LRU-first, and refused with 507 when everything resident is pinned by in-flight queries")
-	shardsFlag     = flag.Int("shards", 16, "registry shard count (rounded up to a power of two)")
 	maxUploadFlag  = flag.Int64("max-upload-bytes", 1<<30, "largest accepted upload request body in bytes")
 	sweepCellsFlag = flag.Int("sweep-max-cells", 10000, "largest minpts x eps grid one POST /v1/datasets/{name}/sweep request may ask for")
 	drainFlag      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight queries")
@@ -67,7 +66,6 @@ func main() {
 	flag.Parse()
 	srv, err := daemon.New(daemon.Config{
 		MaxBytes:       *maxBytesFlag,
-		Shards:         *shardsFlag,
 		MaxUploadBytes: *maxUploadFlag,
 		MaxSweepCells:  *sweepCellsFlag,
 		DataDir:        *dataDirFlag,
@@ -92,10 +90,10 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	if *dataDirFlag != "" {
-		log.Printf("parclustd listening on %s (max-bytes=%d, shards=%d, data-dir=%s, spill=%v)",
-			*addrFlag, *maxBytesFlag, *shardsFlag, *dataDirFlag, *spillFlag)
+		log.Printf("parclustd listening on %s (max-bytes=%d, data-dir=%s, spill=%v)",
+			*addrFlag, *maxBytesFlag, *dataDirFlag, *spillFlag)
 	} else {
-		log.Printf("parclustd listening on %s (max-bytes=%d, shards=%d)", *addrFlag, *maxBytesFlag, *shardsFlag)
+		log.Printf("parclustd listening on %s (max-bytes=%d)", *addrFlag, *maxBytesFlag)
 	}
 
 	select {

@@ -125,7 +125,7 @@
 // # Serving and registry memory accounting
 //
 // The parclustd daemon (cmd/parclustd, handlers in internal/daemon) hosts
-// many named datasets, each backed by one Index, in a sharded LRU registry
+// many named datasets, each backed by one Index, in an LRU registry
 // (internal/registry) under a -max-bytes admission budget. Concurrent cold
 // queries that need the same unbuilt stage coalesce into a single build
 // (the N-1 followers park on the leader's flight and are reported in the

@@ -1,11 +1,10 @@
 // Package daemon implements the parclustd HTTP/JSON serving layer: named
-// datasets are uploaded into a sharded, memory-budgeted registry of
-// parclust Indexes, and every clustering query is answered from the
-// memoized stage pipeline behind the dataset's Index. Concurrent cold
-// queries for the same stage coalesce into one build (the engine's
-// singleflight), warm queries run lock-free, and evicting a dataset never
-// frees it out from under an in-flight query (the registry's ref-counted
-// deferred release).
+// datasets are uploaded into a memory-budgeted LRU registry of parclust
+// Indexes, and every clustering query is answered from the memoized stage
+// pipeline behind the dataset's Index. Concurrent cold queries for the
+// same stage coalesce into one build (the engine's singleflight), warm
+// queries run lock-free, and evicting a dataset never frees it out from
+// under an in-flight query (the registry's ref-counted deferred release).
 //
 // The handler tree (all responses application/json):
 //
@@ -74,8 +73,6 @@ type Config struct {
 	// MaxBytes is the registry memory budget for admitted datasets
 	// (estimated via Index.ApproxBytes); <= 0 disables the budget.
 	MaxBytes int64
-	// Shards is the registry shard count (<= 0: 16).
-	Shards int
 	// MaxUploadBytes caps one upload request body (<= 0: 1 GiB).
 	MaxUploadBytes int64
 	// MaxSweepCells caps the minpts x eps grid size one sweep request may
@@ -102,7 +99,8 @@ type Config struct {
 	// all datasets; excess cold builds answer 503 with Retry-After while
 	// warm (memoized) queries keep answering. <= 0 disables.
 	MaxColdBuilds int
-	// TenantMaxBytes caps one tenant's total resident dataset bytes; an
+	// TenantMaxBytes caps the bytes the registry charges for one tenant's
+	// resident datasets, growth from inserts and sweeps included; an
 	// upload over quota answers 507 with Retry-After. <= 0 disables.
 	TenantMaxBytes int64
 }
@@ -143,7 +141,6 @@ type dataset struct {
 	name   string
 	metric parclust.Metric
 	idx    *parclust.Index
-	bytes  int64
 	tenant string
 }
 
@@ -161,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Spill && cfg.DataDir == "" {
 		return nil, errors.New("daemon: Spill requires DataDir")
 	}
-	s := &Server{cfg: cfg, reg: registry.New[*dataset](cfg.MaxBytes, cfg.Shards)}
+	s := &Server{cfg: cfg, reg: registry.New[*dataset](cfg.MaxBytes)}
 	if cfg.RateQPS > 0 {
 		s.lim = newLimiter(cfg.RateQPS, cfg.RateBurst)
 	}
@@ -292,11 +289,14 @@ type datasetInfo struct {
 	Dim    int    `json:"dim"`
 	Metric string `json:"metric"`
 	Dtype  string `json:"dtype,omitempty"`
-	Bytes  int64  `json:"bytes"`
+	// Bytes is the registry's current charge; an upload response reports
+	// the admitted size.
+	Bytes int64 `json:"bytes"`
 }
 
-func infoOf(d *dataset) datasetInfo {
-	info := datasetInfo{Name: d.name, N: d.idx.N(), Dim: d.idx.Dim(), Metric: d.metric.String(), Bytes: d.bytes}
+// infoOf describes d, reporting bytes as its size.
+func infoOf(d *dataset, bytes int64) datasetInfo {
+	info := datasetInfo{Name: d.name, N: d.idx.N(), Dim: d.idx.Dim(), Metric: d.metric.String(), Bytes: bytes}
 	if d.idx.Float32() {
 		info.Dtype = "float32"
 	}
@@ -512,18 +512,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.installGate(idx)
-	d := &dataset{name: name, metric: m, idx: idx, bytes: idx.ApproxBytes(), tenant: tenantKey(r)}
+	d := &dataset{name: name, metric: m, idx: idx, tenant: tenantKey(r)}
+	size := idx.ApproxBytes()
 	if s.cfg.TenantMaxBytes > 0 {
-		if held := s.tenantBytes(d.tenant, name); held+d.bytes > s.cfg.TenantMaxBytes {
+		if held := s.tenantBytes(d.tenant, name); held+size > s.cfg.TenantMaxBytes {
 			s.quotaRejected.Add(1)
 			setRetryAfter(w, time.Second)
 			writeError(w, http.StatusInsufficientStorage,
 				"tenant %q holds %d bytes; adding %d exceeds the %d-byte quota",
-				d.tenant, held, d.bytes, s.cfg.TenantMaxBytes)
+				d.tenant, held, size, s.cfg.TenantMaxBytes)
 			return
 		}
 	}
-	if err := s.reg.Put(name, d, d.bytes); err != nil {
+	if err := s.reg.Put(name, d, size); err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, registry.ErrTooLarge) || errors.Is(err, registry.ErrOverBudget) {
 			code = http.StatusInsufficientStorage
@@ -534,7 +535,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "admit dataset: %v", err)
 		return
 	}
-	resp := map[string]any{"dataset": infoOf(d)}
+	resp := map[string]any{"dataset": infoOf(d, size)}
 	if s.st != nil {
 		// Persist the (cold) snapshot now so the dataset survives a crash
 		// before its first eviction; a replaced upload overwrites the old
@@ -594,7 +595,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	resident := map[string]bool{}
 	for _, key := range s.reg.Keys() {
 		if h, ok := s.reg.Peek(key); ok {
-			infos = append(infos, infoOf(h.Value()))
+			infos = append(infos, infoOf(h.Value(), h.Bytes()))
 			resident[key] = true
 			h.Release()
 		}
@@ -641,7 +642,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	defer h.Release()
 	d := h.Value()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":  infoOf(d),
+		"dataset":  infoOf(d, h.Bytes()),
 		"counters": toCountersJSON(d.idx.Stats()),
 	})
 }
@@ -671,7 +672,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"n":        d.idx.N(),
 				"dim":      d.idx.Dim(),
 				"metric":   d.metric.String(),
-				"bytes":    d.bytes,
+				"bytes":    h.Bytes(),
 				"counters": toCountersJSON(d.idx.Stats()),
 			}
 			h.Release()

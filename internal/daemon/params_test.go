@@ -73,8 +73,8 @@ func TestQueryParamValidation(t *testing.T) {
 	}
 
 	// The registry accessor exposes the live store to embedding code.
-	if got := ts.srv.Registry().Len(); got != 1 {
-		t.Fatalf("Registry().Len() = %d, want 1", got)
+	if got := ts.srv.Registry().Stats().Entries; got != 1 {
+		t.Fatalf("Registry().Stats().Entries = %d, want 1", got)
 	}
 }
 

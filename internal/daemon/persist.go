@@ -53,7 +53,7 @@ func (s *Server) coldLoad(name string) (*dataset, func(), error) {
 	if f.err == nil {
 		// An admission failure is not a load failure: the decoded dataset
 		// still serves this query below.
-		_ = s.reg.Put(name, f.d, f.d.bytes)
+		_ = s.reg.Put(name, f.d, f.d.idx.ApproxBytes())
 	}
 	s.loadMu.Lock()
 	delete(s.loading, name)
@@ -83,7 +83,7 @@ func (s *Server) loadSnapshot(name string) (*dataset, error) {
 	}
 	s.installGate(idx)
 	s.loads.Add(1)
-	return &dataset{name: name, metric: det.Metric, idx: idx, bytes: idx.ApproxBytes()}, nil
+	return &dataset{name: name, metric: det.Metric, idx: idx}, nil
 }
 
 // onRelease is the registry eviction hook (set only when spilling is on).

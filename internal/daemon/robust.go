@@ -192,8 +192,9 @@ func (s *Server) queryError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// tenantBytes sums the resident bytes of tenant's datasets, excluding
-// skipName (the dataset an upload is about to replace).
+// tenantBytes sums the bytes the registry charges for tenant's resident
+// datasets, growth from inserts and sweeps included, excluding skipName
+// (the dataset an upload is about to replace).
 func (s *Server) tenantBytes(tenant, skipName string) int64 {
 	var total int64
 	for _, key := range s.reg.Keys() {
@@ -201,8 +202,8 @@ func (s *Server) tenantBytes(tenant, skipName string) int64 {
 			continue
 		}
 		if h, ok := s.reg.Peek(key); ok {
-			if d := h.Value(); d.tenant == tenant {
-				total += d.bytes
+			if h.Value().tenant == tenant {
+				total += h.Bytes()
 			}
 			h.Release()
 		}

@@ -297,55 +297,100 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
+// uploadAs uploads pts under name on behalf of tenant (the X-Tenant
+// header) and returns the drained response.
+func (ts *testServer) uploadAs(tenant, name string, pts parclust.Points) *http.Response {
+	ts.t.Helper()
+	rows := make([][]float64, pts.N)
+	for i := 0; i < pts.N; i++ {
+		rows[i] = append([]float64(nil), pts.Data[i*pts.Dim:(i+1)*pts.Dim]...)
+	}
+	body, _ := json.Marshal(uploadRequest{Points: rows})
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/datasets/"+name, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		ts.t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// tenantQuotaServer serves a tenant quota with room for one upload of pts
+// but not two.
+func tenantQuotaServer(t *testing.T, pts parclust.Points) *testServer {
+	t.Helper()
+	probe, err := parclust.NewIndex(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTestServer(t, Config{TenantMaxBytes: probe.ApproxBytes() + probe.ApproxBytes()/2})
+}
+
 // TestTenantByteQuota proves per-tenant resident-byte quotas: a tenant at
 // quota gets 507 + Retry-After on its next upload while another tenant is
 // admitted, and replacing your own dataset is not double-counted.
 func TestTenantByteQuota(t *testing.T) {
 	pts := testPoints(300)
-	probe, err := parclust.NewIndex(pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quota := probe.ApproxBytes() + probe.ApproxBytes()/2 // room for 1 dataset, not 2
+	ts := tenantQuotaServer(t, pts)
 
-	ts := newTestServer(t, Config{TenantMaxBytes: quota})
-	uploadAs := func(tenant, name string) *http.Response {
-		rows := make([][]float64, pts.N)
-		for i := 0; i < pts.N; i++ {
-			rows[i] = append([]float64(nil), pts.Data[i*2:(i+1)*2]...)
-		}
-		body, _ := json.Marshal(uploadRequest{Points: rows})
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/datasets/"+name, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-
-	if resp := uploadAs("t1", "first"); resp.StatusCode != http.StatusCreated {
+	if resp := ts.uploadAs("t1", "first", pts); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first upload: status %d", resp.StatusCode)
 	}
-	resp := uploadAs("t1", "second")
+	resp := ts.uploadAs("t1", "second", pts)
 	if resp.StatusCode != http.StatusInsufficientStorage {
 		t.Fatalf("over-quota upload: status %d, want 507", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("507 response missing Retry-After")
 	}
-	if resp := uploadAs("t2", "other"); resp.StatusCode != http.StatusCreated {
+	if resp := ts.uploadAs("t2", "other", pts); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("other tenant blocked by t1's quota: status %d", resp.StatusCode)
 	}
 	// Replacing your own dataset only counts the delta, not a second copy.
-	if resp := uploadAs("t1", "first"); resp.StatusCode != http.StatusCreated {
+	if resp := ts.uploadAs("t1", "first", pts); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("self-replacement: status %d, want 201", resp.StatusCode)
 	}
 	if got := ts.robustStats().QuotaRejected; got != 1 {
 		t.Fatalf("quota_rejected = %d, want 1", got)
+	}
+}
+
+// TestTenantByteQuotaCountsGrowth: the quota counts what the registry
+// charges for a dataset now, not its size at upload. Inserting 300 rows
+// into a 300-point dataset pushes its charge past the quota, so the same
+// tenant's next upload, however small, answers 507; the dataset's info
+// reports that same charge.
+func TestTenantByteQuotaCountsGrowth(t *testing.T) {
+	pts := testPoints(300)
+	ts := tenantQuotaServer(t, pts)
+	if resp := ts.uploadAs("t1", "a", pts); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload a: status %d", resp.StatusCode)
+	}
+	more := parclust.GenerateGaussianMixture(300, 2, 3, 11)
+	rows := make([][]float64, more.N)
+	for i := range rows {
+		rows[i] = more.Data[i*2 : (i+1)*2]
+	}
+	if code := ts.do(http.MethodPost, "/v1/datasets/a/points", insertBody(t, rows), "application/json", nil); code != http.StatusOK {
+		t.Fatalf("insert into a: status %d", code)
+	}
+	var info struct {
+		Dataset datasetInfo `json:"dataset"`
+	}
+	var stats struct {
+		Registry registryJSON `json:"registry"`
+	}
+	ts.get("/v1/datasets/a", &info)
+	ts.get("/v1/stats", &stats)
+	if info.Dataset.Bytes != stats.Registry.Bytes {
+		t.Fatalf("info reports %d bytes, the registry charges %d", info.Dataset.Bytes, stats.Registry.Bytes)
+	}
+	resp := ts.uploadAs("t1", "b", testPoints(20))
+	if resp.StatusCode != http.StatusInsufficientStorage {
+		t.Fatalf("upload b after a grew to %d bytes: status %d, want 507", stats.Registry.Bytes, resp.StatusCode)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+
+	"parclust"
 )
 
 // POST /v1/datasets/{name}/sweep runs a full minpts x eps parameter grid
@@ -148,6 +150,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Algo:     algo.String(),
 		NumCells: len(req.MinPts) * len(req.Eps),
 	}
+	cellAt := func(hier *parclust.Hierarchy, mp int, eps float64) sweepCell {
+		c := hier.ClustersAt(eps)
+		cell := sweepCell{
+			MinPts: mp, Eps: eps,
+			NumClusters: c.NumClusters,
+			NumNoise:    hier.NumNoiseAt(eps),
+		}
+		if req.Labels {
+			cell.Labels = c.Labels
+		}
+		return cell
+	}
 	if wantsNDJSON(r) {
 		// The stream is about to commit its 200; a mutation that already
 		// raced in answers 409 while that is still possible. Mutations
@@ -170,16 +184,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			for _, eps := range req.Eps {
-				c := hier.ClustersAt(eps)
-				cell := sweepCell{
-					MinPts: mp, Eps: eps,
-					NumClusters: c.NumClusters,
-					NumNoise:    hier.NumNoiseAt(eps),
-				}
-				if req.Labels {
-					cell.Labels = c.Labels
-				}
-				if !sw.write(cell) {
+				if !sw.write(cellAt(hier, mp, eps)) {
 					break row
 				}
 				sw.items++
@@ -199,16 +204,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			for _, eps := range req.Eps {
-				c := hier.ClustersAt(eps)
-				cell := sweepCell{
-					MinPts: mp, Eps: eps,
-					NumClusters: c.NumClusters,
-					NumNoise:    hier.NumNoiseAt(eps),
-				}
-				if req.Labels {
-					cell.Labels = c.Labels
-				}
-				res.Cells = append(res.Cells, cell)
+				res.Cells = append(res.Cells, cellAt(hier, mp, eps))
 			}
 		}
 		if ctxDone(r) {

@@ -3,7 +3,7 @@ package registry
 import "testing"
 
 func TestRecharge(t *testing.T) {
-	r := New[string](100, 1)
+	r := New[string](100)
 	if err := r.Put("a", "alpha", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRechargePressuresNextPut(t *testing.T) {
 	// A recharge never evicts on its own, but the grown occupancy counts
 	// against the budget at the next admission: putting 40 more bytes into
 	// a 100-byte registry holding 10+60 must evict the recharged entry.
-	r := New[int](100, 1)
+	r := New[int](100)
 	if err := r.Put("big", 1, 10); err != nil {
 		t.Fatal(err)
 	}

@@ -1,36 +1,39 @@
 // Package registry implements the multi-dataset serving store behind the
-// parclustd daemon: a sharded name -> value map with a configurable memory
-// budget, least-recently-used eviction, and per-entry reference counting.
+// parclustd daemon: a name -> value map with a configurable memory budget,
+// least-recently-used eviction, and per-entry reference counting.
 //
 // The memory budget is enforced at admission: Put evicts the
 // least-recently-used unpinned entries until the new value fits, and fails
-// with ErrOverBudget when everything still resident is pinned by in-flight
-// queries (a failed admission never disturbs a pinned entry). Explicit
-// eviction and replacement never release a value out from under a query:
-// Acquire pins an entry with a reference count, an evicted entry merely
-// becomes invisible to new Acquires, and its bytes stay charged against
-// the budget (and its OnRelease callback deferred) until the last
-// outstanding Handle is released. Values themselves are never mutated by
-// the registry, so a pinned value remains fully usable after eviction.
+// with ErrOverBudget when everything it could evict still leaves no room.
+// Put picks every victim before removing any, so a failed Put changes
+// nothing. Explicit eviction and replacement never release a value out
+// from under a query: Acquire pins an entry with a reference count, an
+// evicted entry merely becomes invisible to new Acquires, and its bytes
+// stay charged against the budget (and its OnRelease callback deferred)
+// until the last outstanding Handle is released. Values themselves are
+// never mutated by the registry, so a pinned value remains fully usable
+// after eviction.
 //
-// All methods are safe for concurrent use. Lookups take one shard RLock
-// plus one LRU-list lock; the shards keep concurrent queries for different
-// datasets from contending on a single map mutex.
+// All methods are safe for concurrent use. One mutex guards the map, the
+// LRU list, the byte account, the eviction count and every entry's pin
+// state, so each operation is one short critical section and Stats is
+// always coherent. Acquire, Peek and Release each take it once; OnRelease
+// runs after it is released.
 package registry
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 var (
 	// ErrTooLarge reports a value whose size alone exceeds the budget.
 	ErrTooLarge = errors.New("registry: value exceeds the memory budget")
-	// ErrOverBudget reports that the budget is exhausted and every resident
-	// byte is pinned by in-flight queries, so nothing can be evicted.
+	// ErrOverBudget reports that evicting every unpinned entry would still
+	// leave no room: the rest of the budget is pinned by in-flight queries.
 	ErrOverBudget = errors.New("registry: memory budget exhausted by in-use entries")
 )
 
@@ -61,59 +64,38 @@ func (c ReleaseCause) String() string {
 	return "unknown"
 }
 
-// Registry is a sharded name -> value store with an LRU memory budget.
+// Registry is a name -> value store with an LRU memory budget.
 // maxBytes <= 0 disables the budget (nothing is ever auto-evicted).
 type Registry[V any] struct {
-	// OnRelease, when non-nil, is called exactly once per evicted entry —
-	// after the entry has been removed from the map AND its last
-	// outstanding Handle released — from whichever goroutine performed the
-	// final step, with the cause recorded when the entry was claimed. Set
-	// it before the registry is shared; it must not call back into the
-	// registry for the same key.
+	// OnRelease, when non-nil, is called exactly once per removed entry —
+	// after the entry has left the map AND its last outstanding Handle has
+	// been released — from whichever goroutine performed the final step,
+	// with the cause recorded at removal and no registry lock held. Set it
+	// before the registry is shared.
 	OnRelease func(key string, val V, cause ReleaseCause)
 
 	maxBytes int64
-	mask     uint32
-	shards   []shard[V]
 
-	// mu guards the LRU list (oldest first), the byte account, and the
-	// eviction counter. Entry pin state lives under each entry's own mutex.
-	// Lock order: mu may nest an entry mutex inside it (Put's victim scan);
-	// no path may wait on mu while holding an entry mutex.
+	// mu guards everything below and every entry field but key, val and
+	// size. The LRU list (oldest first) holds exactly the entries in m.
 	mu         sync.Mutex
+	m          map[string]*entry[V]
 	head, tail *entry[V]
 	bytes      int64
 	evictions  int64
 }
 
-type shard[V any] struct {
-	mu sync.RWMutex
-	m  map[string]*entry[V]
-}
-
 type entry[V any] struct {
-	key   string
-	val   V
-	bytes int64
-	// extra is an adjustable charge on top of the admitted bytes, updated
-	// by Recharge when a value's estimated size changes after admission
-	// (e.g. a dataset's cut-result caches filling under sweep traffic). It
-	// is credited back together with bytes when the entry drains.
-	extra atomic.Int64
+	key  string
+	val  V
+	size int64 // admitted size; Recharge never charges less
 
-	// mu guards the pin state below.
-	mu       sync.Mutex
-	refs     int
-	dead     bool // no longer acquirable; removed (or being removed) from its shard
-	released bool // bytes returned to the budget and OnRelease fired
-	// cause records why the entry was retired; set together with dead
-	// (under mu) so a deferred release reports the original reason.
-	cause ReleaseCause
+	charge int64 // bytes counted against the budget: size plus Recharge growth
+	refs   int
+	dead   bool // removed from the map; the last Release credits charge
+	cause  ReleaseCause
 
-	// LRU links, guarded by Registry.mu. inLRU distinguishes "off-list
-	// because evicted" from "head/tail of list".
 	prev, next *entry[V]
-	inLRU      bool
 }
 
 // Handle is a pinned reference to a stored value: the value it exposes
@@ -122,64 +104,45 @@ type entry[V any] struct {
 type Handle[V any] struct {
 	r    *Registry[V]
 	e    *entry[V]
-	done atomic.Bool
+	done bool // guarded by r.mu
 }
 
 // Value returns the pinned value.
 func (h *Handle[V]) Value() V { return h.e.val }
 
-// Key returns the name the value was stored under.
-func (h *Handle[V]) Key() string { return h.e.key }
-
 // Bytes returns the size currently charged for the value: the admitted
 // size plus any post-admission Recharge adjustment.
-func (h *Handle[V]) Bytes() int64 { return h.e.bytes + h.e.extra.Load() }
+func (h *Handle[V]) Bytes() int64 {
+	h.r.mu.Lock()
+	defer h.r.mu.Unlock()
+	return h.e.charge
+}
 
 // Release unpins the value. If the entry was evicted while this handle was
 // outstanding and this was the last reference, the entry's bytes are
 // returned to the budget now and OnRelease fires.
 func (h *Handle[V]) Release() {
-	if !h.done.CompareAndSwap(false, true) {
+	r, e := h.r, h.e
+	r.mu.Lock()
+	if h.done {
+		r.mu.Unlock()
 		return
 	}
-	e := h.e
-	e.mu.Lock()
+	h.done = true
 	e.refs--
-	free := e.dead && e.refs == 0 && !e.released
+	free := e.dead && e.refs == 0
 	if free {
-		e.released = true
+		r.bytes -= e.charge
 	}
-	e.mu.Unlock()
+	r.mu.Unlock()
 	if free {
-		h.r.creditBytes(e)
+		r.notify(e)
 	}
 }
 
-// New returns a registry with the given memory budget (<= 0: unlimited)
-// and shard count (<= 0: 16; rounded up to a power of two).
-func New[V any](maxBytes int64, shards int) *Registry[V] {
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	r := &Registry[V]{maxBytes: maxBytes, mask: uint32(n - 1), shards: make([]shard[V], n)}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string]*entry[V])
-	}
-	return r
-}
-
-// shardFor hashes key with FNV-1a; the shard count is a power of two.
-func (r *Registry[V]) shardFor(key string) *shard[V] {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &r.shards[h&r.mask]
+// New returns a registry with the given memory budget (<= 0: unlimited).
+func New[V any](maxBytes int64) *Registry[V] {
+	return &Registry[V]{maxBytes: maxBytes, m: make(map[string]*entry[V])}
 }
 
 // Put stores val under key with the given size, replacing any existing
@@ -187,9 +150,9 @@ func (r *Registry[V]) shardFor(key string) *shard[V] {
 // still pin it). When the budget would be exceeded, least-recently-used
 // unpinned entries are evicted first, counting the replaced entry's own
 // unpinned bytes as reclaimable; Put fails with ErrOverBudget when the
-// resident pinned bytes leave no room, and with ErrTooLarge if bytes
-// exceeds the whole budget. A failed Put changes nothing for the key: the
-// existing entry (pinned or not) stays resident and serving.
+// pinned bytes leave no room, and with ErrTooLarge if bytes exceeds the
+// whole budget. A failed Put changes nothing: no entry is evicted, and the
+// existing entry under key (pinned or not) stays resident and serving.
 func (r *Registry[V]) Put(key string, val V, bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("registry: negative size %d for %q", bytes, key)
@@ -197,151 +160,59 @@ func (r *Registry[V]) Put(key string, val V, bytes int64) error {
 	if r.maxBytes > 0 && bytes > r.maxBytes {
 		return ErrTooLarge
 	}
-	s := r.shardFor(key)
-	s.mu.RLock()
-	old := s.m[key]
-	s.mu.RUnlock()
-
-	e := &entry[V]{key: key, val: val, bytes: bytes}
-	var oldClaimed bool
 	r.mu.Lock()
-	// reclaimable reports how many bytes retiring the old same-key entry
-	// would free right now (0 when it is pinned, dead, or absent). Nesting
-	// an entry mutex under r.mu is safe: no other path waits on r.mu while
-	// holding an entry mutex.
-	reclaimable := func() int64 {
-		if old == nil {
-			return 0
+	old := r.m[key]
+	var victims []*entry[V]
+	if r.maxBytes > 0 {
+		need := r.bytes + bytes - r.maxBytes
+		if old != nil && old.refs == 0 {
+			need -= old.charge
 		}
-		old.mu.Lock()
-		defer old.mu.Unlock()
-		if old.dead || old.refs > 0 {
-			return 0
-		}
-		return old.bytes + old.extra.Load()
-	}
-	for r.maxBytes > 0 && r.bytes+bytes-reclaimable() > r.maxBytes {
-		// Find the least-recently-used entry that no query pins. Pinned
-		// entries are skipped — evicting them could not free their bytes
-		// anyway — and the old same-key entry is reclaimed only after
-		// admission is certain, so a failed admission never disturbs a
-		// resident entry.
-		var victim *entry[V]
-		for cand := r.head; cand != nil; cand = cand.next {
-			if cand == old {
-				continue
+		// Pinned entries are skipped: evicting them could not free their
+		// bytes anyway. The old same-key entry is reclaimed below, once
+		// admission is certain.
+		for e := r.head; e != nil && need > 0; e = e.next {
+			if e != old && e.refs == 0 {
+				victims = append(victims, e)
+				need -= e.charge
 			}
-			cand.mu.Lock()
-			if cand.refs == 0 && !cand.dead {
-				// Claim it before any Acquire can pin it; the bytes are
-				// credited below, so mark it released here.
-				cand.dead = true
-				cand.released = true
-				cand.cause = CausePressure
-				cand.mu.Unlock()
-				victim = cand
-				break
-			}
-			cand.mu.Unlock()
 		}
-		if victim == nil {
+		if need > 0 {
 			r.mu.Unlock()
 			return ErrOverBudget
 		}
-		r.unlink(victim)
-		r.bytes -= victim.bytes + victim.extra.Load()
-		r.evictions++
-		r.mu.Unlock()
-		// Remove the victim from its shard unless a concurrent Evict or
-		// Put already did, then notify.
-		vs := r.shardFor(victim.key)
-		vs.mu.Lock()
-		if vs.m[victim.key] == victim {
-			delete(vs.m, victim.key)
-		}
-		vs.mu.Unlock()
-		if r.OnRelease != nil {
-			r.OnRelease(victim.key, victim.val, CausePressure)
-		}
-		r.mu.Lock()
 	}
-	// Admission is certain: reclaim the replaced entry now if it is still
-	// unpinned (a pinned one is retired with deferred release at the
-	// insert below — its bytes stay charged until its queries drain; if it
-	// was pinned after the loop relied on reclaiming it, the budget can
-	// transiently overshoot by that one entry until then).
-	if old != nil {
-		old.mu.Lock()
-		if !old.dead && old.refs == 0 {
-			old.dead = true
-			old.released = true
-			old.cause = CauseReplaced
-			oldClaimed = true
-			r.bytes -= old.bytes + old.extra.Load()
-			r.evictions++
-			if old.inLRU {
-				r.unlink(old)
-			}
-		}
-		old.mu.Unlock()
+	for _, v := range victims {
+		r.remove(v, CausePressure)
 	}
+	if old != nil && r.remove(old, CauseReplaced) {
+		victims = append(victims, old)
+	}
+	e := &entry[V]{key: key, val: val, size: bytes, charge: bytes}
+	r.m[key] = e
+	r.pushBack(e)
 	r.bytes += bytes
 	r.mu.Unlock()
-
-	if oldClaimed {
-		s.mu.Lock()
-		if s.m[key] == old {
-			delete(s.m, key)
-		}
-		s.mu.Unlock()
-		if r.OnRelease != nil {
-			r.OnRelease(old.key, old.val, CauseReplaced)
-		}
+	for _, v := range victims {
+		r.notify(v)
 	}
-
-	// Insert into the shard before linking into the LRU: a concurrent
-	// admission scan must not be able to evict an entry that no Acquire
-	// can see yet.
-	s.mu.Lock()
-	prev := s.m[key]
-	s.m[key] = e
-	s.mu.Unlock()
-	if prev != nil {
-		// The old entry was pinned (deferred release), or a concurrent Put
-		// for the same key slipped in; retire the loser.
-		r.retire(prev, CauseReplaced)
-	}
-
-	r.mu.Lock()
-	e.mu.Lock()
-	if !e.dead {
-		// A concurrent Evict may have already retired e through the shard
-		// map; a dead entry must not re-enter the LRU.
-		r.pushBack(e)
-		e.inLRU = true
-	}
-	e.mu.Unlock()
-	r.mu.Unlock()
 	return nil
 }
 
-// pin looks up key and takes a reference on the live entry; the false
-// result covers absent and evicted keys alike.
-func (r *Registry[V]) pin(key string) (*Handle[V], bool) {
-	s := r.shardFor(key)
-	s.mu.RLock()
-	e := s.m[key]
-	s.mu.RUnlock()
+// pin looks up key and takes a reference on its entry, moving it to the
+// most-recently-used end of the LRU list when bump is set.
+func (r *Registry[V]) pin(key string, bump bool) (*Handle[V], bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.m[key]
 	if e == nil {
 		return nil, false
 	}
-	e.mu.Lock()
-	if e.dead {
-		e.mu.Unlock()
-		return nil, false
-	}
 	e.refs++
-	e.mu.Unlock()
+	if bump {
+		r.unlink(e)
+		r.pushBack(e)
+	}
 	return &Handle[V]{r: r, e: e}, true
 }
 
@@ -349,26 +220,14 @@ func (r *Registry[V]) pin(key string) (*Handle[V], bool) {
 // recency. The second result is false when the key is absent or evicted.
 // Callers must Release the handle when the query is done.
 func (r *Registry[V]) Acquire(key string) (*Handle[V], bool) {
-	h, ok := r.pin(key)
-	if !ok {
-		return nil, false
-	}
-	e := h.e
-	r.mu.Lock()
-	if e.inLRU {
-		r.unlink(e)
-		r.pushBack(e)
-		e.inLRU = true
-	}
-	r.mu.Unlock()
-	return h, true
+	return r.pin(key, true)
 }
 
 // Peek is Acquire without the LRU recency bump, for admin surfaces (stats,
 // listings) that must not distort the eviction order. The handle pins the
 // value exactly like Acquire's and must be Released.
 func (r *Registry[V]) Peek(key string) (*Handle[V], bool) {
-	return r.pin(key)
+	return r.pin(key, false)
 }
 
 // Evict removes key from the registry so no future Acquire can see it, and
@@ -376,59 +235,36 @@ func (r *Registry[V]) Peek(key string) (*Handle[V], bool) {
 // outstanding handles drain; queries already holding the value keep a
 // fully usable reference.
 func (r *Registry[V]) Evict(key string) bool {
-	s := r.shardFor(key)
-	s.mu.Lock()
-	e := s.m[key]
-	if e != nil {
-		delete(s.m, key)
+	r.mu.Lock()
+	e := r.m[key]
+	free := e != nil && r.remove(e, CauseEvicted)
+	r.mu.Unlock()
+	if free {
+		r.notify(e)
 	}
-	s.mu.Unlock()
-	if e == nil {
+	return e != nil
+}
+
+// remove takes e out of the map and the LRU list, records cause and counts
+// the eviction (r.mu held). An unpinned entry's bytes are credited now and
+// remove reports true: the caller must notify(e) once r.mu is released. A
+// pinned entry is credited and notified by its last Release.
+func (r *Registry[V]) remove(e *entry[V], cause ReleaseCause) bool {
+	delete(r.m, e.key)
+	r.unlink(e)
+	e.dead, e.cause = true, cause
+	r.evictions++
+	if e.refs > 0 {
 		return false
 	}
-	r.retire(e, CauseEvicted)
+	r.bytes -= e.charge
 	return true
 }
 
-// retire finalizes an entry that has been removed from its shard map:
-// marks it dead, unlinks it from the LRU, counts the eviction, and credits
-// its bytes back now if unpinned (the last Release does it otherwise).
-func (r *Registry[V]) retire(e *entry[V], cause ReleaseCause) {
-	e.mu.Lock()
-	if e.dead {
-		// Already retired by a racing path; bytes are handled exactly once
-		// via the released flag, nothing left to do.
-		e.mu.Unlock()
-		return
-	}
-	e.dead = true
-	e.cause = cause
-	free := e.refs == 0 && !e.released
-	if free {
-		e.released = true
-	}
-	e.mu.Unlock()
-	r.mu.Lock()
-	if e.inLRU {
-		r.unlink(e)
-	}
-	r.evictions++
-	r.mu.Unlock()
-	if free {
-		r.creditBytes(e)
-	}
-}
-
-// creditBytes returns a retired entry's bytes (admitted plus any Recharge
-// adjustment) to the budget and fires OnRelease. Called exactly once per
-// entry (guarded by entry.released).
-func (r *Registry[V]) creditBytes(e *entry[V]) {
-	r.mu.Lock()
-	r.bytes -= e.bytes + e.extra.Load()
-	r.mu.Unlock()
+// notify fires OnRelease for an entry whose bytes have been credited
+// (r.mu not held).
+func (r *Registry[V]) notify(e *entry[V]) {
 	if r.OnRelease != nil {
-		// e.cause was written under e.mu together with dead; every path
-		// reaching here has since observed dead under e.mu.
 		r.OnRelease(e.key, e.val, e.cause)
 	}
 }
@@ -438,34 +274,22 @@ func (r *Registry[V]) creditBytes(e *entry[V]) {
 // whose estimated size legitimately changes after admission — the daemon
 // re-charges a dataset after a sweep has populated its cut-result caches —
 // and adjusts accounting only: it never evicts, so the budget may
-// transiently overshoot until the next Put applies pressure. A negative
-// newTotal is clamped to the admitted size.
+// transiently overshoot until the next Put applies pressure. A newTotal
+// below the admitted size is clamped to it.
 func (r *Registry[V]) Recharge(key string, newTotal int64) bool {
-	s := r.shardFor(key)
-	s.mu.RLock()
-	e := s.m[key]
-	s.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.m[key]
 	if e == nil {
 		return false
 	}
-	e.mu.Lock()
-	if e.dead {
-		e.mu.Unlock()
-		return false
-	}
-	if newTotal < e.bytes {
-		newTotal = e.bytes
-	}
-	delta := newTotal - (e.bytes + e.extra.Load())
-	e.extra.Add(delta)
-	e.mu.Unlock()
-	r.mu.Lock()
-	r.bytes += delta
-	r.mu.Unlock()
+	newTotal = max(newTotal, e.size)
+	r.bytes += newTotal - e.charge
+	e.charge = newTotal
 	return true
 }
 
-// unlink removes e from the LRU list (Registry.mu held).
+// unlink removes e from the LRU list (r.mu held).
 func (r *Registry[V]) unlink(e *entry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -478,13 +302,11 @@ func (r *Registry[V]) unlink(e *entry[V]) {
 		r.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	e.inLRU = false
 }
 
-// pushBack appends e as the most recently used entry (Registry.mu held).
+// pushBack appends e as the most recently used entry (r.mu held).
 func (r *Registry[V]) pushBack(e *entry[V]) {
 	e.prev = r.tail
-	e.next = nil
 	if r.tail != nil {
 		r.tail.next = e
 	} else {
@@ -495,29 +317,11 @@ func (r *Registry[V]) pushBack(e *entry[V]) {
 
 // Keys returns the resident keys in sorted order.
 func (r *Registry[V]) Keys() []string {
-	var keys []string
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for k := range s.m {
-			keys = append(keys, k)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(keys)
+	r.mu.Lock()
+	keys := slices.Collect(maps.Keys(r.m))
+	r.mu.Unlock()
+	slices.Sort(keys)
 	return keys
-}
-
-// Len returns the number of resident (acquirable) entries.
-func (r *Registry[V]) Len() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
 }
 
 // Stats is a snapshot of the registry occupancy.
@@ -534,33 +338,11 @@ type Stats struct {
 	Evictions int64
 }
 
-// Stats returns a coherent snapshot of the registry occupancy: the entry
-// count, byte total, and eviction count are read in one critical section,
-// so a scrape during churn never reports a combination that never existed
-// (an entry is charged under r.mu before it becomes acquirable, and
-// uncharged no earlier than its retirement, so Bytes always covers every
-// counted entry). Taking shard read locks and entry mutexes inside r.mu
-// follows the documented lock order: no path waits on r.mu while holding
-// either.
+// Stats returns a coherent snapshot of the registry occupancy: every field
+// is read in one critical section, so a scrape during churn never reports
+// a combination that never existed.
 func (r *Registry[V]) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		ents := make([]*entry[V], 0, len(s.m))
-		for _, e := range s.m {
-			ents = append(ents, e)
-		}
-		s.mu.RUnlock()
-		for _, e := range ents {
-			e.mu.Lock()
-			if !e.dead {
-				n++
-			}
-			e.mu.Unlock()
-		}
-	}
-	return Stats{Entries: n, Bytes: r.bytes, MaxBytes: r.maxBytes, Evictions: r.evictions}
+	return Stats{Entries: len(r.m), Bytes: r.bytes, MaxBytes: r.maxBytes, Evictions: r.evictions}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 func TestPutAcquireEvict(t *testing.T) {
-	r := New[string](0, 4)
+	r := New[string](0)
 	if err := r.Put("a", "alpha", 10); err != nil {
 		t.Fatal(err)
 	}
 	h, ok := r.Acquire("a")
-	if !ok || h.Value() != "alpha" || h.Key() != "a" || h.Bytes() != 10 {
+	if !ok || h.Value() != "alpha" || h.Bytes() != 10 {
 		t.Fatalf("Acquire(a) = %+v, %v", h, ok)
 	}
 	h.Release()
@@ -37,7 +37,7 @@ func TestPutAcquireEvict(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	r := New[int](30, 4)
+	r := New[int](30)
 	for i, k := range []string{"a", "b", "c"} {
 		if err := r.Put(k, i, 10); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestAdmissionErrors(t *testing.T) {
-	r := New[int](25, 1)
+	r := New[int](25)
 	if err := r.Put("huge", 0, 26); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized Put: %v, want ErrTooLarge", err)
 	}
@@ -95,7 +95,7 @@ func TestAdmissionErrors(t *testing.T) {
 
 func TestReplaceSameKey(t *testing.T) {
 	released := make(map[string]int)
-	r := New[int](0, 2)
+	r := New[int](0)
 	r.OnRelease = func(key string, val int, _ ReleaseCause) { released[fmt.Sprintf("%s=%d", key, val)]++ }
 	if err := r.Put("k", 1, 10); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestReplaceSameKey(t *testing.T) {
 // admitted, the existing entry must remain resident and serving — a 507'd
 // re-upload must never destroy the dataset it failed to replace.
 func TestFailedReplacementKeepsOldEntry(t *testing.T) {
-	r := New[int](30, 1)
+	r := New[int](30)
 	if err := r.Put("pin", 1, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,45 @@ func TestFailedReplacementKeepsOldEntry(t *testing.T) {
 	}
 }
 
+// TestRefusedPutEvictsNothing: a Put refused with ErrOverBudget must not
+// have evicted the unpinned entries it scanned on the way — in the daemon
+// that would be a 507'd upload that still dropped (and spilled) another
+// dataset.
+func TestRefusedPutEvictsNothing(t *testing.T) {
+	var releases []string
+	r := New[int](30)
+	r.OnRelease = func(key string, _ int, cause ReleaseCause) {
+		releases = append(releases, key+":"+cause.String())
+	}
+	for _, k := range []string{"a", "b"} {
+		if err := r.Put(k, 0, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hb, _ := r.Acquire("b")
+	defer hb.Release()
+	// Evicting a frees 10 of the 15 bytes c needs; b is pinned.
+	if err := r.Put("c", 0, 25); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("Put(c) = %v, want ErrOverBudget", err)
+	}
+	if h, ok := r.Peek("a"); !ok {
+		t.Fatal("refused Put evicted a")
+	} else {
+		h.Release()
+	}
+	if len(releases) != 0 {
+		t.Fatalf("OnRelease fired for a refused Put: %v", releases)
+	}
+	if s := r.Stats(); s != (Stats{Entries: 2, Bytes: 20, MaxBytes: 30, Evictions: 0}) {
+		t.Fatalf("refused Put changed the registry: %+v", s)
+	}
+}
+
 // TestReplacementReclaimsItsOwnBytes: replacing an entry counts the old
 // entry's own unpinned bytes as reclaimable during admission, so an
 // upgrade that fits only after removing its predecessor succeeds.
 func TestReplacementReclaimsItsOwnBytes(t *testing.T) {
-	r := New[int](12, 1)
+	r := New[int](12)
 	if err := r.Put("only", 1, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +204,7 @@ func TestReplacementReclaimsItsOwnBytes(t *testing.T) {
 // usable and its bytes charged until the last handle is released.
 func TestEvictionDefersReleaseUntilQueriesDrain(t *testing.T) {
 	var releases atomic.Int64
-	r := New[string](0, 2)
+	r := New[string](0)
 	r.OnRelease = func(string, string, ReleaseCause) { releases.Add(1) }
 	if err := r.Put("x", "payload", 40); err != nil {
 		t.Fatal(err)
@@ -242,7 +276,7 @@ func TestEvictUnderLoadRace(t *testing.T) {
 		evictors = 1
 	)
 	var releases atomic.Int64
-	r := New[*blob](budget, 4)
+	r := New[*blob](budget)
 	r.OnRelease = func(_ string, b *blob, _ ReleaseCause) {
 		if b.released.Swap(true) {
 			t.Error("OnRelease fired twice for one entry")
@@ -316,8 +350,8 @@ func TestEvictUnderLoadRace(t *testing.T) {
 	// entries exactly, and every removed entry must have been released
 	// exactly once.
 	s := r.Stats()
-	if want := int64(r.Len()) * perEntry; s.Bytes != want {
-		t.Fatalf("bytes=%d, want %d (%d resident entries)", s.Bytes, want, r.Len())
+	if want := int64(s.Entries) * perEntry; s.Bytes != want {
+		t.Fatalf("bytes=%d, want %d (%d resident entries)", s.Bytes, want, s.Entries)
 	}
 	if s.Bytes > budget {
 		t.Fatalf("resident bytes %d exceed budget %d after drain", s.Bytes, budget)
@@ -329,7 +363,7 @@ func TestEvictUnderLoadRace(t *testing.T) {
 }
 
 func TestKeysAndLen(t *testing.T) {
-	r := New[int](0, 8)
+	r := New[int](0)
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		if err := r.Put(k, 0, 1); err != nil {
 			t.Fatal(err)
@@ -345,8 +379,8 @@ func TestKeysAndLen(t *testing.T) {
 			t.Fatalf("Keys() = %v, want %v", got, want)
 		}
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len() = %d", r.Len())
+	if n := r.Stats().Entries; n != 3 {
+		t.Fatalf("Stats().Entries = %d", n)
 	}
 }
 
@@ -354,7 +388,7 @@ func TestKeysAndLen(t *testing.T) {
 // removal path, including releases deferred behind outstanding handles.
 func TestReleaseCauses(t *testing.T) {
 	causes := make(map[string]ReleaseCause)
-	r := New[int](25, 2)
+	r := New[int](25)
 	r.OnRelease = func(key string, _ int, cause ReleaseCause) { causes[key] = cause }
 
 	// LRU pressure: admitting "c" pushes out "a".
@@ -419,7 +453,7 @@ func TestStatsCoherentUnderChurn(t *testing.T) {
 		writers  = 4
 		scrapers = 2
 	)
-	r := New[int](0, 4)
+	r := New[int](0)
 	var writersWG, scrapersWG sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
