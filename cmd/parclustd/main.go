@@ -52,8 +52,7 @@ var (
 	maxUploadFlag  = flag.Int64("max-upload-bytes", 1<<30, "largest accepted upload request body in bytes")
 	sweepCellsFlag = flag.Int("sweep-max-cells", 10000, "largest minpts x eps grid one POST /v1/datasets/{name}/sweep request may ask for")
 	drainFlag      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight queries")
-	dataDirFlag    = flag.String("data-dir", "", "snapshot directory for the persistent stage store (empty = in-memory only): uploads and shutdown persist datasets there, restarts reload them lazily with zero stage rebuilds")
-	spillFlag      = flag.Bool("spill", true, "with -data-dir, write a warm snapshot when the memory budget evicts a dataset, so its computed stages survive the eviction")
+	dataDirFlag    = flag.String("data-dir", "", "snapshot directory for the persistent stage store (empty = in-memory only): uploads and shutdown persist datasets there, a dataset the memory budget evicts spills its computed stages there first, and restarts reload them lazily with zero stage rebuilds")
 
 	queryTimeoutFlag  = flag.Duration("query-timeout", 0, "deadline for one dataset query including any cold stage builds it triggers (0 = unlimited): an expired query answers 504 and its cold build is cooperatively aborted")
 	rateQPSFlag       = flag.Float64("rate-qps", 0, "per-tenant request rate limit in requests/second (0 = unlimited): tenants are the X-Tenant header or the remote host, excess requests answer 429 with Retry-After")
@@ -69,7 +68,6 @@ func main() {
 		MaxUploadBytes: *maxUploadFlag,
 		MaxSweepCells:  *sweepCellsFlag,
 		DataDir:        *dataDirFlag,
-		Spill:          *spillFlag && *dataDirFlag != "",
 		QueryTimeout:   *queryTimeoutFlag,
 		RateQPS:        *rateQPSFlag,
 		RateBurst:      *rateBurstFlag,
@@ -90,8 +88,8 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	if *dataDirFlag != "" {
-		log.Printf("parclustd listening on %s (max-bytes=%d, data-dir=%s, spill=%v)",
-			*addrFlag, *maxBytesFlag, *dataDirFlag, *spillFlag)
+		log.Printf("parclustd listening on %s (max-bytes=%d, data-dir=%s)",
+			*addrFlag, *maxBytesFlag, *dataDirFlag)
 	} else {
 		log.Printf("parclustd listening on %s (max-bytes=%d)", *addrFlag, *maxBytesFlag)
 	}

@@ -146,7 +146,8 @@
 //
 // One component of ApproxBytes is dynamic: each hierarchy stage memoizes
 // flat-cut results in a bounded per-stage cache (repeated ClustersAt radii
-// are O(1); see CutBuilds/CutHits in Counters), and ApproxBytes includes
+// are O(1); see CutBuilds/CutHits in Counters; an ApproxOPTICS hierarchy
+// keeps the same cache, counted by no Index), and ApproxBytes includes
 // the labels currently retained by those caches. The daemon re-charges a
 // dataset's registry accounting after every sweep request, so cut-cache
 // growth stays visible to the admission budget between uploads.
@@ -192,12 +193,13 @@
 // specification lives in the internal/store package documentation.
 //
 // The parclustd daemon builds its persistent stage store on snapshots
-// (flag -data-dir): uploads persist, memory-budget evictions spill the
-// warm stage set (stale-aware — an unchanged dataset is written once),
-// queries against non-resident datasets lazily reload, and a graceful
-// shutdown persists everything resident, so a restarted daemon serves
-// identical responses without rebuilding any stage. See the README's
-// "Persistence" section for the serving-level lifecycle.
+// (flag -data-dir, which also turns spilling on): uploads persist,
+// memory-budget evictions spill the warm stage set (stale-aware — an
+// unchanged dataset is written once), queries against non-resident
+// datasets lazily reload, and a graceful shutdown persists everything
+// resident, so a restarted daemon serves identical responses without
+// rebuilding any stage. See the README's "Persistence" section for the
+// serving-level lifecycle.
 //
 // # Quick start
 //

@@ -60,7 +60,7 @@ func DBSCANMetric(pts Points, minPts int, eps float64, m Metric) (Clustering, er
 // This is the standard "automatic" HDBSCAN* clustering that requires no
 // radius parameter.
 func (h *Hierarchy) ExtractStableClusters(minClusterSize int) Clustering {
-	return h.dendro.ExtractStable(minClusterSize)
+	return h.stage.Dendro.ExtractStable(minClusterSize)
 }
 
 // OPTICSEntry is one position of a classic OPTICS ordering.

@@ -3,7 +3,6 @@ package parclust
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"parclust/internal/dendrogram"
 	"parclust/internal/engine"
@@ -57,28 +56,20 @@ type Hierarchy struct {
 	// Start is the reachability-plot start vertex of the ordered dendrogram.
 	Start int32
 
-	dendro *Dendrogram
-	report Stats
-
-	// stage is the Index-memoized hierarchy stage backing this Hierarchy
-	// (nil for hierarchies built outside the engine, e.g. ApproxOPTICS);
-	// it shares the precomputed cut structure across equal queries.
+	// stage is the hierarchy stage backing this Hierarchy: the Index's
+	// memoized one, shared with equal queries, or ApproxOPTICS's own. It
+	// holds the dendrogram, the build report, the cut structure and the
+	// cut-result cache.
 	stage *engine.HierStage
-	// cutOnce/cutter lazily build a private cut structure when no stage is
-	// attached.
-	cutOnce sync.Once
-	cutter  *dendrogram.Cutter
 }
 
-// newHierarchy wraps a memoized engine hierarchy stage in the public type.
+// newHierarchy wraps a hierarchy stage in the public type.
 func newHierarchy(st *engine.HierStage, minPts int) *Hierarchy {
 	return &Hierarchy{
 		N:        st.N,
 		MST:      st.MST,
 		CoreDist: st.CoreDist,
 		MinPts:   minPts,
-		dendro:   st.Dendro,
-		report:   st.Report,
 		stage:    st,
 	}
 }
@@ -133,13 +124,14 @@ func ApproxOPTICS(pts Points, minPts int, rho float64) (*Hierarchy, error) {
 	if !(rho > 0) { // also rejects NaN
 		return nil, fmt.Errorf("parclust: rho must be > 0, got %v", rho)
 	}
-	h := &Hierarchy{N: pts.N, MinPts: minPts}
-	res := hdbscan.ApproxOPTICS(pts, minPts, rho, &h.report)
-	h.MST, h.CoreDist = res.MST, res.CoreDist
-	h.report.Time(mst.PhaseDendrogram, func() {
-		h.dendro = dendrogram.BuildParallel(h.N, h.MST, h.Start)
+	// The stage belongs to no engine: its cuts count nowhere.
+	st := &engine.HierStage{N: pts.N, MinPts: minPts}
+	res := hdbscan.ApproxOPTICS(pts, minPts, rho, &st.Report)
+	st.MST, st.CoreDist = res.MST, res.CoreDist
+	st.Report.Time(mst.PhaseDendrogram, func() {
+		st.Dendro = dendrogram.BuildParallel(st.N, st.MST, 0)
 	})
-	return h, nil
+	return newHierarchy(st, minPts), nil
 }
 
 // BuildReport returns the report of the build that produced the
@@ -149,49 +141,34 @@ func ApproxOPTICS(pts Points, minPts int, rho float64) (*Hierarchy, error) {
 // later cache hits all read the same value. The report includes the
 // upstream phases (tree, core distances, MST) only when that build ran
 // them, and is zero for a hierarchy restored from a snapshot.
-func (h *Hierarchy) BuildReport() Stats { return h.report }
+func (h *Hierarchy) BuildReport() Stats { return h.stage.Report }
 
 // Dendrogram returns the ordered dendrogram of the hierarchy.
-func (h *Hierarchy) Dendrogram() *Dendrogram { return h.dendro }
+func (h *Hierarchy) Dendrogram() *Dendrogram { return h.stage.Dendro }
 
 // ReachabilityPlot returns the OPTICS-style reachability plot: the in-order
 // leaf traversal of the ordered dendrogram (Section 4.1).
-func (h *Hierarchy) ReachabilityPlot() []Bar { return h.dendro.ReachabilityPlot() }
-
-// cut returns the precomputed cut structure: the Index-memoized one when
-// this Hierarchy is stage-backed, a lazily-built private one otherwise.
-func (h *Hierarchy) cut() *dendrogram.Cutter {
-	if h.stage != nil {
-		return h.stage.Cutter()
-	}
-	h.cutOnce.Do(func() {
-		h.cutter = dendrogram.NewCutter(h.N, h.MST, h.CoreDist)
-	})
-	return h.cutter
-}
+func (h *Hierarchy) ReachabilityPlot() []Bar { return h.stage.Dendro.ReachabilityPlot() }
 
 // ClustersAt extracts the flat DBSCAN* clustering at radius eps: points
 // with core distance above eps are noise, remaining points are grouped by
 // MST edges of weight at most eps. For single-linkage hierarchies every
 // point is core. The first call precomputes the sorted merge order; every
 // call after that runs in O(n) with no union-find and no edge re-walk, so
-// sweeping many radii over one hierarchy is cheap. Index-backed
-// hierarchies additionally memoize cut results per radius in a bounded
-// per-stage cache, so a repeated identical cut is O(1); the returned
-// Labels slice is then shared with every other caller of the same (stage,
-// eps) pair and must be treated as read-only, like every other slice an
-// Index exposes.
+// sweeping many radii over one hierarchy is cheap. Every hierarchy, an
+// ApproxOPTICS one included, also memoizes cut results per radius in a
+// bounded per-stage cache, so a repeated identical cut is O(1); the
+// returned Labels slice is then shared with every other caller of the same
+// (stage, eps) pair and must be treated as read-only, like every other
+// slice an Index exposes.
 func (h *Hierarchy) ClustersAt(eps float64) Clustering {
-	if h.stage != nil {
-		return h.stage.CutAt(eps)
-	}
-	return h.cut().CutAt(eps)
+	return h.stage.CutAt(eps)
 }
 
 // NumNoiseAt returns the number of noise points at radius eps in O(log n)
 // via binary search over the precomputed sorted core distances.
 func (h *Hierarchy) NumNoiseAt(eps float64) int {
-	return h.cut().NumNoiseAt(eps)
+	return h.stage.Cutter().NumNoiseAt(eps)
 }
 
 // TotalWeight returns the total MST weight (a scale-free summary used by
@@ -202,5 +179,5 @@ func (h *Hierarchy) TotalWeight() float64 { return mst.TotalWeight(h.MST) }
 // standard dendrogram viewers; names may be nil to use point indices, and
 // otherwise needs a name per point.
 func (h *Hierarchy) WriteNewick(w io.Writer, names []string) error {
-	return h.dendro.WriteNewick(w, names)
+	return h.stage.Dendro.WriteNewick(w, names)
 }

@@ -79,13 +79,11 @@ type Config struct {
 	// ask for (<= 0: 10000).
 	MaxSweepCells int
 	// DataDir, when non-empty, enables the persistent stage store: uploads
-	// and pressure evictions write snapshots there, and queries against a
-	// non-resident dataset lazily reload its snapshot instead of 404ing.
+	// write snapshots there, a dataset the registry evicts under byte
+	// pressure spills its warm snapshot there first, so its memoized stages
+	// survive the eviction, and queries against a non-resident dataset
+	// lazily reload its snapshot instead of 404ing.
 	DataDir string
-	// Spill writes a full warm snapshot when the registry evicts a dataset
-	// under byte pressure, so its memoized stages survive the eviction.
-	// Requires DataDir.
-	Spill bool
 	// QueryTimeout bounds one dataset query (including any cold stage
 	// builds it triggers); an expired query answers 504. <= 0 disables.
 	QueryTimeout time.Duration
@@ -146,17 +144,13 @@ type dataset struct {
 
 // New returns a Server with an empty registry. When cfg.DataDir is set the
 // snapshot directory is created and snapshots already on disk become
-// lazily loadable; New fails only on an unusable data dir or Spill without
-// a DataDir.
+// lazily loadable; New fails only on an unusable data dir.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 1 << 30
 	}
 	if cfg.MaxSweepCells <= 0 {
 		cfg.MaxSweepCells = 10000
-	}
-	if cfg.Spill && cfg.DataDir == "" {
-		return nil, errors.New("daemon: Spill requires DataDir")
 	}
 	s := &Server{cfg: cfg, reg: registry.New[*dataset](cfg.MaxBytes)}
 	if cfg.RateQPS > 0 {
@@ -172,9 +166,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.st = st
 		s.loading = make(map[string]*loadFlight)
-		if cfg.Spill {
-			s.reg.OnRelease = s.onRelease
-		}
+		s.reg.OnRelease = s.onRelease
 	}
 	return s, nil
 }

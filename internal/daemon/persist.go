@@ -21,10 +21,13 @@ type loadFlight struct {
 
 // coldLoad brings a snapshotted dataset back into service. The leader
 // decodes the snapshot and offers it to the registry; followers block
-// until the leader finishes and then pin the admitted entry. Admission is
-// best-effort — if the registry cannot take the dataset (budget exhausted
-// by pinned entries, or it was evicted again immediately), the query is
-// still served from the decoded copy with a no-op release.
+// until the leader finishes and then pin the admitted entry. The offer
+// never replaces a resident dataset: one uploaded while the snapshot
+// decoded is newer than it, so the query is served from that upload.
+// Admission is best-effort — if the registry cannot take the dataset
+// (budget exhausted by pinned entries, or it was evicted again
+// immediately), the query is still served from the decoded copy with a
+// no-op release.
 func (s *Server) coldLoad(name string) (*dataset, func(), error) {
 	s.loadMu.Lock()
 	if f, ok := s.loading[name]; ok {
@@ -52,8 +55,8 @@ func (s *Server) coldLoad(name string) (*dataset, func(), error) {
 	f.d, f.err = s.loadSnapshot(name)
 	if f.err == nil {
 		// An admission failure is not a load failure: the decoded dataset
-		// still serves this query below.
-		_ = s.reg.Put(name, f.d, f.d.idx.ApproxBytes())
+		// still serves this query below, unless an upload beat it in.
+		_ = s.reg.Add(name, f.d, f.d.idx.ApproxBytes())
 	}
 	s.loadMu.Lock()
 	delete(s.loading, name)
@@ -86,7 +89,7 @@ func (s *Server) loadSnapshot(name string) (*dataset, error) {
 	return &dataset{name: name, metric: det.Metric, idx: idx}, nil
 }
 
-// onRelease is the registry eviction hook (set only when spilling is on).
+// onRelease is the registry eviction hook (set whenever the store is on).
 // A pressure eviction spills the dataset's warm stage set to disk; user
 // deletions and upload replacements manage their snapshot files at the
 // request site, so other causes are ignored. The registry guarantees the
@@ -146,7 +149,6 @@ func (s *Server) PersistAll() (int, error) {
 // storeJSON is the "store" section of /v1/stats.
 type storeJSON struct {
 	Enabled   bool  `json:"enabled"`
-	Spill     bool  `json:"spill"`
 	Snapshots int   `json:"snapshots"`
 	DiskBytes int64 `json:"disk_bytes"`
 	Spills    int64 `json:"spills"`
@@ -155,7 +157,7 @@ type storeJSON struct {
 }
 
 func (s *Server) storeStats() storeJSON {
-	out := storeJSON{Enabled: s.st != nil, Spill: s.cfg.Spill}
+	out := storeJSON{Enabled: s.st != nil}
 	if s.st == nil {
 		return out
 	}

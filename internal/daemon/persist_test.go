@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"parclust"
+	"parclust/internal/faultinject"
 	"parclust/internal/store"
 )
 
@@ -135,7 +137,7 @@ func TestDaemonSpillReload(t *testing.T) {
 	}
 	// Budget fits ~1.5 datasets, so the second upload evicts the first.
 	budget := ix.ApproxBytes() * 3 / 2
-	ts := newTestServer(t, Config{DataDir: dir, Spill: true, MaxBytes: budget})
+	ts := newTestServer(t, Config{DataDir: dir, MaxBytes: budget})
 
 	if code := ts.upload("a", pts, ""); code != http.StatusCreated {
 		t.Fatalf("upload a: status %d", code)
@@ -193,7 +195,7 @@ func TestDaemonSpillReloadRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, Config{DataDir: dir, Spill: true, MaxBytes: ix.ApproxBytes() * 3 / 2})
+	ts := newTestServer(t, Config{DataDir: dir, MaxBytes: ix.ApproxBytes() * 3 / 2})
 	for _, name := range []string{"ra", "rb"} {
 		if code := ts.upload(name, pts, ""); code != http.StatusCreated {
 			t.Fatalf("upload %s: status %d", name, code)
@@ -228,6 +230,64 @@ func TestDaemonSpillReloadRace(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestColdLoadKeepsReupload: a cold reload still decoding when the same
+// name is re-uploaded must not replace the upload, nor the rows inserted
+// into it since, with the older snapshot copy.
+func TestColdLoadKeepsReupload(t *testing.T) {
+	defer faultinject.Reset()
+	ts := newTestServer(t, Config{DataDir: t.TempDir()})
+	if code := ts.upload("x", testPoints(100), ""); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	ts.srv.Registry().Evict("x")
+	faultinject.Activate("store.read", faultinject.Fault{
+		Mode: faultinject.Delay, Delay: 400 * time.Millisecond, Count: 1,
+	})
+	cold := make(chan error, 1)
+	go func() {
+		code, err := ts.tryGet("/v1/datasets/x/knn?q=0&k=3", nil)
+		if err == nil && code != http.StatusOK {
+			err = fmt.Errorf("cold knn: status %d", code)
+		}
+		cold <- err
+	}()
+	// Re-upload only once the cold load is decoding.
+	for loading := false; !loading; {
+		select {
+		case err := <-cold:
+			t.Fatalf("the cold load ended before the re-upload (error %v)", err)
+		case <-time.After(time.Millisecond):
+		}
+		ts.srv.loadMu.Lock()
+		_, loading = ts.srv.loading["x"]
+		ts.srv.loadMu.Unlock()
+	}
+	if code := ts.upload("x", testPoints(100), ""); code != http.StatusCreated {
+		t.Fatalf("re-upload: status %d", code)
+	}
+	rows := [][]float64{{0.5, 0.5}, {1.5, 1.5}, {2.5, 2.5}}
+	if code := ts.do(http.MethodPost, "/v1/datasets/x/points", insertBody(t, rows), "application/json", nil); code != http.StatusOK {
+		t.Fatalf("insert: status %d", code)
+	}
+	if err := <-cold; err != nil {
+		t.Fatal(err)
+	}
+	var info struct {
+		Dataset datasetInfo `json:"dataset"`
+	}
+	if code := ts.get("/v1/datasets/x", &info); code != http.StatusOK || info.Dataset.N != 103 {
+		t.Fatalf("after the cold load: status %d, n=%d, want n=103", code, info.Dataset.N)
+	}
+	h, ok := ts.srv.Registry().Peek("x")
+	if !ok {
+		t.Fatal("x not resident")
+	}
+	defer h.Release()
+	if h.Value().tenant == "" {
+		t.Fatal("the resident x carries no tenant: the snapshot copy replaced the upload")
 	}
 }
 

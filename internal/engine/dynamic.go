@@ -8,7 +8,6 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
-	"parclust/internal/mst"
 )
 
 // The dynamic layer turns the engine's immutable point set into a mutable
@@ -376,8 +375,8 @@ func (e *Engine) publishMutationLocked(nd *dynState) {
 	e.dyn = nd
 	hiers := e.hiers
 	e.cores = make(map[int][]float64)
-	e.msts = make(map[mstKey]mstStage)
-	e.hiers = make(map[mstKey]*HierStage)
+	e.msts = make(map[StageKey]mstStage)
+	e.hiers = make(map[StageKey]*HierStage)
 	e.regMu.Unlock()
 	for _, st := range hiers {
 		st.dropCuts()
@@ -442,15 +441,7 @@ func (e *Engine) compactLocked(x *exec) {
 			copy(dst, d.ovRow(int(-src-1), dim))
 		}
 	}
-	var t *kdtree.Tree
-	x.report.Time(mst.PhaseBuildTree, func() {
-		t = kdtree.BuildMetricCancel(np, 1, e.Kern, &x.abort)
-		if e.f32 {
-			if err := t.EnableFloat32(); err != nil {
-				panic(fmt.Sprintf("engine: float32 attach failed during compaction: %v", err))
-			}
-		}
-	})
+	t := e.buildTreeLocked(x, np)
 	nd := &dynState{baseExt: d.ids, nextID: d.nextID}
 	nd.reindex(m)
 	e.regMu.Lock()
@@ -459,7 +450,6 @@ func (e *Engine) compactLocked(x *exec) {
 	e.dyn = nd
 	e.regMu.Unlock()
 	e.annotated = 0
-	e.c.treeBuilds.Add(1)
 	e.c.compactions.Add(1)
 }
 
@@ -487,23 +477,17 @@ func (e *Engine) liveNLocked() int {
 // border attachment — use this; patched point queries use the live entry
 // points below instead.
 func (e *Engine) CanonTree(ctx context.Context) (*kdtree.Tree, error) {
-	for {
+	var t *kdtree.Tree
+	err := e.stages.tree.fetch(ctx, e, StageKey{}, func() bool {
 		e.regMu.RLock()
-		t, d := e.tree, e.dyn
+		t = e.tree
+		if d := e.dyn; d != nil && d.dirty {
+			t = nil
+		}
 		e.regMu.RUnlock()
-		if t != nil && (d == nil || !d.dirty) {
-			e.c.treeHits.Add(1)
-			return t, nil
-		}
-		err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(x *exec) {
-			e.buildMu.Lock()
-			defer e.buildMu.Unlock()
-			e.canonLocked(x)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
+		return t != nil
+	}, func(x *exec) { e.canonLocked(x) })
+	return t, err
 }
 
 // Compact forces a dirty engine into its canonical form (see canonLocked);

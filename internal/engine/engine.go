@@ -10,6 +10,21 @@
 // the tree and core distances; an eps change touches nothing but the
 // precomputed cut structure.
 //
+// # One fetch path
+//
+// The stages form four families — tree, core distances, MST, hierarchy —
+// and each family holds its in-flight table and its counters (see family).
+// Every stage entry point (Tree, CanonTree, CoreDist, EMST, Hierarchy) is
+// one call to family.fetch: look the stage up in the memo; on a miss, join
+// the stage's flight, whose leader builds it under the build mutex, and
+// look again until a lookup lands on a published stage. The counters are
+// read off that path. A request answered by its first look counts one hit.
+// A request that parks on a flight another request leads counts one
+// coalesced wait (one more only if an abort or a mutation sends it round
+// again); the leader counts neither. Builds count publications: every
+// stage a flight publishes, upstream stages it needed included, counts one
+// build in its own family, and so does each compaction's tree.
+//
 // # Concurrency
 //
 // Stage outputs are immutable once published and may be read from any
@@ -124,14 +139,6 @@ const (
 	KindHDBSCAN
 )
 
-// mstKey identifies one memoized MST stage output. For KindEMST, Algo is an
-// EMSTAlgo and MinPts is 0; for KindHDBSCAN, Algo is an hdbscan.Algorithm.
-type mstKey struct {
-	Kind   Kind
-	Algo   uint8
-	MinPts int
-}
-
 // HierStage is a memoized hierarchy stage output: the MST, the ordered
 // dendrogram built from it, and the lazily-built cut structure. All fields
 // are immutable after publication; CoreDist is nil for single-linkage
@@ -154,8 +161,8 @@ type HierStage struct {
 	// a new HierStage (a different minPts, algorithm, or pipeline) starts
 	// from an empty cache, and the downstream invalidation of the stage DAG
 	// carries over to cut results for free. eng is the owning engine (nil
-	// for stages constructed outside one, e.g. in tests), which carries the
-	// hit/build counters and the resident-bytes account.
+	// for stages built outside one, such as ApproxOPTICS's), which carries
+	// the hit/build counters and the resident-bytes account.
 	cutMu    sync.Mutex
 	cutOrder []float64
 	cuts     map[float64]dendrogram.Clustering
@@ -262,17 +269,15 @@ type Engine struct {
 	// regMu guards the memo registry below. Write-locked only to publish a
 	// finished stage; read-locked on every lookup.
 	regMu sync.RWMutex
-	// sfMu guards inflight, the singleflight table of stage computations
-	// currently executing: concurrent requests for the same unbuilt stage
-	// park on the leader's completion instead of queueing on buildMu, and
-	// are counted as "coalesced" rather than builds or hits.
-	sfMu     sync.Mutex
-	inflight map[sfKey]*flight
 
 	tree  *kdtree.Tree
 	cores map[int][]float64 // minPts -> core distances, original-id order
-	msts  map[mstKey]mstStage
-	hiers map[mstKey]*HierStage
+	msts  map[StageKey]mstStage
+	hiers map[StageKey]*HierStage
+
+	// stages holds the family of each memo above: its in-flight table and
+	// its build, hit and coalesced counters.
+	stages struct{ tree, core, mst, hier family }
 
 	// dyn is the dynamic-layer state (overlay inserts, tombstoned deletes,
 	// external-id map); nil until the first mutation. Published under regMu
@@ -297,7 +302,7 @@ type Engine struct {
 	cutBytes atomic.Int64
 
 	// gate, when set, admits cold stage builds (see BuildGate).
-	gate atomic.Value // of BuildGate
+	gate atomic.Pointer[BuildGate]
 
 	c counters
 }
@@ -306,29 +311,24 @@ type Engine struct {
 // call concurrently with queries; a nil-func store is rejected.
 func (e *Engine) SetBuildGate(g BuildGate) {
 	if g != nil {
-		e.gate.Store(g)
+		e.gate.Store(&g)
 	}
-}
-
-func (e *Engine) buildGate() BuildGate {
-	if g, ok := e.gate.Load().(BuildGate); ok {
-		return g
-	}
-	return nil
 }
 
 // New returns an engine over the prepared points. The caller has already
 // validated pts and normalized it for the kernel; the engine takes
 // ownership in the sense that pts must not be mutated afterwards.
 func New(pts geometry.Points, kern metric.Metric) *Engine {
-	return &Engine{
-		Pts:      pts,
-		Kern:     kern,
-		inflight: make(map[sfKey]*flight),
-		cores:    make(map[int][]float64),
-		msts:     make(map[mstKey]mstStage),
-		hiers:    make(map[mstKey]*HierStage),
+	e := &Engine{
+		Pts:   pts,
+		Kern:  kern,
+		cores: make(map[int][]float64),
+		msts:  make(map[StageKey]mstStage),
+		hiers: make(map[StageKey]*HierStage),
 	}
+	e.stages.tree.name, e.stages.core.name = "tree", "core"
+	e.stages.mst.name, e.stages.hier.name = "mst", "hier"
+	return e
 }
 
 // EnableFloat32 opts the engine into the float32 SoA representation:
@@ -360,21 +360,17 @@ func (e *Engine) EnableFloat32() error {
 // Float32 reports whether the engine runs on the float32 fast path.
 func (e *Engine) Float32() bool { return e.f32 }
 
-// Stage families of the singleflight table.
-const (
-	sfTree uint8 = iota
-	sfCore
-	sfMST
-	sfHier
-)
+// family is one stage family: tree, core distances, MST or hierarchy. Its
+// in-flight table holds the flights of its stages being built, so
+// concurrent requests for one unbuilt stage park on a single build instead
+// of queueing on buildMu. The package comment says what its counters count.
+type family struct {
+	name string // "tree", "core", "mst" or "hier"; see TestBuildHook
 
-// sfKey identifies one coalescable stage computation: requests with equal
-// keys need the same stage output, so only the first should run it.
-type sfKey struct {
-	stage  uint8
-	kind   Kind
-	algo   uint8
-	minPts int
+	mu       sync.Mutex // guards inflight
+	inflight map[StageKey]*flight
+
+	builds, hits, coalesced atomic.Int64
 }
 
 // flight is one in-flight stage computation. done is closed (after err is
@@ -411,24 +407,31 @@ type exec struct {
 // flight; it must never be set outside tests.
 var TestBuildHook func(stage string)
 
-func sfStageName(stage uint8) string {
-	switch stage {
-	case sfTree:
-		return "tree"
-	case sfCore:
-		return "core"
-	case sfMST:
-		return "mst"
-	case sfHier:
-		return "hier"
+// fetch reads stage key of family f through hit, which looks it up in the
+// memo under regMu, stores it in the caller's variable and reports whether
+// it was there. A first look that lands counts a hit. Otherwise the request
+// joins the key's flight, whose leader runs build, and looks again until a
+// look lands (a mutation can clear the stage before it). ctx (nil means
+// background) bounds the wait; see coalesce for the error contract.
+func (f *family) fetch(ctx context.Context, e *Engine, key StageKey, hit func() bool, build func(x *exec)) error {
+	if hit() {
+		f.hits.Add(1)
+		return nil
 	}
-	return "unknown"
+	for {
+		if err := f.coalesce(ctx, e, key, build); err != nil {
+			return err
+		}
+		if hit() {
+			return nil
+		}
+	}
 }
 
 // coalesce runs build under singleflight semantics for key: the first
 // caller becomes the leader and executes build (which publishes the stage
 // output to the memo registry); callers that arrive while the leader is
-// still running increment coalesced and park until the leader finishes —
+// still running count a coalesced wait and park until the leader finishes —
 // or until their own ctx is done, in which case they abandon the flight.
 // When every interested request is gone the flight's abort flag is set and
 // the leader unwinds at its next cancellation checkpoint.
@@ -440,7 +443,7 @@ func sfStageName(stage uint8) string {
 // ErrAborted is only ever surfaced to requests whose own ctx is done
 // concurrently with the abort; a live follower that finds its flight
 // aborted retries as the new leader.
-func (e *Engine) coalesce(ctx context.Context, key sfKey, coalesced *atomic.Int64, build func(x *exec)) error {
+func (f *family) coalesce(ctx context.Context, e *Engine, key StageKey, build func(x *exec)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -448,86 +451,92 @@ func (e *Engine) coalesce(ctx context.Context, key sfKey, coalesced *atomic.Int6
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e.sfMu.Lock()
-		if f, ok := e.inflight[key]; ok {
-			f.waiters.Add(1)
-			e.sfMu.Unlock()
-			coalesced.Add(1)
+		f.mu.Lock()
+		if fl, ok := f.inflight[key]; ok {
+			fl.waiters.Add(1)
+			f.mu.Unlock()
+			f.coalesced.Add(1)
 			select {
-			case <-f.done:
-				if errors.Is(f.err, ErrAborted) && ctx.Err() == nil {
+			case <-fl.done:
+				if errors.Is(fl.err, ErrAborted) && ctx.Err() == nil {
 					// The abort raced this follower's arrival: everyone else
 					// left, but this request is still live. Try again as the
 					// new leader.
 					continue
 				}
-				return f.err
+				return fl.err
 			case <-ctx.Done():
-				if f.waiters.Add(-1) == 0 {
-					f.abort.Set()
+				if fl.waiters.Add(-1) == 0 {
+					fl.abort.Set()
 				}
 				return ctx.Err()
 			}
 		}
-		f := &flight{done: make(chan struct{}), stop: make(chan struct{})}
-		f.waiters.Store(1) // the leader's own share
-		e.inflight[key] = f
-		e.sfMu.Unlock()
-		return e.lead(ctx, key, f, build)
+		fl := &flight{done: make(chan struct{}), stop: make(chan struct{})}
+		fl.waiters.Store(1) // the leader's own share
+		if f.inflight == nil {
+			f.inflight = make(map[StageKey]*flight)
+		}
+		f.inflight[key] = fl
+		f.mu.Unlock()
+		return f.lead(ctx, e, key, fl, build)
 	}
 }
 
 // lead executes one flight as its leader: it watches ctx to release the
-// leader's waiter share, recovers aborts and panics into errors, and — in
-// every path — clears the flight and wakes all followers.
-func (e *Engine) lead(ctx context.Context, key sfKey, f *flight, build func(x *exec)) (err error) {
+// leader's waiter share, runs build under buildMu once the gate, the test
+// hook and the fault point let it, recovers aborts and panics into errors,
+// and — in every path — clears the flight and wakes all followers.
+func (f *family) lead(ctx context.Context, e *Engine, key StageKey, fl *flight, build func(x *exec)) (err error) {
 	if done := ctx.Done(); done != nil {
 		go func() {
 			select {
 			case <-done:
-				if f.waiters.Add(-1) == 0 {
-					f.abort.Set()
+				if fl.waiters.Add(-1) == 0 {
+					fl.abort.Set()
 				}
-			case <-f.stop:
+			case <-fl.stop:
 			}
 		}()
 	}
 	defer func() {
-		close(f.stop)
+		close(fl.stop)
 		if r := recover(); r != nil {
 			if _, ok := r.(abort.Signal); ok {
 				err = ErrAborted
 				e.c.buildAborts.Add(1)
 			} else {
-				err = &BuildPanicError{Stage: sfStageName(key.stage), Value: r}
+				err = &BuildPanicError{Stage: f.name, Value: r}
 				e.c.buildPanics.Add(1)
 			}
 		}
-		f.err = err
-		e.sfMu.Lock()
-		delete(e.inflight, key)
-		e.sfMu.Unlock()
-		close(f.done)
+		fl.err = err
+		f.mu.Lock()
+		delete(f.inflight, key)
+		f.mu.Unlock()
+		close(fl.done)
 		if errors.Is(err, ErrAborted) && ctx.Err() != nil {
 			// The leader itself abandoned too; report its own ctx error so
 			// callers see a deadline/cancellation, not the internal sentinel.
 			err = ctx.Err()
 		}
 	}()
-	if gate := e.buildGate(); gate != nil {
-		release, ok := gate()
+	if gate := e.gate.Load(); gate != nil {
+		release, ok := (*gate)()
 		if !ok {
 			return ErrOverloaded
 		}
 		defer release()
 	}
 	if hook := TestBuildHook; hook != nil {
-		hook(sfStageName(key.stage))
+		hook(f.name)
 	}
 	if ferr := faultinject.Check("engine.build"); ferr != nil {
 		return ferr
 	}
-	build(&f.exec)
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	build(&fl.exec)
 	return nil
 }
 
@@ -539,31 +548,18 @@ func (e *Engine) N() int { return e.LiveN() }
 // means background) bounds a cold build: see coalesce for the error
 // contract. Memoized reads never fail.
 func (e *Engine) Tree(ctx context.Context) (*kdtree.Tree, error) {
-	e.regMu.RLock()
-	t := e.tree
-	e.regMu.RUnlock()
-	if t != nil {
-		e.c.treeHits.Add(1)
-		return t, nil
-	}
-	err := e.coalesce(ctx, sfKey{stage: sfTree}, &e.c.treeCoalesced, func(x *exec) {
-		e.buildMu.Lock()
-		defer e.buildMu.Unlock()
-		e.treeLocked(x)
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.regMu.RLock()
-	t = e.tree
-	e.regMu.RUnlock()
-	return t, nil
+	var t *kdtree.Tree
+	err := e.stages.tree.fetch(ctx, e, StageKey{}, func() bool {
+		e.regMu.RLock()
+		t = e.tree
+		e.regMu.RUnlock()
+		return t != nil
+	}, func(x *exec) { e.treeLocked(x) })
+	return t, err
 }
 
-// treeLocked is the build-mutex-held stage body. The *Locked internals
-// never count cache hits — hits are recorded only at the public entry
-// points, so the counters mean "public queries served from a memoized
-// stage output", not internal plumbing lookups.
+// treeLocked is the build-mutex-held tree stage body. The *Locked bodies
+// count the builds they publish; only fetch counts hits.
 func (e *Engine) treeLocked(x *exec) *kdtree.Tree {
 	e.regMu.RLock()
 	t := e.tree
@@ -571,22 +567,29 @@ func (e *Engine) treeLocked(x *exec) *kdtree.Tree {
 	if t != nil {
 		return t
 	}
+	t = e.buildTreeLocked(x, e.Pts)
+	e.regMu.Lock()
+	e.tree = t
+	e.regMu.Unlock()
+	return t
+}
+
+// buildTreeLocked builds a tree over pts the one way every engine tree is
+// built — leaf size 1, which the WSPD construction requires and every other
+// stage and query accepts, plus the float32 panels when enabled — and
+// counts the build. The caller publishes it.
+func (e *Engine) buildTreeLocked(x *exec, pts geometry.Points) (t *kdtree.Tree) {
 	x.report.Time(mst.PhaseBuildTree, func() {
-		// Leaf size 1 is required by the WSPD construction and serves every
-		// other stage and query.
-		t = kdtree.BuildMetricCancel(e.Pts, 1, e.Kern, &x.abort)
+		t = kdtree.BuildMetricCancel(pts, 1, e.Kern, &x.abort)
 		if e.f32 {
-			// EnableFloat32 validated the points and kernel up front, so
+			// EnableFloat32 and the Index's Insert validated every row, so
 			// this can fail only on internal inconsistency.
 			if err := t.EnableFloat32(); err != nil {
 				panic(fmt.Sprintf("engine: float32 attach failed after validation: %v", err))
 			}
 		}
 	})
-	e.c.treeBuilds.Add(1)
-	e.regMu.Lock()
-	e.tree = t
-	e.regMu.Unlock()
+	e.stages.tree.builds.Add(1)
 	return t
 }
 
@@ -594,32 +597,14 @@ func (e *Engine) treeLocked(x *exec) *kdtree.Tree {
 // computing (and memoizing) them on first use. The returned slice is shared
 // and must not be mutated. ctx bounds a cold build (see coalesce).
 func (e *Engine) CoreDist(ctx context.Context, minPts int) ([]float64, error) {
-	// The post-flight lookup can miss when a mutation invalidated the stage
-	// between the leader's publish and this read; loop until a lookup lands
-	// on a published value (each round is a fresh flight).
-	for {
-		e.regMu.RLock()
-		cd, ok := e.cores[minPts]
-		e.regMu.RUnlock()
-		if ok {
-			e.c.coreHits.Add(1)
-			return cd, nil
-		}
-		err := e.coalesce(ctx, sfKey{stage: sfCore, minPts: minPts}, &e.c.coreCoalesced, func(x *exec) {
-			e.buildMu.Lock()
-			defer e.buildMu.Unlock()
-			e.coreDistLocked(x, minPts)
-		})
-		if err != nil {
-			return nil, err
-		}
+	var cd []float64
+	err := e.stages.core.fetch(ctx, e, StageKey{MinPts: minPts}, func() (ok bool) {
 		e.regMu.RLock()
 		cd, ok = e.cores[minPts]
 		e.regMu.RUnlock()
-		if ok {
-			return cd, nil
-		}
-	}
+		return ok
+	}, func(x *exec) { e.coreDistLocked(x, minPts) })
+	return cd, err
 }
 
 // CoreDistTree returns the core distances for minPts together with the
@@ -659,7 +644,7 @@ func (e *Engine) coreDistLocked(x *exec, minPts int) []float64 {
 	x.report.Time(mst.PhaseCoreDist, func() {
 		cd = t.CoreDistancesCancel(minPts, &x.abort)
 	})
-	e.c.coreBuilds.Add(1)
+	e.stages.core.builds.Add(1)
 	e.regMu.Lock()
 	e.cores[minPts] = cd
 	e.regMu.Unlock()
@@ -690,7 +675,7 @@ type mstStage struct {
 	report mst.Stats
 }
 
-func (e *Engine) lookupMST(key mstKey) (mstStage, bool) {
+func (e *Engine) lookupMST(key StageKey) (mstStage, bool) {
 	e.regMu.RLock()
 	st, ok := e.msts[key]
 	e.regMu.RUnlock()
@@ -698,8 +683,8 @@ func (e *Engine) lookupMST(key mstKey) (mstStage, bool) {
 }
 
 // storeMST publishes an MST stage with a copy of the flight's report.
-func (e *Engine) storeMST(x *exec, key mstKey, edges []mst.Edge) []mst.Edge {
-	e.c.mstBuilds.Add(1)
+func (e *Engine) storeMST(x *exec, key StageKey, edges []mst.Edge) []mst.Edge {
+	e.stages.mst.builds.Add(1)
 	e.regMu.Lock()
 	e.msts[key] = mstStage{edges: edges, report: x.report}
 	e.regMu.Unlock()
@@ -715,39 +700,27 @@ func (e *Engine) EMST(ctx context.Context, algo EMSTAlgo) ([]mst.Edge, mst.Stats
 	if e.LiveN() <= 1 {
 		return nil, mst.Stats{}, nil
 	}
-	key := mstKey{Kind: KindEMST, Algo: uint8(algo)}
-	// Loop: a mutation can clear the memo between the leader's publish and
-	// the post-flight lookup (see CoreDist).
-	for {
-		if st, ok := e.lookupMST(key); ok {
-			e.c.mstHits.Add(1)
-			return st.edges, st.report, nil
-		}
-		err := e.coalesce(ctx, sfKey{stage: sfMST, kind: KindEMST, algo: uint8(algo)}, &e.c.mstCoalesced, func(x *exec) {
-			e.buildMu.Lock()
-			defer e.buildMu.Unlock()
-			e.emstLocked(x, key, algo)
-		})
-		if err != nil {
-			return nil, mst.Stats{}, err
-		}
-		if st, ok := e.lookupMST(key); ok {
-			return st.edges, st.report, nil
-		}
-		if e.LiveN() <= 1 {
-			return nil, mst.Stats{}, nil
-		}
-	}
+	key := StageKey{Kind: KindEMST, Algo: uint8(algo)}
+	var st mstStage
+	err := e.stages.mst.fetch(ctx, e, key, func() (ok bool) {
+		e.regMu.RLock()
+		st, ok = e.msts[key]
+		e.regMu.RUnlock()
+		// A delete can leave too few points to span after the check above;
+		// the build then publishes nothing, and nil is the answer.
+		return ok || e.LiveN() <= 1
+	}, func(x *exec) { e.emstLocked(x, key) })
+	return st.edges, st.report, err
 }
 
-func (e *Engine) emstLocked(x *exec, key mstKey, algo EMSTAlgo) []mst.Edge {
+func (e *Engine) emstLocked(x *exec, key StageKey) []mst.Edge {
 	if e.liveNLocked() <= 1 {
 		return nil // nothing to span; matches the one-shot early return
 	}
 	if st, ok := e.lookupMST(key); ok {
 		return st.edges
 	}
-	if algo == EMSTDelaunay2D {
+	if EMSTAlgo(key.Algo) == EMSTDelaunay2D {
 		x.abort.Check() // the Delaunay path has no interior checkpoints
 		e.compactLocked(x)
 		return e.storeMST(x, key, delaunay.EMST(e.Pts, &x.report))
@@ -757,7 +730,7 @@ func (e *Engine) emstLocked(x *exec, key mstKey, algo EMSTAlgo) []mst.Edge {
 	defer wsPool.Put(ws)
 	cfg := mst.Config{Tree: t, Metric: edgeMetricFor(t), Sep: separationFor(e.Kern), Stats: &x.report, WS: ws, Abort: &x.abort}
 	var edges []mst.Edge
-	switch algo {
+	switch EMSTAlgo(key.Algo) {
 	case EMSTMemoGFK:
 		edges = mst.MemoGFK(cfg)
 	case EMSTGFK:
@@ -775,19 +748,19 @@ func (e *Engine) emstLocked(x *exec, key mstKey, algo EMSTAlgo) []mst.Edge {
 }
 
 // hdbscanMSTLocked builds (or looks up) the MST of the mutual-reachability
-// graph for minPts with the selected algorithm, together with the core
+// graph for key.MinPts with key's algorithm, together with the core
 // distances it runs over. minPts has been validated by the caller (>= 1,
 // <= N for non-empty inputs).
-func (e *Engine) hdbscanMSTLocked(x *exec, key mstKey, minPts int, algo hdbscan.Algorithm) ([]mst.Edge, []float64) {
-	cd := e.coreDistLocked(x, minPts)
+func (e *Engine) hdbscanMSTLocked(x *exec, key StageKey) ([]mst.Edge, []float64) {
+	cd := e.coreDistLocked(x, key.MinPts)
 	if st, ok := e.lookupMST(key); ok {
 		return st.edges, cd
 	}
 	t := e.canonLocked(x)
-	e.annotateLocked(x, minPts, cd)
+	e.annotateLocked(x, key.MinPts, cd)
 	ws := wsPool.Get().(*mst.Workspace)
 	defer wsPool.Put(ws)
-	edges := hdbscan.MSTOnAnnotatedTreeCancel(t, algo, e.Kern, ws, &x.report, &x.abort)
+	edges := hdbscan.MSTOnAnnotatedTreeCancel(t, hdbscan.Algorithm(key.Algo), e.Kern, ws, &x.report, &x.abort)
 	return e.storeMST(x, key, edges), cd
 }
 
@@ -796,39 +769,23 @@ func (e *Engine) hdbscanMSTLocked(x *exec, key mstKey, minPts int, algo hdbscan.
 // KindEMST the algorithm is an EMSTAlgo and CoreDist is nil (single-linkage
 // semantics); for KindHDBSCAN it is an hdbscan.Algorithm.
 func (e *Engine) Hierarchy(ctx context.Context, kind Kind, algo uint8, minPts int) (*HierStage, error) {
-	key := mstKey{Kind: kind, Algo: algo, MinPts: minPts}
+	key := StageKey{Kind: kind, Algo: algo, MinPts: minPts}
 	if kind == KindEMST {
 		key.MinPts = 0
 	}
-	// Loop: a mutation can clear the memo between the leader's publish and
-	// the post-flight lookup (see CoreDist).
-	for {
-		e.regMu.RLock()
-		st := e.hiers[key]
-		e.regMu.RUnlock()
-		if st != nil {
-			e.c.hierHits.Add(1)
-			return st, nil
-		}
-		err := e.coalesce(ctx, sfKey{stage: sfHier, kind: kind, algo: algo, minPts: key.MinPts}, &e.c.hierCoalesced, func(x *exec) {
-			e.buildMu.Lock()
-			defer e.buildMu.Unlock()
-			e.hierarchyLocked(x, key, kind, algo, minPts)
-		})
-		if err != nil {
-			return nil, err
-		}
+	var st *HierStage
+	err := e.stages.hier.fetch(ctx, e, key, func() bool {
 		e.regMu.RLock()
 		st = e.hiers[key]
 		e.regMu.RUnlock()
-		if st != nil {
-			return st, nil
-		}
-	}
+		return st != nil
+	}, func(x *exec) { e.hierarchyLocked(x, key, minPts) })
+	return st, err
 }
 
-// hierarchyLocked is the build-mutex-held hierarchy stage body.
-func (e *Engine) hierarchyLocked(x *exec, key mstKey, kind Kind, algo uint8, minPts int) *HierStage {
+// hierarchyLocked is the build-mutex-held hierarchy stage body; minPts is
+// the stage's density parameter (1 for single linkage, whose key has 0).
+func (e *Engine) hierarchyLocked(x *exec, key StageKey, minPts int) *HierStage {
 	e.regMu.RLock()
 	st := e.hiers[key]
 	e.regMu.RUnlock()
@@ -837,10 +794,10 @@ func (e *Engine) hierarchyLocked(x *exec, key mstKey, kind Kind, algo uint8, min
 	}
 	var edges []mst.Edge
 	var cd []float64
-	if kind == KindEMST {
-		edges = e.emstLocked(x, key, EMSTAlgo(algo))
+	if key.Kind == KindEMST {
+		edges = e.emstLocked(x, key)
 	} else {
-		edges, cd = e.hdbscanMSTLocked(x, key, minPts, hdbscan.Algorithm(algo))
+		edges, cd = e.hdbscanMSTLocked(x, key)
 	}
 	x.abort.Check() // last checkpoint before the (uncancellable) dendrogram build
 	st = &HierStage{N: e.liveNLocked(), MST: edges, CoreDist: cd, MinPts: minPts, eng: e}
@@ -848,7 +805,7 @@ func (e *Engine) hierarchyLocked(x *exec, key mstKey, kind Kind, algo uint8, min
 		st.Dendro = dendrogram.BuildParallel(st.N, edges, 0)
 	})
 	st.Report = x.report
-	e.c.hierBuilds.Add(1)
+	e.stages.hier.builds.Add(1)
 	e.regMu.Lock()
 	e.hiers[key] = st
 	e.regMu.Unlock()

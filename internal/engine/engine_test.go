@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -153,5 +154,120 @@ func TestEMSTTrivialInputs(t *testing.T) {
 		if c := e.Counters(); c.TreeBuilds != 0 {
 			t.Fatalf("n=%d: trivial EMST built a tree", n)
 		}
+	}
+}
+
+// stageCounts is one stage family's {builds, hits, coalesced}.
+type stageCounts [3]int64
+
+// familyCounts splits c into the tree, core, MST and hierarchy families.
+func familyCounts(c Counters) [4]stageCounts {
+	return [4]stageCounts{
+		{c.TreeBuilds, c.TreeHits, c.TreeCoalesced},
+		{c.CoreDistBuilds, c.CoreDistHits, c.CoreDistCoalesced},
+		{c.MSTBuilds, c.MSTHits, c.MSTCoalesced},
+		{c.DendrogramBuilds, c.DendrogramHits, c.DendrogramCoalesced},
+	}
+}
+
+// TestFetchCounters pins the counters of the fetch path for every stage
+// entry on a fresh engine: a cold request counts one build per stage it
+// published and no hit, and the same request warm counts one hit in its
+// own family and nothing else. One client never coalesces; the
+// singleflight tests cover coalesced waits.
+func TestFetchCounters(t *testing.T) {
+	ctx := context.Background()
+	canon := func(e *Engine) error { _, err := e.CanonTree(ctx); return err }
+	hier := func(kind Kind, algo uint8) func(e *Engine) error {
+		return func(e *Engine) error { _, err := e.Hierarchy(ctx, kind, algo, 5); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		// dirty builds the tree and inserts rows first, so the cold request
+		// compacts.
+		dirty      bool
+		run        func(e *Engine) error
+		cold, warm [4]stageCounts // tree, core, mst, hier; changes over the step before
+	}{
+		{"Tree", false, func(e *Engine) error { _, err := e.Tree(ctx); return err },
+			[4]stageCounts{{1, 0, 0}}, [4]stageCounts{{0, 1, 0}}},
+		{"CanonTree", false, canon, [4]stageCounts{{1, 0, 0}}, [4]stageCounts{{0, 1, 0}}},
+		{"CanonTree/compaction", true, canon, [4]stageCounts{{1, 0, 0}}, [4]stageCounts{{0, 1, 0}}},
+		{"CoreDist", false, func(e *Engine) error { _, err := e.CoreDist(ctx, 5); return err },
+			[4]stageCounts{{1, 0, 0}, {1, 0, 0}}, [4]stageCounts{{}, {0, 1, 0}}},
+		{"EMST", false, func(e *Engine) error { _, _, err := e.EMST(ctx, EMSTMemoGFK); return err },
+			[4]stageCounts{{1, 0, 0}, {}, {1, 0, 0}}, [4]stageCounts{{}, {}, {0, 1, 0}}},
+		{"Hierarchy/hdbscan", false, hier(KindHDBSCAN, uint8(hdbscan.MemoGFK)),
+			[4]stageCounts{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}, {1, 0, 0}}, [4]stageCounts{{}, {}, {}, {0, 1, 0}}},
+		{"Hierarchy/emst", false, hier(KindEMST, uint8(EMSTMemoGFK)),
+			[4]stageCounts{{1, 0, 0}, {}, {1, 0, 0}, {1, 0, 0}}, [4]stageCounts{{}, {}, {}, {0, 1, 0}}},
+		{"CoreDistTree", false, func(e *Engine) error { _, _, err := e.CoreDistTree(ctx, 5); return err },
+			[4]stageCounts{{1, 0, 0}, {1, 0, 0}}, [4]stageCounts{{0, 1, 0}, {0, 1, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(randPoints(400, 2, 21), metric.L2{})
+			if tc.dirty {
+				testTree(e)
+				if _, err := e.Insert(randPoints(3, 2, 22)); err != nil || !e.Dirty() {
+					t.Fatalf("insert: err %v, dirty %v", err, e.Dirty())
+				}
+			}
+			before := familyCounts(e.Counters())
+			for _, step := range []struct {
+				name string
+				want [4]stageCounts
+			}{{"cold", tc.cold}, {"warm", tc.warm}} {
+				if err := tc.run(e); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				after := familyCounts(e.Counters())
+				var got [4]stageCounts
+				for f := range got {
+					for i := range got[f] {
+						got[f][i] = after[f][i] - before[f][i]
+					}
+				}
+				if got != step.want {
+					t.Errorf("%s: tree/core/mst/hier {builds hits coalesced} %v, want %v", step.name, got, step.want)
+				}
+				before = after
+			}
+			want := int64(0)
+			if tc.dirty {
+				want = 1 // the cold request compacted
+			}
+			if got := e.Counters().Compactions; got != want {
+				t.Errorf("compactions %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestWarmHitsAllocateNothing pins the warm path of the five stage
+// entries: a request answered by its first look allocates nothing.
+func TestWarmHitsAllocateNothing(t *testing.T) {
+	ctx := context.Background()
+	e := New(randPoints(400, 2, 23), metric.L2{})
+	hdb := uint8(hdbscan.MemoGFK)
+	warm := func() {
+		if _, err := e.Tree(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CanonTree(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CoreDist(ctx, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.EMST(ctx, EMSTMemoGFK); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Hierarchy(ctx, KindHDBSCAN, hdb, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm() // builds every stage
+	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+		t.Fatalf("warm hits allocated %v times per run, want 0", allocs)
 	}
 }

@@ -15,9 +15,11 @@ import (
 // warm-restart tests prove nothing was recomputed — and that a seeded
 // stage's build report is zero, since no flight built it.
 
-// StageKey identifies one MST/hierarchy stage across the engine boundary.
-// It mirrors the unexported mstKey: for KindEMST, Algo is an EMSTAlgo and
-// MinPts is 0; for KindHDBSCAN, Algo is an hdbscan.Algorithm.
+// StageKey identifies one memoized stage: it keys the MST and hierarchy
+// memos, the exported StageSet, and every family's in-flight table. For
+// KindEMST, Algo is an EMSTAlgo and MinPts is 0; for KindHDBSCAN, Algo is an
+// hdbscan.Algorithm. A tree stage is the zero key, and a core-distance
+// stage sets only MinPts.
 type StageKey struct {
 	Kind   Kind
 	Algo   uint8
@@ -35,15 +37,6 @@ type StageSet struct {
 	Hiers map[StageKey]*dendrogram.Dendrogram
 }
 
-// ExportStages snapshots the engine's published stage outputs. It takes
-// only the registry read lock, so it can run concurrently with queries and
-// with an in-flight build (whose result is simply not yet visible).
-func (e *Engine) ExportStages() StageSet {
-	e.regMu.RLock()
-	defer e.regMu.RUnlock()
-	return e.exportStagesLocked()
-}
-
 // SnapshotView captures the base point set together with the published
 // stage outputs under one registry read lock, so a serializer sees a
 // mutation-coherent pair: the stages always describe exactly these points.
@@ -52,10 +45,6 @@ func (e *Engine) ExportStages() StageSet {
 func (e *Engine) SnapshotView() (geometry.Points, StageSet) {
 	e.regMu.RLock()
 	defer e.regMu.RUnlock()
-	return e.Pts, e.exportStagesLocked()
-}
-
-func (e *Engine) exportStagesLocked() StageSet {
 	s := StageSet{
 		Tree:  e.tree,
 		Cores: make(map[int][]float64, len(e.cores)),
@@ -66,14 +55,14 @@ func (e *Engine) exportStagesLocked() StageSet {
 		s.Cores[mp] = cd
 	}
 	for k, st := range e.msts {
-		s.MSTs[StageKey(k)] = st.edges
+		s.MSTs[k] = st.edges
 	}
 	for k, st := range e.hiers {
 		if st.N > 0 { // the store encodes no dendrogram of zero points
-			s.Hiers[StageKey(k)] = st.Dendro
+			s.Hiers[k] = st.Dendro
 		}
 	}
-	return s
+	return e.Pts, s
 }
 
 // SeedStages installs previously exported stage outputs into the engine
@@ -100,15 +89,15 @@ func (e *Engine) SeedStages(s StageSet) {
 		}
 	}
 	for k, edges := range s.MSTs {
-		if _, ok := e.msts[mstKey(k)]; !ok && edges != nil {
-			e.msts[mstKey(k)] = mstStage{edges: edges}
+		if _, ok := e.msts[k]; !ok && edges != nil {
+			e.msts[k] = mstStage{edges: edges}
 		}
 	}
 	for k, d := range s.Hiers {
-		if _, ok := e.hiers[mstKey(k)]; ok || d == nil {
+		if _, ok := e.hiers[k]; ok || d == nil {
 			continue
 		}
-		ms, ok := e.msts[mstKey(k)]
+		ms, ok := e.msts[k]
 		if !ok {
 			continue
 		}
@@ -124,6 +113,6 @@ func (e *Engine) SeedStages(s StageSet) {
 			// the public entry point always passes minPts=1.
 			st.MinPts = 1
 		}
-		e.hiers[mstKey(k)] = st
+		e.hiers[k] = st
 	}
 }

@@ -18,7 +18,7 @@ func TestExportSeedStagesZeroRebuilds(t *testing.T) {
 	testHier(warm, KindHDBSCAN, uint8(hdbscan.MemoGFK), 9)
 	testHier(warm, KindEMST, uint8(EMSTMemoGFK), 1)
 
-	set := warm.ExportStages()
+	_, set := warm.SnapshotView()
 	if set.Tree == nil || len(set.Cores) != 2 || len(set.MSTs) != 3 || len(set.Hiers) != 3 {
 		t.Fatalf("export: tree=%v cores=%d msts=%d hiers=%d, want tree/2/3/3",
 			set.Tree != nil, len(set.Cores), len(set.MSTs), len(set.Hiers))
@@ -75,7 +75,7 @@ func TestSeedStagesPartial(t *testing.T) {
 	pts := randPoints(300, 2, 12)
 	warm := New(pts, metric.L2{})
 	testHier(warm, KindHDBSCAN, uint8(hdbscan.MemoGFK), 4)
-	set := warm.ExportStages()
+	_, set := warm.SnapshotView()
 
 	// Drop the MSTs: the dependent hierarchy must not be seeded either.
 	set.MSTs = nil
@@ -93,7 +93,8 @@ func TestSeedStagesPartial(t *testing.T) {
 	// Seeding into an engine that already built the same stage keeps the
 	// engine's copy.
 	st := testHier(cold, KindHDBSCAN, uint8(hdbscan.MemoGFK), 4)
-	cold.SeedStages(warm.ExportStages())
+	_, set = warm.SnapshotView()
+	cold.SeedStages(set)
 	if got := testHier(cold, KindHDBSCAN, uint8(hdbscan.MemoGFK), 4); got != st {
 		t.Fatal("SeedStages replaced an already-published stage")
 	}

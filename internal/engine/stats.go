@@ -2,35 +2,25 @@ package engine
 
 import "sync/atomic"
 
-// counters tracks stage cache activity with atomics so hot read paths never
-// take a lock to record a hit.
+// counters tracks the engine's activity outside the stage families (each
+// family counts its own builds, hits and coalesced waits) with atomics, so
+// hot read paths never take a lock to record a cut hit.
 type counters struct {
-	treeBuilds    atomic.Int64
-	treeHits      atomic.Int64
-	treeCoalesced atomic.Int64
-	coreBuilds    atomic.Int64
-	coreHits      atomic.Int64
-	coreCoalesced atomic.Int64
-	mstBuilds     atomic.Int64
-	mstHits       atomic.Int64
-	mstCoalesced  atomic.Int64
-	hierBuilds    atomic.Int64
-	hierHits      atomic.Int64
-	hierCoalesced atomic.Int64
-	cutBuilds     atomic.Int64
-	cutHits       atomic.Int64
-	buildAborts   atomic.Int64
-	buildPanics   atomic.Int64
-	treePatches   atomic.Int64
-	compactions   atomic.Int64
+	cutBuilds   atomic.Int64
+	cutHits     atomic.Int64
+	buildAborts atomic.Int64
+	buildPanics atomic.Int64
+	treePatches atomic.Int64
+	compactions atomic.Int64
 }
 
 // Counters is a point-in-time snapshot of an Engine's stage cache counters.
-// Builds count stage executions (cache misses that ran the computation);
-// Hits count queries answered from a memoized stage output; Coalesced
-// counts queries that arrived while another goroutine was already building
-// the same stage and parked on that build instead of triggering their own
-// (the singleflight outcome — neither a build nor a hit). "Tree was built
+// Builds count stage publications (a flight publishes its own stage and any
+// upstream stage it had to build first); Hits count requests whose first
+// look found the stage published; Coalesced counts requests that parked on
+// a build another request was already running instead of triggering their
+// own (the singleflight outcome — neither a build nor a hit). The leader of
+// a flight counts neither a hit nor a coalesced wait. "Tree was built
 // exactly once" is TreeBuilds == 1.
 type Counters struct {
 	// TreeBuilds / TreeHits / TreeCoalesced: k-d tree constructions vs.
@@ -75,25 +65,23 @@ func (c Counters) Coalesced() int64 {
 
 // Counters returns a snapshot of the engine's stage cache counters.
 func (e *Engine) Counters() Counters {
-	return Counters{
-		TreeBuilds:          e.c.treeBuilds.Load(),
-		TreeHits:            e.c.treeHits.Load(),
-		TreeCoalesced:       e.c.treeCoalesced.Load(),
-		CoreDistBuilds:      e.c.coreBuilds.Load(),
-		CoreDistHits:        e.c.coreHits.Load(),
-		CoreDistCoalesced:   e.c.coreCoalesced.Load(),
-		MSTBuilds:           e.c.mstBuilds.Load(),
-		MSTHits:             e.c.mstHits.Load(),
-		MSTCoalesced:        e.c.mstCoalesced.Load(),
-		DendrogramBuilds:    e.c.hierBuilds.Load(),
-		DendrogramHits:      e.c.hierHits.Load(),
-		DendrogramCoalesced: e.c.hierCoalesced.Load(),
-		CutBuilds:           e.c.cutBuilds.Load(),
-		CutHits:             e.c.cutHits.Load(),
-		BuildAborts:         e.c.buildAborts.Load(),
-		BuildPanics:         e.c.buildPanics.Load(),
-		TreePatches:         e.c.treePatches.Load(),
-		Compactions:         e.c.compactions.Load(),
-		MutationEpoch:       e.epoch.Load(),
+	c := Counters{
+		CutBuilds:     e.c.cutBuilds.Load(),
+		CutHits:       e.c.cutHits.Load(),
+		BuildAborts:   e.c.buildAborts.Load(),
+		BuildPanics:   e.c.buildPanics.Load(),
+		TreePatches:   e.c.treePatches.Load(),
+		Compactions:   e.c.compactions.Load(),
+		MutationEpoch: e.epoch.Load(),
 	}
+	c.TreeBuilds, c.TreeHits, c.TreeCoalesced = e.stages.tree.load()
+	c.CoreDistBuilds, c.CoreDistHits, c.CoreDistCoalesced = e.stages.core.load()
+	c.MSTBuilds, c.MSTHits, c.MSTCoalesced = e.stages.mst.load()
+	c.DendrogramBuilds, c.DendrogramHits, c.DendrogramCoalesced = e.stages.hier.load()
+	return c
+}
+
+// load reads the family's counters.
+func (f *family) load() (builds, hits, coalesced int64) {
+	return f.builds.Load(), f.hits.Load(), f.coalesced.Load()
 }

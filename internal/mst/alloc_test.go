@@ -41,7 +41,7 @@ func TestWSPDBoruvkaRoundAllocs(t *testing.T) {
 	tr := kdtree.Build(pts, 1)
 	cfg := Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}}
 	ws := NewWorkspace()
-	r := newWSPDBoruvkaRun(cfg, ws, decomposePairs(cfg))
+	r := newWSPDBoruvkaRun(cfg, ws, decompose(cfg, nil))
 	if !r.round() {
 		t.Fatal("WSPD-Borůvka finished in zero rounds")
 	}
@@ -66,12 +66,9 @@ func TestGFKRoundAllocs(t *testing.T) {
 	tr := kdtree.Build(pts, 1)
 	cfg := Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}}
 	ws := NewWorkspace()
-	raw := wspd.Decompose(tr, cfg.Sep, nil)
+	ws.pairs = decompose(cfg, ws.pairs)
 	ws.grow(pts.N)
-	ws.growPairs(len(raw))
-	for i := range raw {
-		ws.pairs[i] = gfkPair{a: raw[i].A, b: raw[i].B, res: kdtree.BCCPResult{U: -1, V: -1, W: 0}}
-	}
+	ws.growPairs(len(ws.pairs))
 	r := newGFKRun(cfg, ws, ws.pairs)
 	beta := 2
 	r.round(beta) // warm up: grows ws.batch

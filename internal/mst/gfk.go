@@ -15,16 +15,51 @@ import (
 // internal invariant is broken.
 const maxRounds = 200
 
-// gfkPair is a WSPD pair with its lazily computed, cached BCCP. Pairs are
-// stored by value in flat slices (no per-pair heap allocation); rounds
+// pair is a WSPD pair with its lazily computed, cached BCCP. Pairs are
+// stored by value in flat slices (no per-pair heap allocation); GFK rounds
 // shuffle them between the workspace's two buffers with stable in-place
-// partitions.
-type gfkPair struct {
+// partitions, and WSPD-Borůvka rounds compact them in place.
+type pair struct {
 	a, b *kdtree.Node
 	res  kdtree.BCCPResult // res.U < 0 when not yet computed
 }
 
-func (p *gfkPair) card() int { return p.a.Size() + p.b.Size() }
+func (p *pair) card() int { return p.a.Size() + p.b.Size() }
+
+func (p *pair) edge() Edge { return MakeEdge(p.res.U, p.res.V, p.res.W) }
+
+// decompose materializes the full WSPD of cfg.Tree as pairs with no BCCP
+// computed yet, into dst when it has room, recording the WSPD phase and the
+// pair counts.
+func decompose(cfg Config, dst []pair) []pair {
+	cfg.Stats.Time(PhaseWSPD, func() {
+		raw := wspd.Decompose(cfg.Tree, cfg.Sep, cfg.Abort)
+		if cap(dst) < len(raw) {
+			dst = make([]pair, len(raw))
+		}
+		dst = dst[:len(raw)]
+		parallel.For(len(raw), 0, func(i int) {
+			dst[i] = pair{a: raw[i].A, b: raw[i].B, res: kdtree.BCCPResult{U: -1, V: -1, W: math.NaN()}}
+		})
+	})
+	cfg.Stats.AddPairs(int64(len(dst)))
+	cfg.Stats.NotePeak(int64(len(dst)))
+	return dst
+}
+
+// bccpChunk computes and caches the BCCP of every pair of ps[lo:hi] that
+// has none yet: the body of both BCCP rounds' parallel loops.
+func bccpChunk(cfg Config, ps []pair, lo, hi int) {
+	cfg.Abort.Check()
+	var calls int64
+	for i := lo; i < hi; i++ {
+		if ps[i].res.U < 0 {
+			ps[i].res = kdtree.BCCP(cfg.Tree, cfg.Metric, ps[i].a, ps[i].b)
+			calls++
+		}
+	}
+	cfg.Stats.AddBCCP(calls)
+}
 
 func connected(a, b *kdtree.Node) bool { return a.Comp >= 0 && a.Comp == b.Comp }
 
@@ -44,25 +79,15 @@ func GFK(cfg Config) []Edge {
 	if n <= 1 {
 		return nil
 	}
-	var raw []wspd.Pair
-	cfg.Stats.Time(PhaseWSPD, func() {
-		raw = wspd.Decompose(t, cfg.Sep, cfg.Abort)
-	})
-	cfg.Stats.AddPairs(int64(len(raw)))
-	cfg.Stats.NotePeak(int64(len(raw)))
-
 	ws := cfg.WS
 	if ws == nil {
 		ws = NewWorkspace()
 	}
+	ws.pairs = decompose(cfg, ws.pairs)
 	ws.grow(n)
-	ws.growPairs(len(raw))
-	s := ws.pairs
-	parallel.For(len(raw), 0, func(i int) {
-		s[i] = gfkPair{a: raw[i].A, b: raw[i].B, res: kdtree.BCCPResult{U: -1, V: -1, W: math.NaN()}}
-	})
+	ws.growPairs(len(ws.pairs))
 
-	r := newGFKRun(cfg, ws, s)
+	r := newGFKRun(cfg, ws, ws.pairs)
 	beta := 2
 	for round := 0; len(ws.out) < n-1; round++ {
 		if round >= roundCap(cfg, n) {
@@ -81,26 +106,16 @@ func GFK(cfg Config) []Edge {
 type gfkRun struct {
 	cfg Config
 	ws  *Workspace
-	s   []gfkPair // surviving pairs, prefix of ws.pairs
-	su  []gfkPair // large-cardinality side of the current split (ws.scratch)
+	s   []pair // surviving pairs, prefix of ws.pairs
+	su  []pair // large-cardinality side of the current split (ws.scratch)
 
 	bccpBody func(lo, hi int)
 	rhoBody  func(i int) float64
 }
 
-func newGFKRun(cfg Config, ws *Workspace, s []gfkPair) *gfkRun {
+func newGFKRun(cfg Config, ws *Workspace, s []pair) *gfkRun {
 	r := &gfkRun{cfg: cfg, ws: ws, s: s}
-	r.bccpBody = func(lo, hi int) {
-		cfg.Abort.Check()
-		var calls int64
-		for i := lo; i < hi; i++ {
-			if r.s[i].res.U < 0 {
-				r.s[i].res = kdtree.BCCP(cfg.Tree, cfg.Metric, r.s[i].a, r.s[i].b)
-				calls++
-			}
-		}
-		cfg.Stats.AddBCCP(calls)
-	}
+	r.bccpBody = func(lo, hi int) { bccpChunk(cfg, r.s, lo, hi) }
 	r.rhoBody = func(i int) float64 {
 		return cfg.Metric.NodeLB(r.su[i].a, r.su[i].b)
 	}

@@ -15,9 +15,9 @@ type Workspace struct {
 	best []int32 // dense per-component min-reduction slots (candidate index)
 	out  []Edge  // accepted MST edges
 
-	batch   []Edge    // GFK/MemoGFK: per-round Kruskal batch
-	pairs   []gfkPair // GFK: surviving-pair buffer (ping-pong with scratch)
-	scratch []gfkPair // GFK: stable-partition scratch
+	batch   []Edge // GFK/MemoGFK: per-round Kruskal batch
+	pairs   []pair // GFK: the WSPD's pairs, then the survivors (ping-pong with scratch)
+	scratch []pair // GFK: stable-partition scratch
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
@@ -51,13 +51,12 @@ func (w *Workspace) grow(n int) {
 	w.out = w.out[:0]
 }
 
-// growPairs sizes the GFK pair buffers for npairs WSPD pairs.
+// growPairs sizes GFK's stable-partition scratch for npairs WSPD pairs
+// (decompose sizes the pair buffer itself).
 func (w *Workspace) growPairs(npairs int) {
-	if cap(w.pairs) < npairs {
-		w.pairs = make([]gfkPair, npairs)
-		w.scratch = make([]gfkPair, npairs)
+	if cap(w.scratch) < npairs {
+		w.scratch = make([]pair, npairs)
 	}
-	w.pairs = w.pairs[:npairs]
 	w.scratch = w.scratch[:npairs]
 	if w.batch == nil {
 		w.batch = make([]Edge, 0, 64)

@@ -1,13 +1,10 @@
 package mst
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
-	"parclust/internal/kdtree"
 	"parclust/internal/parallel"
-	"parclust/internal/wspd"
 )
 
 // WSPDBoruvka computes the MST with Borůvka rounds over the WSPD's BCCP
@@ -28,38 +25,15 @@ func WSPDBoruvka(cfg Config) []Edge {
 	if n <= 1 {
 		return nil
 	}
-	var pairs []wspdPairList
-	cfg.Stats.Time(PhaseWSPD, func() {
-		pairs = decomposePairs(cfg)
-	})
-	cfg.Stats.AddPairs(int64(len(pairs)))
-	cfg.Stats.NotePeak(int64(len(pairs)))
-
 	ws := cfg.WS
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	r := newWSPDBoruvkaRun(cfg, ws, pairs)
+	r := newWSPDBoruvkaRun(cfg, ws, decompose(cfg, nil))
 	for r.round() {
 	}
 	out := ws.finish(t.Orig)
 	parallel.Sort(out, Less)
-	return out
-}
-
-type wspdPairList struct {
-	a, b *kdtree.Node
-	res  kdtree.BCCPResult
-}
-
-func (p *wspdPairList) edge() Edge { return MakeEdge(p.res.U, p.res.V, p.res.W) }
-
-func decomposePairs(cfg Config) []wspdPairList {
-	raw := wspd.Decompose(cfg.Tree, cfg.Sep, cfg.Abort)
-	out := make([]wspdPairList, len(raw))
-	parallel.For(len(raw), 0, func(i int) {
-		out[i] = wspdPairList{a: raw[i].A, b: raw[i].B, res: kdtree.BCCPResult{U: -1, V: -1, W: math.NaN()}}
-	})
 	return out
 }
 
@@ -68,26 +42,16 @@ func decomposePairs(cfg Config) []wspdPairList {
 type wspdBoruvkaRun struct {
 	cfg   Config
 	ws    *Workspace
-	pairs []wspdPairList
+	pairs []pair
 
 	bccpBody   func(lo, hi int)
 	reduceBody func(lo, hi int)
 }
 
-func newWSPDBoruvkaRun(cfg Config, ws *Workspace, pairs []wspdPairList) *wspdBoruvkaRun {
+func newWSPDBoruvkaRun(cfg Config, ws *Workspace, pairs []pair) *wspdBoruvkaRun {
 	ws.grow(cfg.Tree.Pts.N)
 	r := &wspdBoruvkaRun{cfg: cfg, ws: ws, pairs: pairs}
-	r.bccpBody = func(lo, hi int) {
-		cfg.Abort.Check()
-		var calls int64
-		for i := lo; i < hi; i++ {
-			if r.pairs[i].res.U < 0 {
-				r.pairs[i].res = kdtree.BCCP(cfg.Tree, cfg.Metric, r.pairs[i].a, r.pairs[i].b)
-				calls++
-			}
-		}
-		cfg.Stats.AddBCCP(calls)
-	}
+	r.bccpBody = func(lo, hi int) { bccpChunk(cfg, r.pairs, lo, hi) }
 	r.reduceBody = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := r.pairs[i].edge()
@@ -104,7 +68,7 @@ func newWSPDBoruvkaRun(cfg Config, ws *Workspace, pairs []wspdPairList) *wspdBor
 
 // casMinPair write-mins pair index i into component c's slot under the
 // edge total order (deterministic for any interleaving).
-func casMinPair(best []int32, pairs []wspdPairList, c, i int32) {
+func casMinPair(best []int32, pairs []pair, c, i int32) {
 	slot := &best[c]
 	ei := pairs[i].edge()
 	for {

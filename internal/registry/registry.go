@@ -35,6 +35,8 @@ var (
 	// ErrOverBudget reports that evicting every unpinned entry would still
 	// leave no room: the rest of the budget is pinned by in-flight queries.
 	ErrOverBudget = errors.New("registry: memory budget exhausted by in-use entries")
+	// ErrExists reports that Add found its key already resident.
+	ErrExists = errors.New("registry: key already resident")
 )
 
 // ReleaseCause tells an OnRelease callback why the entry left the
@@ -154,6 +156,18 @@ func New[V any](maxBytes int64) *Registry[V] {
 // whole budget. A failed Put changes nothing: no entry is evicted, and the
 // existing entry under key (pinned or not) stays resident and serving.
 func (r *Registry[V]) Put(key string, val V, bytes int64) error {
+	return r.put(key, val, bytes, true)
+}
+
+// Add is Put for an absent key: when key is resident it changes nothing and
+// fails with ErrExists, so a value that may be stale never replaces one
+// stored since.
+func (r *Registry[V]) Add(key string, val V, bytes int64) error {
+	return r.put(key, val, bytes, false)
+}
+
+// put is Put when replace is set, and Add otherwise.
+func (r *Registry[V]) put(key string, val V, bytes int64, replace bool) error {
 	if bytes < 0 {
 		return fmt.Errorf("registry: negative size %d for %q", bytes, key)
 	}
@@ -162,6 +176,10 @@ func (r *Registry[V]) Put(key string, val V, bytes int64) error {
 	}
 	r.mu.Lock()
 	old := r.m[key]
+	if old != nil && !replace {
+		r.mu.Unlock()
+		return ErrExists
+	}
 	var victims []*entry[V]
 	if r.maxBytes > 0 {
 		need := r.bytes + bytes - r.maxBytes

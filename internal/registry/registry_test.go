@@ -116,6 +116,43 @@ func TestReplaceSameKey(t *testing.T) {
 	}
 }
 
+// TestAddKeepsResidentEntry: Add admits an absent key like Put, and for a
+// resident key it changes nothing — no replacement, no eviction, no
+// release — and fails with ErrExists.
+func TestAddKeepsResidentEntry(t *testing.T) {
+	released := 0
+	r := New[int](30)
+	r.OnRelease = func(string, int, ReleaseCause) { released++ }
+	if err := r.Add("k", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Put("other", 2, 10); err != nil {
+		t.Fatal(err)
+	}
+	// Would need to evict "other" to fit, were it admitted.
+	if err := r.Add("k", 3, 20); !errors.Is(err, ErrExists) {
+		t.Fatalf("Add over a resident key: %v, want ErrExists", err)
+	}
+	h, ok := r.Acquire("k")
+	if !ok || h.Value() != 1 || h.Bytes() != 10 {
+		t.Fatalf("resident entry changed by a refused Add: %v, %v", h.Value(), ok)
+	}
+	h.Release()
+	if s := r.Stats(); s.Entries != 2 || s.Bytes != 20 || s.Evictions != 0 || released != 0 {
+		t.Fatalf("refused Add mutated the registry: %+v, %d releases", s, released)
+	}
+	// Once the key is gone, Add admits again.
+	r.Evict("k")
+	if err := r.Add("k", 4, 10); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := r.Acquire("k"); !ok || h.Value() != 4 {
+		t.Fatalf("Add after Evict: %v, %v", h, ok)
+	} else {
+		h.Release()
+	}
+}
+
 // TestFailedReplacementKeepsOldEntry: when a same-key Put cannot be
 // admitted, the existing entry must remain resident and serving — a 507'd
 // re-upload must never destroy the dataset it failed to replace.
