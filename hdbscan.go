@@ -115,7 +115,7 @@ func SingleLinkageMetric(pts Points, m Metric) (*Hierarchy, error) {
 // (1+rho) guarantee is Euclidean-specific, so it runs under MetricL2 only.
 // The hierarchy's BuildReport covers this run.
 func ApproxOPTICS(pts Points, minPts int, rho float64) (*Hierarchy, error) {
-	if err := validatePoints(pts); err != nil {
+	if err := validatePoints(pts, MetricL2); err != nil {
 		return nil, err
 	}
 	if minPts < 1 || (minPts > pts.N && pts.N > 0) {

@@ -123,9 +123,12 @@ func (ix *Index) SetBuildGate(gate func() (release func(), ok bool)) {
 	ix.eng.SetBuildGate(gate)
 }
 
-// NewIndex validates pts and returns an Index over it. The points are
-// captured by reference (except under MetricAngular, which stores a
-// unit-normalized copy) and must not be mutated while the Index is in use.
+// NewIndex validates pts and returns an Index over it. Coordinates must be
+// finite and, under MetricL2 and MetricSqL2, within metric.MaxAbsCoord64,
+// past which a squared distance overflows (the bound covers the distance
+// kernels, not EMSTDelaunay2D's predicates). The points are captured by
+// reference (except under MetricAngular, which stores a unit-normalized
+// copy) and must not be mutated while the Index is in use.
 func NewIndex(pts Points, opts *IndexOptions) (*Index, error) {
 	m := MetricL2
 	f32 := false

@@ -29,16 +29,36 @@
 // The label-, edge-, and reachability-producing endpoints (hdbscan,
 // dbscan, optics, emst, sweep) additionally stream their response as
 // chunked NDJSON when the request carries "Accept: application/x-ndjson";
-// the buffered JSON document stays the default. See stream.go for the
-// record protocol.
+// the buffered JSON document stays the default.
+//
+// An hdbscan, dbscan, optics or emst answer is a head document plus one
+// large array (labels, edges or order), and both wire forms are written
+// from one description of that array. The buffered document is the head
+// with the array spliced in; the stream is the head line, chunk records of
+// the array's items, and a trailer. The array is always the document's
+// last field and is left out when empty, so both forms equal what
+// encoding/json writes for the whole document. The items themselves are
+// appended with strconv under encoding/json's number rules, not reflected
+// over. See stream.go for the record protocol.
 //
 // The six per-dataset GET queries run through one pipeline (serveQuery),
 // in one order: pin the dataset (404) and capture its mutation epoch;
 // validate every parameter, answering 400 before any stage work; run the
 // query under the request context; answer 409 if a mutation raced it;
-// then encode buffered JSON or NDJSON. A knn k above the dataset's point
-// count returns every point, and optics, like hdbscan, answers 400 for a
-// minpts above it.
+// then encode buffered JSON or NDJSON. A float the response echoes must be
+// finite, since JSON has no NaN or ±Inf: hdbscan and dbscan eps, range r
+// and broadcast eps answer 400 otherwise, while optics, which echoes no
+// eps, accepts eps=inf. A document encoding/json rejects answers 500
+// before any byte of it is sent. A knn k above the dataset's point count
+// returns every point, and optics, like hdbscan, answers 400 for a minpts
+// above it.
+//
+// Uploads and inserts answer 400 for a non-finite coordinate and, under
+// the l2 and sql2 metrics, for one whose magnitude exceeds
+// metric.MaxAbsCoord64 (about 2.4e153 in two dimensions), past which a
+// squared distance overflows. The bound covers the distance kernels, not
+// the incircle predicates of emst?algo=delaunay2d, which overflow from an
+// extent near 1e77.
 //
 // With Config.DataDir set, the server keeps a persistent stage store
 // (internal/store): uploads persist a snapshot, memory-pressure evictions
@@ -202,12 +222,32 @@ func (s *Server) Handler() http.Handler {
 
 // ---------------------------------------------------------------- encoding
 
+// writeJSON encodes v as the response document straight to the
+// connection. A document encoding/json rejects, such as one holding a NaN
+// or ±Inf float, answers 500 instead: encodeJSON writes nothing then, and
+// headerWriter sends the status line only with the document's bytes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // the status line is out; nothing useful to do on error
+	hw := &headerWriter{ResponseWriter: w, code: code}
+	if err := encodeJSON(hw, v); err != nil && !hw.sent {
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+	}
+}
+
+// headerWriter sends the status line and the JSON content type on its
+// first Write.
+type headerWriter struct {
+	http.ResponseWriter
+	code int
+	sent bool
+}
+
+func (h *headerWriter) Write(p []byte) (int, error) {
+	if !h.sent {
+		h.sent = true
+		h.Header().Set("Content-Type", "application/json")
+		h.WriteHeader(h.code)
+	}
+	return h.ResponseWriter.Write(p)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -362,6 +402,16 @@ func (p *params) float(key string) float64 {
 	raw := p.required(key)
 	v, err := strconv.ParseFloat(raw, 64)
 	p.check(key, raw, err)
+	return v
+}
+
+// finite reads a required float parameter that the response echoes, so it
+// must be finite: JSON has no form for NaN or ±Inf.
+func (p *params) finite(key string) float64 {
+	v := p.float(key)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		p.fail("bad %s=%q: want a finite number", key, p.v.Get(key))
+	}
 	return v
 }
 
@@ -680,6 +730,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ---------------------------------------------------------------- queries
 
+// flatResult is the hdbscan and dbscan response document. Like the other
+// heads of a streaming answer it leaves its array field, last and
+// omitempty, nil: the answer's array writes it (see stream.go).
 type flatResult struct {
 	Dataset        string  `json:"dataset"`
 	MinPts         int     `json:"minpts"`
@@ -707,14 +760,12 @@ func countNoise(labels []int32) int {
 type queryRun func(name string, idx *parclust.Index) (answer, error)
 
 // answer is a query's result, encoded by serveQuery once the mutation
-// check has passed. An endpoint that does not stream leaves stream nil and
-// head is its whole document. A streaming endpoint's head is the document
-// minus its large array field: attach adds the array for the buffered
-// response, and stream sends it as the NDJSON chunk records.
+// check has passed: the head document and, for the endpoints that stream,
+// its large array. knn and range leave arr empty and answer buffered JSON
+// only.
 type answer struct {
-	head   any
-	attach func()
-	stream func(sw *streamWriter) bool
+	head any
+	arr  array
 }
 
 // serveQuery is the one request pipeline behind the per-dataset GET
@@ -746,31 +797,11 @@ func (s *Server) serveQuery(parse func(p *params) queryRun) http.HandlerFunc {
 		if !s.queryDone(w, r, d, epoch, err) {
 			return
 		}
-		if ans.stream == nil || !wantsNDJSON(r) {
-			if ans.attach != nil {
-				ans.attach()
-			}
-			writeJSON(w, http.StatusOK, ans.head)
+		if ans.arr.field == "" || !wantsNDJSON(r) {
+			writeAnswer(w, ans.head, ans.arr)
 			return
 		}
-		sw := newStreamWriter(w, r)
-		if sw.write(ans.head) && ans.stream(sw) {
-			sw.finish()
-		}
-	}
-}
-
-// labelsAnswer is the answer of the flat-clustering endpoints; labels=false
-// omits the labels array from both wire forms.
-func labelsAnswer(res *flatResult, labels []int32, withLabels bool) answer {
-	return answer{
-		head: res,
-		attach: func() {
-			if withLabels {
-				res.Labels = labels
-			}
-		},
-		stream: func(sw *streamWriter) bool { return !withLabels || sw.streamLabels(labels) },
+		streamAnswer(w, r, ans.head, ans.arr)
 	}
 }
 
@@ -787,7 +818,7 @@ func parseHDBSCAN(p *params) queryRun {
 	)
 	switch {
 	case useEps:
-		eps = p.float("eps")
+		eps = p.finite("eps")
 	case p.v.Get("minclustersize") != "":
 		if mcs = p.int("minclustersize"); mcs < 1 {
 			p.fail("minclustersize must be >= 1, got %d", mcs)
@@ -813,13 +844,13 @@ func parseHDBSCAN(p *params) queryRun {
 			res.NumNoise = countNoise(c.Labels)
 		}
 		res.NumClusters = c.NumClusters
-		return labelsAnswer(res, c.Labels, withLabels), nil
+		return answer{head: res, arr: labelArray(c.Labels, withLabels)}, nil
 	}
 }
 
 func parseDBSCAN(p *params) queryRun {
 	minPts := p.int("minpts")
-	eps := p.float("eps")
+	eps := p.finite("eps")
 	star := p.bool("star", false)
 	withLabels := p.bool("labels", true)
 	return func(name string, idx *parclust.Index) (answer, error) {
@@ -835,7 +866,7 @@ func parseDBSCAN(p *params) queryRun {
 			Dataset: name, MinPts: minPts, Eps: eps, Star: star,
 			NumClusters: c.NumClusters, NumNoise: countNoise(c.Labels),
 		}
-		return labelsAnswer(res, c.Labels, withLabels), nil
+		return answer{head: res, arr: labelArray(c.Labels, withLabels)}, nil
 	}
 }
 
@@ -846,24 +877,14 @@ type opticsBar struct {
 	Reachability *float64 `json:"reachability"`
 }
 
-// toOpticsBar converts one OPTICS entry to its wire shape.
-func toOpticsBar(e parclust.OPTICSEntry) opticsBar {
-	b := opticsBar{ID: e.Idx}
-	if !math.IsInf(e.Reachability, 1) {
-		reach := e.Reachability
-		b.Reachability = &reach
-	}
-	return b
-}
-
-// opticsResult is the OPTICS response document; Order is the omitted array
-// field in a streamed header.
+// opticsResult is the OPTICS response document; Order is its array field.
 type opticsResult struct {
 	Dataset string      `json:"dataset"`
 	MinPts  int         `json:"minpts"`
 	Order   []opticsBar `json:"order,omitempty"`
 }
 
+// parseOPTICS accepts eps=inf, the default: the response does not echo eps.
 func parseOPTICS(p *params) queryRun {
 	minPts := p.int("minpts")
 	eps := math.Inf(1)
@@ -875,17 +896,7 @@ func parseOPTICS(p *params) queryRun {
 		if err != nil {
 			return answer{}, err
 		}
-		res := &opticsResult{Dataset: name, MinPts: minPts}
-		return answer{
-			head: res,
-			attach: func() {
-				res.Order = make([]opticsBar, len(entries))
-				for i, e := range entries {
-					res.Order[i] = toOpticsBar(e)
-				}
-			},
-			stream: func(sw *streamWriter) bool { return sw.streamBars(entries) },
-		}, nil
+		return answer{head: &opticsResult{Dataset: name, MinPts: minPts}, arr: barArray(entries)}, nil
 	}
 }
 
@@ -895,8 +906,7 @@ type edgeJSON struct {
 	W float64 `json:"w"`
 }
 
-// emstResult is the EMST response document; Edges is the omitted array
-// field in a streamed header.
+// emstResult is the EMST response document; Edges is its array field.
 type emstResult struct {
 	Dataset     string     `json:"dataset"`
 	Algo        string     `json:"algo"`
@@ -924,18 +934,7 @@ func parseEMST(p *params) queryRun {
 			Dataset: name, Algo: algo.String(),
 			NumEdges: len(edges), TotalWeight: total,
 		}
-		return answer{
-			head: res,
-			attach: func() {
-				if withEdges {
-					res.Edges = make([]edgeJSON, len(edges))
-					for i, e := range edges {
-						res.Edges[i] = edgeJSON{U: e.U, V: e.V, W: e.W}
-					}
-				}
-			},
-			stream: func(sw *streamWriter) bool { return !withEdges || sw.streamEdges(edges) },
-		}, nil
+		return answer{head: res, arr: edgeArray(edges, withEdges)}, nil
 	}
 }
 
@@ -965,7 +964,7 @@ func parseKNN(p *params) queryRun {
 
 func parseRange(p *params) queryRun {
 	q := p.id("q")
-	radius := p.float("r")
+	radius := p.finite("r")
 	withIDs := p.bool("ids", true)
 	return func(name string, idx *parclust.Index) (answer, error) {
 		ids, err := idx.RangeQuery(q, radius)
@@ -1007,7 +1006,7 @@ type broadcastEntry struct {
 func (s *Server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	p := params{v: r.URL.Query()}
 	minPts := p.int("minpts")
-	eps := p.float("eps")
+	eps := p.finite("eps")
 	if p.err != nil {
 		writeError(w, http.StatusBadRequest, "%v", p.err)
 		return

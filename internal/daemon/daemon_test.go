@@ -745,6 +745,9 @@ func TestDaemonErrors(t *testing.T) {
 		{"PUT", "/v1/datasets/ragged", `{"points":[[1,2],[3]]}`, "application/json", http.StatusBadRequest},
 		{"PUT", "/v1/datasets/badmetric", `{"points":[[1,2]],"metric":"warp"}`, "application/json", http.StatusBadRequest},
 		{"PUT", "/v1/datasets/nonfinite", `{"points":[[1e999,2]]}`, "application/json", http.StatusBadRequest},
+		// Past metric.MaxAbsCoord64 an L2 squared distance overflows.
+		{"PUT", "/v1/datasets/huge", `{"points":[[0,0],[1e155,0],[1,1],[1e155,1]]}`, "application/json", http.StatusBadRequest},
+		{"POST", "/v1/datasets/ok/points", `{"points":[[1e155,0]]}`, "application/json", http.StatusBadRequest},
 		{"PUT", "/v1/datasets/badcsv", "1,2\nx,y\n", "text/csv", http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,12 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
+
+	"parclust"
 )
 
 // FuzzParseSweep fuzzes the sweep-request parser: whatever the body, an
@@ -81,5 +84,55 @@ func FuzzParseSweep(f *testing.F) {
 		if len(req2.MinPts) != len(req.MinPts) || len(req2.Eps) != len(req.Eps) {
 			t.Fatalf("round trip changed the grid: %+v -> %+v", req, req2)
 		}
+	})
+}
+
+// FuzzArrayItems pins the array item appenders to encoding/json: for every
+// int32 and every finite float64 bit pattern, appendInt, appendFloat,
+// appendEdge and appendBar write what json.Marshal writes for the same
+// value in its wire shape (int32, float64, edgeJSON, opticsBar; an OPTICS
+// reachability of +Inf is null).
+func FuzzArrayItems(f *testing.F) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 0.1, 123456789.125,
+		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+		5e-324, 2.2250738585072009e-308, // the smallest and largest subnormals
+		math.MaxFloat64, -math.MaxFloat64,
+		1e-7, -2.5e-9, 3e-100, // e-0x exponents, and one without a zero
+		math.Inf(1),
+	}
+	ints := []int32{0, -1, 7, 123456, math.MaxInt32, math.MinInt32}
+	for i, x := range floats {
+		f.Add(math.Float64bits(x), ints[i%len(ints)])
+	}
+	for _, n := range ints {
+		f.Add(math.Float64bits(0.5), n)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, n int32) {
+		same := func(what string, got []byte, v any) {
+			t.Helper()
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("%s: json.Marshal(%v): %v", what, v, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: wrote %s, encoding/json writes %s", what, got, want)
+			}
+		}
+		same("appendInt", appendInt(nil, n), n)
+		x := math.Float64frombits(bits)
+		if math.IsNaN(x) || math.IsInf(x, -1) {
+			return // no distance takes these values
+		}
+		bar := opticsBar{ID: n}
+		if !math.IsInf(x, 1) {
+			bar.Reachability = &x
+		}
+		same("appendBar", appendBar(nil, parclust.OPTICSEntry{Idx: n, Reachability: x}), bar)
+		if math.IsInf(x, 1) {
+			return
+		}
+		same("appendFloat", appendFloat(nil, x), x)
+		same("appendEdge", appendEdge(nil, parclust.Edge{U: n, V: ^n, W: x}), edgeJSON{U: n, V: ^n, W: x})
 	})
 }

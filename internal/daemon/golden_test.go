@@ -16,8 +16,7 @@ import (
 // The paths cover the optional flags (labels=false, edges=false, ids=false,
 // minclustersize, star, algo), both distance kernels of the k-d tree (L2 and
 // the general-metric traversal), float32, a dataset with an insert overlay
-// and tombstones, broadcast, 404s, query errors, and every malformed path
-// of TestQueryParamValidation.
+// and tombstones, broadcast, 404s, query errors, and malformed parameters.
 var goldenResponses = []struct{ path, buffered, ndjson string }{
 	{"/v1/datasets/p/hdbscan?minpts=5&eps=0.5",
 		"90463429e1b312a31f03415f422b5c1bcfd8018ed0bbc7a6cc7266083d5917b4",

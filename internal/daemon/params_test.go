@@ -45,6 +45,24 @@ func TestQueryParamValidation(t *testing.T) {
 	if code := ts.get("/v1/datasets/p/optics?minpts=", nil); code != http.StatusBadRequest {
 		t.Errorf("empty minpts: want 400")
 	}
+	// A float the response echoes must be finite, since JSON has no NaN or
+	// ±Inf: both wire forms answer 400 naming the parameter.
+	nonFinite := []struct{ path, param string }{
+		{"/v1/datasets/p/hdbscan?minpts=3&eps=inf", "eps"},
+		{"/v1/datasets/p/hdbscan?minpts=3&eps=NaN", "eps"},
+		{"/v1/datasets/p/hdbscan?minpts=3&eps=-Inf&labels=false", "eps"},
+		{"/v1/datasets/p/dbscan?minpts=3&eps=inf", "eps"},
+		{"/v1/datasets/p/range?q=0&r=inf", "r"},
+		{"/v1/broadcast/hdbscan?minpts=3&eps=inf", "eps"},
+	}
+	for _, tc := range nonFinite {
+		for _, accept := range []string{"", "application/x-ndjson"} {
+			code, _, body := ts.rawGet(tc.path, accept)
+			if code != http.StatusBadRequest || !strings.Contains(string(body), "bad "+tc.param+"=") {
+				t.Errorf("GET %s (accept %q): status %d, body %s; want 400 naming %s", tc.path, accept, code, body, tc.param)
+			}
+		}
+	}
 	// Every 400 above must have been answered before any stage work.
 	var stats struct {
 		Datasets map[string]struct {
@@ -57,6 +75,12 @@ func TestQueryParamValidation(t *testing.T) {
 	if c := stats.Datasets["p"].Counters; c.TreeBuilds != 0 || c.CoreDistBuilds != 0 || c.MSTBuilds != 0 || c.DendrogramBuilds != 0 {
 		t.Errorf("bad-path sweep built stages: tree=%d core=%d mst=%d dendrogram=%d, want all 0",
 			c.TreeBuilds, c.CoreDistBuilds, c.MSTBuilds, c.DendrogramBuilds)
+	}
+
+	// OPTICS does not echo eps, so eps=inf, its default, stays accepted.
+	var optics opticsResult
+	if code := ts.get("/v1/datasets/p/optics?minpts=3&eps=inf", &optics); code != http.StatusOK || len(optics.Order) != 60 {
+		t.Errorf("optics eps=inf: status %d, %d bars, want 200 with 60", code, len(optics.Order))
 	}
 
 	// Every EMST algorithm name is accepted and answers the same tree.

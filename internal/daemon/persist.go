@@ -55,8 +55,11 @@ func (s *Server) coldLoad(name string) (*dataset, func(), error) {
 	f.d, f.err = s.loadSnapshot(name)
 	if f.err == nil {
 		// An admission failure is not a load failure: the decoded dataset
-		// still serves this query below, unless an upload beat it in.
-		_ = s.reg.Add(name, f.d, f.d.idx.ApproxBytes())
+		// still serves this query below, unless an upload beat it in. Only
+		// an admitted copy counts as reloaded into the registry.
+		if s.reg.Add(name, f.d, f.d.idx.ApproxBytes()) == nil {
+			s.loads.Add(1)
+		}
 	}
 	s.loadMu.Lock()
 	delete(s.loading, name)
@@ -85,7 +88,6 @@ func (s *Server) loadSnapshot(name string) (*dataset, error) {
 		return nil, err
 	}
 	s.installGate(idx)
-	s.loads.Add(1)
 	return &dataset{name: name, metric: det.Metric, idx: idx}, nil
 }
 

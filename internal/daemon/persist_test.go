@@ -235,7 +235,7 @@ func TestDaemonSpillReloadRace(t *testing.T) {
 
 // TestColdLoadKeepsReupload: a cold reload still decoding when the same
 // name is re-uploaded must not replace the upload, nor the rows inserted
-// into it since, with the older snapshot copy.
+// into it since, with the older snapshot copy, nor count as a reload.
 func TestColdLoadKeepsReupload(t *testing.T) {
 	defer faultinject.Reset()
 	ts := newTestServer(t, Config{DataDir: t.TempDir()})
@@ -288,6 +288,10 @@ func TestColdLoadKeepsReupload(t *testing.T) {
 	defer h.Release()
 	if h.Value().tenant == "" {
 		t.Fatal("the resident x carries no tenant: the snapshot copy replaced the upload")
+	}
+	// The registry refused the decoded copy, so nothing was reloaded.
+	if loads := ts.srv.storeStats().Loads; loads != 0 {
+		t.Fatalf("store loads = %d after the re-upload won, want 0", loads)
 	}
 }
 

@@ -7,10 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"parclust"
 )
 
 // rawGet performs one request with an optional Accept header and returns
@@ -134,7 +138,7 @@ func TestStreamReassemblyMatchesBuffered(t *testing.T) {
 
 	var hd flatResult
 	check("/v1/datasets/stream/hdbscan?minpts=5&eps=1.25", &hd, func(c []byte) {
-		var ch labelChunk
+		var ch flatResult
 		if err := json.Unmarshal(c, &ch); err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +146,7 @@ func TestStreamReassemblyMatchesBuffered(t *testing.T) {
 	})
 	var db flatResult
 	check("/v1/datasets/stream/dbscan?minpts=5&eps=1.25&star=true", &db, func(c []byte) {
-		var ch labelChunk
+		var ch flatResult
 		if err := json.Unmarshal(c, &ch); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +154,7 @@ func TestStreamReassemblyMatchesBuffered(t *testing.T) {
 	})
 	var em emstResult
 	check("/v1/datasets/stream/emst", &em, func(c []byte) {
-		var ch edgeChunk
+		var ch emstResult
 		if err := json.Unmarshal(c, &ch); err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +162,7 @@ func TestStreamReassemblyMatchesBuffered(t *testing.T) {
 	})
 	var op opticsResult
 	check("/v1/datasets/stream/optics?minpts=5", &op, func(c []byte) {
-		var ch barChunk
+		var ch opticsResult
 		if err := json.Unmarshal(c, &ch); err != nil {
 			t.Fatal(err)
 		}
@@ -172,6 +176,105 @@ func TestStreamReassemblyMatchesBuffered(t *testing.T) {
 	}
 	if _, chunks, items := ndjsonLines(t, body); len(chunks) != 0 || items != 0 {
 		t.Fatalf("labels=false: %d chunks, %d items, want 0/0", len(chunks), items)
+	}
+}
+
+// reassemble rebuilds a buffered document from a complete NDJSON stream of
+// an array answer, byte for byte: the head line with the chunks' items
+// joined in as its last field, which is left out when there are none. It
+// checks that every chunk is a {"<field>":[...]} record of at most
+// streamChunkSize items and returns the trailer's item count too.
+func reassemble(t *testing.T, body []byte, field string) (doc []byte, items int) {
+	t.Helper()
+	head, chunks, items := ndjsonLines(t, body)
+	prefix, suffix := []byte(`{"`+field+`":[`), []byte("]}")
+	var joined [][]byte
+	for _, c := range chunks {
+		var rec map[string][]json.RawMessage
+		if err := json.Unmarshal(c, &rec); err != nil || len(rec) != 1 || len(rec[field]) > streamChunkSize {
+			t.Fatalf("chunk %.100q: want one %q array of at most %d items (err %v)", c, field, streamChunkSize, err)
+		}
+		if !bytes.HasPrefix(c, prefix) || !bytes.HasSuffix(c, suffix) {
+			t.Fatalf("chunk %.100q is not a %s...%s record", c, prefix, suffix)
+		}
+		joined = append(joined, c[len(prefix):len(c)-len(suffix)])
+	}
+	doc = append([]byte(nil), head...)
+	if len(joined) > 0 {
+		doc = append(doc[:len(doc)-1], `,"`+field+`":[`...)
+		doc = append(doc, bytes.Join(joined, []byte(","))...)
+		doc = append(doc, "]}"...)
+	}
+	return append(doc, '\n'), items
+}
+
+// TestArrayWriterMatchesEncodingJSON pins the array writer to encoding/json
+// for the three heads with an array. The buffered form, and the NDJSON
+// stream reassembled, equal encoding/json's encoding of the head with its
+// array set, at lengths around streamChunkSize. This pins the rule that
+// the array is the head's last field and omitempty. A head encoding/json
+// rejects answers 500 in both forms.
+func TestArrayWriterMatchesEncodingJSON(t *testing.T) {
+	floats := []float64{0, 1e-7, 5e-324, 1e21, math.Nextafter(1e21, 0), 1e-6, 0.1, 2.5, 123456.789, math.MaxFloat64}
+	for _, n := range []int{0, 1, streamChunkSize - 1, streamChunkSize, streamChunkSize + 1} {
+		labels := make([]int32, n)
+		edges := make([]parclust.Edge, n)
+		entries := make([]parclust.OPTICSEntry, n)
+		wireEdges := make([]edgeJSON, n)
+		bars := make([]opticsBar, n)
+		for i := range n {
+			labels[i] = int32(i%13 - 1)
+			w := floats[i%len(floats)] / float64(1+i%3)
+			edges[i] = parclust.Edge{U: int32(i), V: int32(i * 7919), W: w}
+			wireEdges[i] = edgeJSON{U: edges[i].U, V: edges[i].V, W: w}
+			entries[i] = parclust.OPTICSEntry{Idx: int32(n - i), Reachability: w}
+			bars[i] = opticsBar{ID: entries[i].Idx, Reachability: &wireEdges[i].W}
+			if i%5 == 4 {
+				entries[i].Reachability, bars[i].Reachability = math.Inf(1), nil
+			}
+		}
+		cases := []struct {
+			name       string
+			head, full any
+			arr        array
+		}{
+			{"flat", &flatResult{Dataset: "d", MinPts: 5, Eps: 0.5, NumClusters: 12, NumNoise: 3},
+				&flatResult{Dataset: "d", MinPts: 5, Eps: 0.5, NumClusters: 12, NumNoise: 3, Labels: labels},
+				labelArray(labels, true)},
+			{"emst", &emstResult{Dataset: "d", Algo: "memogfk", NumEdges: n, TotalWeight: 1.5},
+				&emstResult{Dataset: "d", Algo: "memogfk", NumEdges: n, TotalWeight: 1.5, Edges: wireEdges},
+				edgeArray(edges, true)},
+			{"optics", &opticsResult{Dataset: "d", MinPts: 5},
+				&opticsResult{Dataset: "d", MinPts: 5, Order: bars},
+				barArray(entries)},
+		}
+		for _, tc := range cases {
+			want := reencode(t, tc.full)
+			rec := httptest.NewRecorder()
+			writeAnswer(rec, tc.head, tc.arr)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s n=%d buffered: status %d\ngot  %.200s\nwant %.200s", tc.name, n, rec.Code, rec.Body.Bytes(), want)
+			}
+			rec = httptest.NewRecorder()
+			streamAnswer(rec, httptest.NewRequest(http.MethodGet, "/", nil), tc.head, tc.arr)
+			got, items := reassemble(t, rec.Body.Bytes(), tc.arr.field)
+			if rec.Code != http.StatusOK || items != n || !bytes.Equal(got, want) {
+				t.Fatalf("%s n=%d stream: status %d, %d items\ngot  %.200s\nwant %.200s", tc.name, n, rec.Code, items, got, want)
+			}
+		}
+	}
+
+	bad := &emstResult{Dataset: "d", TotalWeight: math.Inf(1)}
+	for _, ndjson := range []bool{false, true} {
+		rec := httptest.NewRecorder()
+		if ndjson {
+			streamAnswer(rec, httptest.NewRequest(http.MethodGet, "/", nil), bad, edgeArray(nil, true))
+		} else {
+			writeJSON(rec, http.StatusOK, bad)
+		}
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encode response") {
+			t.Errorf("non-finite head (ndjson=%v): status %d, body %s; want 500", ndjson, rec.Code, rec.Body)
+		}
 	}
 }
 

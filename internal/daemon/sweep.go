@@ -169,10 +169,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if !s.queryDone(w, r, d, epoch, nil) {
 			return
 		}
-		sw := newStreamWriter(w, r)
-		if !sw.write(res) {
+		sw := startStream(w, r, res)
+		if sw == nil {
 			return
 		}
+		defer sw.close()
 	row:
 		for _, mp := range req.MinPts {
 			hier, err := idx.HDBSCANWithAlgorithm(mp, algo)

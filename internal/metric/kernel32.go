@@ -244,10 +244,24 @@ func max32(a, b float32) float32 {
 // (all dim lanes at opposite extremes), so comparison-space values can
 // never round up to +Inf.
 func MaxAbsCoord32(dim int) float64 {
+	return maxAbsCoord(math.MaxFloat32, dim)
+}
+
+// MaxAbsCoord64 is MaxAbsCoord32's float64 twin: the largest coordinate
+// magnitude the float64 kernels that square coordinate differences (L2 and
+// SqL2) accept, so their squared point and box distances stay at least 4×
+// below math.MaxFloat64.
+func MaxAbsCoord64(dim int) float64 {
+	return maxAbsCoord(math.MaxFloat64, dim)
+}
+
+// maxAbsCoord is the magnitude m at which dim lanes at opposite extremes
+// square to a quarter of limit: dim·(2m)² = limit/4.
+func maxAbsCoord(limit float64, dim int) float64 {
 	if dim < 1 {
 		dim = 1
 	}
-	return 0.25 * math.Sqrt(math.MaxFloat32/float64(dim))
+	return 0.25 * math.Sqrt(limit/float64(dim))
 }
 
 // ValidateRows32 checks that every coordinate of pts is representable on

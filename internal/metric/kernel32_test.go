@@ -115,10 +115,10 @@ func TestKernel32ForUnknownMetric(t *testing.T) {
 	}
 }
 
-// TestMaxAbsCoord32 checks the float32 magnitude bound: rows at opposite
-// extremes in every lane keep a finite squared distance, and
-// ValidateRows32 rejects the first coordinate past the bound (or NaN),
-// naming its point.
+// TestMaxAbsCoord32 checks the float32 magnitude bound and its float64
+// twin: rows at opposite extremes in every lane keep a finite squared
+// distance, and ValidateRows32 rejects the first coordinate past the bound
+// (or NaN), naming its point.
 func TestMaxAbsCoord32(t *testing.T) {
 	if MaxAbsCoord32(0) != MaxAbsCoord32(1) {
 		t.Fatal("dim < 1 is not treated as 1")
@@ -131,6 +131,13 @@ func TestMaxAbsCoord32(t *testing.T) {
 		}
 		if s := SqDistRow32(a, b); math.IsInf(float64(s), 0) || s > math.MaxFloat32/2 {
 			t.Fatalf("dim=%d: extreme rows give squared distance %v", dim, s)
+		}
+		a64, b64 := make([]float64, dim), make([]float64, dim)
+		for k := range a64 {
+			a64[k], b64[k] = MaxAbsCoord64(dim), -MaxAbsCoord64(dim)
+		}
+		if s := geometry.SqDistVec(a64, b64); math.IsInf(s, 0) || s > math.MaxFloat64/2 {
+			t.Fatalf("dim=%d: extreme float64 rows give squared distance %v", dim, s)
 		}
 		pts := geometry.NewPoints(3, dim)
 		pts.Data[0] = bound

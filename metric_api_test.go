@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/oracle"
 )
@@ -90,6 +91,69 @@ func TestMetricEntryPointsRejectNonFinite(t *testing.T) {
 				t.Fatalf("OPTICSMetric(%v) accepted non-finite input", m)
 			}
 		}
+	}
+}
+
+// TestL2CoordinateBound pins metric.MaxAbsCoord64. Under the kernels that
+// square coordinate differences, NewIndex, Insert and ApproxOPTICS reject a
+// coordinate past it. At the bound the default EMST still spans, HDBSCAN*
+// builds and k-NN returns all k, also with rows at opposite extremes. The
+// bound covers the distance kernels, not EMSTDelaunay2D's incircle
+// predicates, which overflow far inside it. L1 and LInf square nothing,
+// so they accept a coordinate past it.
+func TestL2CoordinateBound(t *testing.T) {
+	bound := metric.MaxAbsCoord64(2)
+	past := math.Nextafter(bound, math.Inf(1))
+	rows := func(x float64) Points {
+		return PointsFromSlices([][]float64{{0, 0}, {x, 0}, {1, 1}, {x, 1}})
+	}
+	spans := func(m Metric, ix *Index, n int) {
+		t.Helper()
+		edges, err := ix.EMST()
+		if err != nil || len(edges) != n-1 {
+			t.Fatalf("%v: EMST over %d points: %d edges, err %v", m, n, len(edges), err)
+		}
+		for _, e := range edges {
+			if math.IsInf(e.W, 0) || math.IsNaN(e.W) {
+				t.Fatalf("%v: EMST edge %+v has a non-finite weight", m, e)
+			}
+		}
+		if _, err := ix.HDBSCAN(2); err != nil {
+			t.Fatalf("%v: HDBSCAN(2): %v", m, err)
+		}
+		if nb, err := ix.KNN(0, n); err != nil || len(nb) != n {
+			t.Fatalf("%v: KNN(0, %d): %d neighbours, err %v", m, n, len(nb), err)
+		}
+	}
+	for _, m := range []Metric{MetricL2, MetricSqL2} {
+		opts := &IndexOptions{Metric: m}
+		for _, x := range []float64{past, -past, 1e155} {
+			if _, err := NewIndex(rows(x), opts); err == nil {
+				t.Fatalf("%v: NewIndex accepted coordinate %v past the bound %v", m, x, bound)
+			}
+		}
+		ix, err := NewIndex(rows(bound), opts)
+		if err != nil {
+			t.Fatalf("%v: NewIndex rejected coordinates at the bound: %v", m, err)
+		}
+		spans(m, ix, 4)
+		if _, err := ix.Insert(PointsFromSlices([][]float64{{past, 0}})); err == nil {
+			t.Fatalf("%v: Insert accepted a coordinate past the bound", m)
+		}
+		if _, err := ix.Insert(PointsFromSlices([][]float64{{-bound, 1}})); err != nil {
+			t.Fatalf("%v: Insert rejected a coordinate at the bound: %v", m, err)
+		}
+		spans(m, ix, 5)
+	}
+	if _, err := ApproxOPTICS(rows(past), 2, 0.125); err == nil {
+		t.Fatal("ApproxOPTICS accepted a coordinate past the bound")
+	}
+	for _, m := range []Metric{MetricL1, MetricLInf} {
+		ix, err := NewIndex(rows(1e155), &IndexOptions{Metric: m})
+		if err != nil {
+			t.Fatalf("%v: NewIndex rejected 1e155: %v", m, err)
+		}
+		spans(m, ix, 4)
 	}
 }
 

@@ -84,7 +84,7 @@ func (m Metric) kernel() (metric.Metric, error) {
 // should run on (a unit-normalized copy for the angular kernel) together
 // with the resolved kernel.
 func prepareMetric(pts Points, m Metric) (Points, metric.Metric, error) {
-	if err := validatePoints(pts); err != nil {
+	if err := validatePoints(pts, m); err != nil {
 		return Points{}, nil, err
 	}
 	kern, err := m.kernel()
@@ -203,7 +203,10 @@ func EMSTMetric(pts Points, m Metric) ([]Edge, error) {
 	return idx.EMST()
 }
 
-func validatePoints(pts Points) error {
+// validatePoints checks pts's shape and that every coordinate is finite
+// and, under the metrics that square coordinate differences (L2, SqL2),
+// within metric.MaxAbsCoord64: past it a squared distance overflows to +Inf.
+func validatePoints(pts Points, m Metric) error {
 	if pts.Dim <= 0 {
 		return errors.New("parclust: points must have positive dimension")
 	}
@@ -211,10 +214,18 @@ func validatePoints(pts Points) error {
 		return fmt.Errorf("parclust: point buffer length %d does not match n*dim=%d",
 			len(pts.Data), pts.N*pts.Dim)
 	}
+	bound := math.Inf(1)
+	if m == MetricL2 || m == MetricSqL2 {
+		bound = metric.MaxAbsCoord64(pts.Dim)
+	}
 	for i, v := range pts.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("parclust: point %d has non-finite coordinate %v in dimension %d",
 				i/pts.Dim, v, i%pts.Dim)
+		}
+		if math.Abs(v) > bound {
+			return fmt.Errorf("parclust: point %d coordinate %v in dimension %d exceeds the %v magnitude bound %.4g",
+				i/pts.Dim, v, i%pts.Dim, m, bound)
 		}
 	}
 	return nil
