@@ -19,6 +19,7 @@ import (
 	"parclust/internal/generator"
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	mstpkg "parclust/internal/mst"
 	"parclust/internal/wspd"
 )
@@ -145,10 +146,10 @@ func BenchmarkFig8_Decomposition(b *testing.B) {
 	pts := benchVarden(3)
 	b.Run("build-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kdtree.Build(pts, 1)
+			kdtree.BuildMetric(pts, 1, metric.L2{})
 		}
 	})
-	t := kdtree.Build(pts, 1)
+	t := kdtree.BuildMetric(pts, 1, metric.L2{})
 	b.Run("core-dist", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.CoreDistances(10)
@@ -302,10 +303,10 @@ func BenchmarkSubstrate_KdTree(b *testing.B) {
 	pts := benchPoints(3)
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kdtree.Build(pts, 1)
+			kdtree.BuildMetric(pts, 1, metric.L2{})
 		}
 	})
-	t := kdtree.Build(pts, 1)
+	t := kdtree.BuildMetric(pts, 1, metric.L2{})
 	b.Run("knn-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.KNN(int32(i%pts.N), 10)
@@ -339,7 +340,7 @@ func BenchmarkSubstrate_Generators(b *testing.B) {
 // al. (Section 3.1.2 notes doubling is crucial for the depth bound).
 func BenchmarkAblation_BetaSchedule(b *testing.B) {
 	pts := benchPoints(3)
-	t := kdtree.Build(pts, 1)
+	t := kdtree.BuildMetric(pts, 1, metric.L2{})
 	for _, linear := range []bool{false, true} {
 		name := "doubling"
 		if linear {

@@ -124,11 +124,12 @@ func (ix *Index) SetBuildGate(gate func() (release func(), ok bool)) {
 }
 
 // NewIndex validates pts and returns an Index over it. Coordinates must be
-// finite and, under MetricL2 and MetricSqL2, within metric.MaxAbsCoord64,
-// past which a squared distance overflows (the bound covers the distance
-// kernels, not EMSTDelaunay2D's predicates). The points are captured by
-// reference (except under MetricAngular, which stores a unit-normalized
-// copy) and must not be mutated while the Index is in use.
+// finite and within a magnitude bound past which a distance overflows:
+// metric.MaxAbsCoord64 under MetricL2 and MetricSqL2, MaxFloat64/(8·dim)
+// under MetricL1 and MaxFloat64/8 under MetricLInf (the bound covers the
+// distance kernels, not EMSTDelaunay2D's predicates). The points are
+// captured by reference (except under MetricAngular, which stores a
+// unit-normalized copy) and must not be mutated while the Index is in use.
 func NewIndex(pts Points, opts *IndexOptions) (*Index, error) {
 	m := MetricL2
 	f32 := false
@@ -366,11 +367,14 @@ func (ix *Index) OPTICS(minPts int, eps float64) ([]OPTICSEntry, error) {
 	return optics.RunOnTree(t, cd, eps, false), nil
 }
 
-// KNN returns the k nearest neighbors of the indexed point with dense id q
-// (including q itself), sorted by increasing tree-metric distance. On a
-// mutated Index the overlay is merged and tombstones are skipped, so the
-// answer matches a fresh Index over the live rows. A k above the live
-// point count returns every live point.
+// KNN returns the k nearest neighbors of the indexed point with dense id q,
+// sorted by increasing tree-metric distance. Equal distances come in a
+// deterministic but unspecified order, so q itself is included unless more
+// than k points lie at distance 0 from it. On a mutated Index the overlay
+// is merged and tombstones are skipped, so the distances match a fresh
+// Index over the live rows, though which of several equidistant points are
+// returned may differ. A k above the live point count returns every live
+// point.
 func (ix *Index) KNN(q int32, k int) ([]Neighbor, error) {
 	if q < 0 || int(q) >= ix.N() {
 		return nil, fmt.Errorf("parclust: point id %d out of range [0, %d)", q, ix.N())

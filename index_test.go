@@ -3,6 +3,7 @@ package parclust
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -232,6 +233,29 @@ func TestKNNHugeK(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(51)
+}
+
+// TestKNNTiesAtZero pins the k-NN doc on ties: equal distances come in a
+// deterministic but unspecified order, so over 100 copies of one point
+// KNN(50, 3) may leave out q itself. The ids pinned here are today's heap
+// visit order; a tie-breaking rule would change them deliberately. With at
+// most k points at distance 0, q is always included.
+func TestKNNTiesAtZero(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		idx, err := NewIndex(NewPoints(100, 2), &IndexOptions{Float32: f32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.KNN(50, 3)
+		want := []Neighbor{{Idx: 1}, {Idx: 2}, {Idx: 0}}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("f32=%v: KNN(50, 3) = %v, err %v; want %v", f32, got, err, want)
+		}
+		all, err := idx.KNN(50, 100)
+		if err != nil || !slices.ContainsFunc(all, func(nb Neighbor) bool { return nb.Idx == 50 }) {
+			t.Fatalf("f32=%v: KNN(50, 100) = %v, err %v; want q among them", f32, all, err)
+		}
+	}
 }
 
 func TestIndexValidation(t *testing.T) {

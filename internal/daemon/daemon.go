@@ -53,12 +53,12 @@
 // returns every point, and optics, like hdbscan, answers 400 for a minpts
 // above it.
 //
-// Uploads and inserts answer 400 for a non-finite coordinate and, under
-// the l2 and sql2 metrics, for one whose magnitude exceeds
-// metric.MaxAbsCoord64 (about 2.4e153 in two dimensions), past which a
-// squared distance overflows. The bound covers the distance kernels, not
-// the incircle predicates of emst?algo=delaunay2d, which overflow from an
-// extent near 1e77.
+// Uploads and inserts answer 400 for a non-finite coordinate and for one
+// whose magnitude exceeds the metric's bound, past which a distance
+// overflows: metric.MaxAbsCoord64 under l2 and sql2 (about 2.4e153 in two
+// dimensions), MaxFloat64/(8·dim) under l1 and MaxFloat64/8 under linf.
+// The bound covers the distance kernels, not the incircle predicates of
+// emst?algo=delaunay2d, which overflow from an extent near 1e77.
 //
 // With Config.DataDir set, the server keeps a persistent stage store
 // (internal/store): uploads persist a snapshot, memory-pressure evictions

@@ -748,6 +748,9 @@ func TestDaemonErrors(t *testing.T) {
 		// Past metric.MaxAbsCoord64 an L2 squared distance overflows.
 		{"PUT", "/v1/datasets/huge", `{"points":[[0,0],[1e155,0],[1,1],[1e155,1]]}`, "application/json", http.StatusBadRequest},
 		{"POST", "/v1/datasets/ok/points", `{"points":[[1e155,0]]}`, "application/json", http.StatusBadRequest},
+		// Past their bounds an L1 or LInf distance overflows.
+		{"PUT", "/v1/datasets/hugel1", `{"points":[[-1e308,0],[1e308,0],[0,1],[1e308,1]],"metric":"l1"}`, "application/json", http.StatusBadRequest},
+		{"PUT", "/v1/datasets/hugelinf", `{"points":[[-1e308,0],[1e308,0],[0,1],[1e308,1]],"metric":"linf"}`, "application/json", http.StatusBadRequest},
 		{"PUT", "/v1/datasets/badcsv", "1,2\nx,y\n", "text/csv", http.StatusBadRequest},
 	}
 	for _, tc := range cases {

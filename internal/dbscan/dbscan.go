@@ -1,19 +1,18 @@
 // Package dbscan implements the flat density-based clustering algorithms
 // that HDBSCAN* generalizes (Section 1 and 2.1 of the paper): DBSCAN* of
 // Campello et al. (core points only) and the original DBSCAN of Ester et
-// al. (with border points). Both run eps-range queries over the parallel
+// al. (with border points). Both run eps-range queries over a prebuilt
 // k-d tree; core-point detection is parallel, and component formation uses
-// a union-find over core-core eps-edges.
+// a union-find over core-core eps-edges. Index.DBSCANStar and Index.DBSCAN
+// run these stages over the engine's shared tree.
 //
 // These serve as the classic single-radius baselines the hierarchy avoids
 // recomputing: CutTree on the HDBSCAN* MST at radius eps must produce
-// exactly DBSCANStar(pts, minPts, eps), which the tests verify.
+// exactly the DBSCAN* clustering at (minPts, eps), which the tests verify.
 package dbscan
 
 import (
-	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
-	"parclust/internal/metric"
 	"parclust/internal/parallel"
 	"parclust/internal/unionfind"
 )
@@ -24,21 +23,6 @@ type Result struct {
 	Labels      []int32
 	NumClusters int
 	Core        []bool
-}
-
-// DBSCANStar computes the DBSCAN* clustering: points with at least minPts
-// neighbors within eps (counting themselves) are core points; clusters are
-// the connected components of core points under eps-adjacency; all other
-// points are noise.
-func DBSCANStar(pts geometry.Points, minPts int, eps float64) Result {
-	return DBSCANStarMetric(pts, minPts, eps, metric.L2{})
-}
-
-// DBSCANStarMetric is DBSCANStar with neighborhoods taken under an
-// arbitrary metric kernel.
-func DBSCANStarMetric(pts geometry.Points, minPts int, eps float64, m metric.Metric) Result {
-	t := kdtree.BuildMetric(pts, 16, m)
-	return StarWithCore(t, CoreByRangeCount(t, minPts, eps), eps)
 }
 
 // CoreByRangeCount computes the core flags by definition over a prebuilt
@@ -99,22 +83,6 @@ func StarWithCore(t *kdtree.Tree, core []bool, eps float64) Result {
 		labels[i] = c
 	}
 	return Result{Labels: labels, NumClusters: int(next), Core: core}
-}
-
-// DBSCAN computes the original Ester et al. clustering: like DBSCAN*, but
-// non-core points within eps of a core point become border points of (one
-// of) the adjacent clusters instead of noise. Border assignment picks the
-// cluster of the nearest core neighbor, which makes the result
-// deterministic.
-func DBSCAN(pts geometry.Points, minPts int, eps float64) Result {
-	return DBSCANMetric(pts, minPts, eps, metric.L2{})
-}
-
-// DBSCANMetric is DBSCAN with neighborhoods and border attachment taken
-// under an arbitrary metric kernel.
-func DBSCANMetric(pts geometry.Points, minPts int, eps float64, m metric.Metric) Result {
-	t := kdtree.BuildMetric(pts, 16, m)
-	return AttachBorders(t, StarWithCore(t, CoreByRangeCount(t, minPts, eps), eps), eps)
 }
 
 // AttachBorders upgrades a DBSCAN* result to the original Ester et al.

@@ -2,12 +2,15 @@ package dbscan
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"parclust/internal/dendrogram"
 	"parclust/internal/geometry"
 	"parclust/internal/hdbscan"
+	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/unionfind"
 )
 
@@ -20,14 +23,35 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 	return p
 }
 
-// bruteStar is DBSCAN* from the definition.
-func bruteStar(pts geometry.Points, minPts int, eps float64) Result {
+// cluster runs DBSCAN* (with borders, DBSCAN) the way Index.DBSCANStar and
+// Index.DBSCAN do: the stage functions over a leaf-size-1 tree under m. It
+// fails unless a leaf-size-16 tree gives byte-equal labels and core flags,
+// as StarWithCore's doc promises.
+func cluster(t *testing.T, pts geometry.Points, minPts int, eps float64, m metric.Metric, borders bool) Result {
+	t.Helper()
+	var res [2]Result
+	for i, leaf := range []int{1, 16} {
+		tr := kdtree.BuildMetric(pts, leaf, m)
+		res[i] = StarWithCore(tr, CoreByRangeCount(tr, minPts, eps), eps)
+		if borders {
+			res[i] = AttachBorders(tr, res[i], eps)
+		}
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("%s minPts=%d eps=%v borders=%v: leaf size 16 differs from leaf size 1",
+			m.Name(), minPts, eps, borders)
+	}
+	return res[0]
+}
+
+// bruteStar is DBSCAN* under m from the definition.
+func bruteStar(pts geometry.Points, minPts int, eps float64, m metric.Metric) Result {
 	n := pts.N
 	core := make([]bool, n)
 	for i := 0; i < n; i++ {
 		cnt := 0
 		for j := 0; j < n; j++ {
-			if pts.Dist(i, j) <= eps {
+			if m.Dist(pts.At(i), pts.At(j)) <= eps {
 				cnt++
 			}
 		}
@@ -36,7 +60,7 @@ func bruteStar(pts geometry.Points, minPts int, eps float64) Result {
 	uf := unionfind.New(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if core[i] && core[j] && pts.Dist(i, j) <= eps {
+			if core[i] && core[j] && m.Dist(pts.At(i), pts.At(j)) <= eps {
 				uf.Union(int32(i), int32(j))
 			}
 		}
@@ -87,19 +111,31 @@ func sameClustering(a, b Result) bool {
 	return true
 }
 
+// TestDBSCANStarMatchesBruteForce checks DBSCAN* against the definition
+// under every kernel, and DBSCAN's border attachment for leaf-size
+// independence (cluster checks both).
 func TestDBSCANStarMatchesBruteForce(t *testing.T) {
-	for _, n := range []int{5, 50, 300} {
-		for _, eps := range []float64{1, 5, 15, 50} {
-			pts := randPoints(n, 2, int64(n)*3+int64(eps))
-			got := DBSCANStar(pts, 5, eps)
-			want := bruteStar(pts, 5, eps)
-			if !sameClustering(got, want) {
-				t.Fatalf("n=%d eps=%v: DBSCAN* differs from brute force", n, eps)
-			}
-			for i := range got.Core {
-				if got.Core[i] != want.Core[i] {
-					t.Fatalf("n=%d eps=%v: core flag differs at %d", n, eps, i)
+	for _, m := range metric.All() {
+		for _, n := range []int{5, 50, 300} {
+			for _, eps := range []float64{1, 5, 15, 50} {
+				pts := randPoints(n, 2, int64(n)*3+int64(eps))
+				if _, ok := m.(metric.Angular); ok {
+					var err error
+					if pts, err = metric.NormalizeRows(pts); err != nil {
+						t.Fatal(err)
+					}
 				}
+				got := cluster(t, pts, 5, eps, m, false)
+				want := bruteStar(pts, 5, eps, m)
+				if !sameClustering(got, want) {
+					t.Fatalf("%s n=%d eps=%v: DBSCAN* differs from brute force", m.Name(), n, eps)
+				}
+				for i := range got.Core {
+					if got.Core[i] != want.Core[i] {
+						t.Fatalf("%s n=%d eps=%v: core flag differs at %d", m.Name(), n, eps, i)
+					}
+				}
+				cluster(t, pts, 5, eps, m, true)
 			}
 		}
 	}
@@ -110,7 +146,7 @@ func TestDBSCANStarQuick(t *testing.T) {
 		n := 5 + int(nRaw)%100
 		eps := 1 + float64(epsRaw)/4
 		pts := randPoints(n, 2, seed)
-		return sameClustering(DBSCANStar(pts, 4, eps), bruteStar(pts, 4, eps))
+		return sameClustering(cluster(t, pts, 4, eps, metric.L2{}, false), bruteStar(pts, 4, eps, metric.L2{}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -122,10 +158,13 @@ func TestDBSCANStarQuick(t *testing.T) {
 func TestMatchesHDBSCANCut(t *testing.T) {
 	pts := randPoints(400, 2, 9)
 	minPts := 10
-	res := hdbscan.Build(pts, minPts, hdbscan.MemoGFK, nil)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
+	cd := tr.CoreDistances(minPts)
+	tr.AnnotateCoreDists(cd)
+	edges := hdbscan.MSTOnAnnotatedTree(tr, hdbscan.MemoGFK, metric.L2{}, nil, nil)
 	for _, eps := range []float64{1, 3, 8, 20} {
-		cut := dendrogram.CutTree(pts.N, res.MST, res.CoreDist, eps)
-		direct := DBSCANStar(pts, minPts, eps)
+		cut := dendrogram.CutTree(pts.N, edges, cd, eps)
+		direct := cluster(t, pts, minPts, eps, metric.L2{}, false)
 		got := Result{Labels: cut.Labels, NumClusters: cut.NumClusters, Core: direct.Core}
 		if !sameClustering(got, direct) {
 			t.Fatalf("eps=%v: HDBSCAN* cut differs from direct DBSCAN*", eps)
@@ -144,8 +183,8 @@ func TestDBSCANBorderPoints(t *testing.T) {
 	rows = append(rows, []float64{1.9, 0}) // border: within eps=1.1 of the blob edge
 	pts := geometry.FromSlices(rows)
 	minPts, eps := 5, 1.1
-	star := DBSCANStar(pts, minPts, eps)
-	full := DBSCAN(pts, minPts, eps)
+	star := cluster(t, pts, minPts, eps, metric.L2{}, false)
+	full := cluster(t, pts, minPts, eps, metric.L2{}, true)
 	last := pts.N - 1
 	if star.Labels[last] != -1 {
 		t.Fatalf("border point should be noise under DBSCAN*, got label %d", star.Labels[last])
@@ -161,8 +200,8 @@ func TestDBSCANBorderPoints(t *testing.T) {
 func TestDBSCANSupersetsOfStar(t *testing.T) {
 	// DBSCAN only ever turns noise into border points; core labels agree.
 	pts := randPoints(300, 2, 21)
-	star := DBSCANStar(pts, 5, 4)
-	full := DBSCAN(pts, 5, 4)
+	star := cluster(t, pts, 5, 4, metric.L2{}, false)
+	full := cluster(t, pts, 5, 4, metric.L2{}, true)
 	for i := range star.Labels {
 		if star.Core[i] && star.Labels[i] != full.Labels[i] {
 			// Labels may be renumbered; compare via co-membership below.

@@ -279,13 +279,36 @@ func (t *Triangulation) Triangles() [][3]int32 {
 
 // EMST computes the 2D EMST via Delaunay triangulation + Kruskal
 // (Appendix A.1). Both steps are sequential: the triangulation and
-// mst.Kruskal, a Filter-Kruskal.
+// mst.Kruskal, a Filter-Kruskal. Each distinct site is triangulated once,
+// and every repeat of a site joins it by a zero-weight edge: inserting a
+// point twice creates zero-area triangles, after which later insertions can
+// drop Delaunay edges.
 func EMST(pts geometry.Points, stats *mst.Stats) []mst.Edge {
 	if pts.N <= 1 {
 		return nil
 	}
 	var edges, out []mst.Edge
-	stats.Time(mst.PhaseDelaunay, func() { edges = Triangulate(pts).Edges() })
+	stats.Time(mst.PhaseDelaunay, func() {
+		first := make(map[[2]float64]int32, pts.N)
+		var ids []int32 // input id of each distinct site, increasing
+		sites := geometry.Points{Dim: 2}
+		for i := range int32(pts.N) {
+			xy := [2]float64(pts.At(int(i)))
+			if j, ok := first[xy]; ok {
+				edges = append(edges, mst.Edge{U: j, V: i})
+				continue
+			}
+			first[xy] = i
+			ids = append(ids, i)
+			sites.Data = append(sites.Data, xy[0], xy[1])
+		}
+		sites.N = len(ids)
+		// Edges weighs each edge from the sites, exact copies of the
+		// caller's coordinates.
+		for _, e := range Triangulate(sites).Edges() {
+			edges = append(edges, mst.Edge{U: ids[e.U], V: ids[e.V], W: e.W})
+		}
+	})
 	stats.Time(mst.PhaseKruskal, func() { out = mst.Kruskal(pts.N, edges) })
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/wspd"
 )
@@ -58,7 +59,7 @@ func TestEMSTMatchesMemoGFK(t *testing.T) {
 	for _, n := range []int{2, 3, 50, 400, 2000} {
 		pts := randPoints2D(n, int64(n*3))
 		got := EMST(pts, nil)
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		want := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}})
 		if len(got) != n-1 {
 			t.Fatalf("n=%d: %d edges, want %d", n, len(got), n-1)
@@ -104,5 +105,36 @@ func TestGridPoints(t *testing.T) {
 	want := float64(pts.N - 1) // grid MST uses unit edges only
 	if math.Abs(mst.TotalWeight(got)-want) > 1e-9 {
 		t.Fatalf("grid EMST weight %v, want %v", mst.TotalWeight(got), want)
+	}
+}
+
+// TestEMSTDuplicatePoints: a repeated point joins its site at weight 0, and
+// the Delaunay edges of the distinct sites stay. The EMST of this set
+// weighs 1 + 2 + 0, not √5 + 1 + 0.
+func TestEMSTDuplicatePoints(t *testing.T) {
+	pts := geometry.FromSlices([][]float64{{0, 2}, {2, 1}, {2, 2}, {2, 1}})
+	got := EMST(pts, nil)
+	if len(got) != 3 || mst.TotalWeight(got) != 3 {
+		t.Fatalf("EMST %v weighs %v, want 3 edges weighing 3", got, mst.TotalWeight(got))
+	}
+}
+
+// TestEMSTGridMultisetsMatchPrim checks the Delaunay EMST against dense
+// Prim on seeded multisets of 3-12 points drawn from 3×3 and 4×4 integer
+// grids, where repeats and co-circular sites are common.
+func TestEMSTGridMultisetsMatchPrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 1000; trial++ {
+		side, n := 3+trial%2, 3+rng.Intn(10)
+		pts := geometry.NewPoints(n, 2)
+		for i := range pts.Data {
+			pts.Data[i] = float64(rng.Intn(side))
+		}
+		got := EMST(pts, nil)
+		want := mst.TotalWeight(mst.PrimDense(n, func(i, j int32) float64 { return pts.Dist(int(i), int(j)) }))
+		if len(got) != n-1 || math.Abs(mst.TotalWeight(got)-want) > 1e-9 {
+			t.Fatalf("trial %d, points %v: %d edges weighing %v, want %d weighing %v",
+				trial, pts.Data, len(got), mst.TotalWeight(got), n-1, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/wspd"
 )
@@ -15,7 +16,7 @@ import (
 // Cutter tests cut.
 func hdbscanMSTOf(n, dim int, seed int64, minPts int) ([]mst.Edge, []float64) {
 	pts := randPoints(n, dim, seed)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(minPts)
 	tr.AnnotateCoreDists(cd)
 	edges := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}})

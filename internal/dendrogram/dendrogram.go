@@ -59,19 +59,6 @@ func (d *Dendrogram) Sizes() []int32 {
 	return sz
 }
 
-// Parents returns the parent id of every node (-1 for the root).
-func (d *Dendrogram) Parents() []int32 {
-	par := make([]int32, d.N+d.NumInternal())
-	for i := range par {
-		par[i] = -1
-	}
-	for x := d.N; x < d.N+d.NumInternal(); x++ {
-		par[d.Left[x-d.N]] = int32(x)
-		par[d.Right[x-d.N]] = int32(x)
-	}
-	return par
-}
-
 func newDendrogram(n int) *Dendrogram {
 	return &Dendrogram{
 		N:      n,

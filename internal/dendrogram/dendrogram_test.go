@@ -9,6 +9,7 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/unionfind"
 	"parclust/internal/wspd"
@@ -24,7 +25,7 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 }
 
 func emstOf(pts geometry.Points) []mst.Edge {
-	t := kdtree.Build(pts, 1)
+	t := kdtree.BuildMetric(pts, 1, metric.L2{})
 	return mst.MemoGFK(mst.Config{Tree: t, Metric: kdtree.NewEuclidean(t), Sep: wspd.Geometric{S: 2}})
 }
 
@@ -128,7 +129,7 @@ func TestParallelOnEMSTWithTies(t *testing.T) {
 	// Mutual reachability MSTs have many tied weights; the shared total
 	// order must keep parallel == sequential == Prim.
 	pts := randPoints(400, 2, 9)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(10)
 	tr.AnnotateCoreDists(cd)
 	edges := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}})
@@ -181,7 +182,7 @@ func TestPathGraphWorstCase(t *testing.T) {
 	}
 }
 
-func TestSizesAndParents(t *testing.T) {
+func TestSizes(t *testing.T) {
 	n := 300
 	edges := randTree(n, 5)
 	d := BuildSequential(n, edges, 0)
@@ -189,15 +190,8 @@ func TestSizesAndParents(t *testing.T) {
 	if sz[d.Root] != int32(n) {
 		t.Fatalf("root size %d, want %d", sz[d.Root], n)
 	}
-	par := d.Parents()
-	if par[d.Root] != -1 {
-		t.Fatal("root has a parent")
-	}
 	for x := n; x < 2*n-1; x++ {
 		l, r := d.Children(int32(x))
-		if par[l] != int32(x) || par[r] != int32(x) {
-			t.Fatal("parent pointers inconsistent with children")
-		}
 		if sz[x] != sz[l]+sz[r] {
 			t.Fatal("size not additive")
 		}
@@ -228,7 +222,7 @@ func TestCutterMatchesCutTree(t *testing.T) {
 func TestCutTreeMatchesBruteForceDBSCANStar(t *testing.T) {
 	pts := randPoints(150, 2, 13)
 	minPts := 5
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(minPts)
 	tr.AnnotateCoreDists(cd)
 	edges := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}})

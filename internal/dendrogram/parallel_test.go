@@ -6,6 +6,7 @@ import (
 
 	"parclust/internal/generator"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/wspd"
 )
@@ -93,7 +94,7 @@ func TestBuildParallelAllocs(t *testing.T) {
 		pts.Data = append(pts.Data, blk.Data...)
 		pts.N += blk.N
 	}
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	tr.AnnotateCoreDists(tr.CoreDistances(10))
 	edges := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewMutualReachability(tr), Sep: wspd.MutualUnreachable{}})
 	const bound = 400

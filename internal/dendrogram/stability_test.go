@@ -6,6 +6,8 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/hdbscan"
+	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 )
 
 // blobs generates k tight Gaussian blobs far apart, plus a little noise.
@@ -22,10 +24,15 @@ func blobs(n, k int, seed int64) (geometry.Points, []int) {
 	return pts, truth
 }
 
+// hdbscanDendro builds the HDBSCAN* dendrogram the way the engine does: the
+// MemoGFK MST stage over a leaf-size-1 tree annotated with core distances.
 func hdbscanDendro(t *testing.T, pts geometry.Points, minPts int) (*Dendrogram, []float64) {
 	t.Helper()
-	res := hdbscan.Build(pts, minPts, hdbscan.MemoGFK, nil)
-	return BuildParallel(pts.N, res.MST, 0), res.CoreDist
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
+	cd := tr.CoreDistances(minPts)
+	tr.AnnotateCoreDists(cd)
+	edges := hdbscan.MSTOnAnnotatedTree(tr, hdbscan.MemoGFK, metric.L2{}, nil, nil)
+	return BuildParallel(pts.N, edges, 0), cd
 }
 
 func TestExtractStableFindsBlobs(t *testing.T) {

@@ -531,10 +531,11 @@ func liveQC(t *kdtree.Tree, d *dynState, q int) []float64 {
 }
 
 // KNNLive returns the k nearest live points to the live point with dense id
-// q (including q itself), sorted by increasing tree-metric distance with
-// ties broken by dense id. Result ids are dense ids — on a clean engine
-// (including after compaction) this is exactly the static KNN. A k above
-// the live point count returns every live point.
+// q, sorted by increasing tree-metric distance. Equal distances come in a
+// deterministic but unspecified order, so q itself is included unless more
+// than k live points lie at distance 0 from it. Result ids are dense ids —
+// on a clean engine (including after compaction) this is exactly the
+// static KNN. A k above the live point count returns every live point.
 func (e *Engine) KNNLive(ctx context.Context, q, k int, ws *kdtree.KNNWorkspace) ([]kdtree.Neighbor, error) {
 	t, d, err := e.liveView(ctx)
 	if err != nil {
@@ -548,9 +549,8 @@ func (e *Engine) KNNLive(ctx context.Context, q, k int, ws *kdtree.KNNWorkspace)
 	k = min(k, d.liveLen())
 	qc := liveQC(t, d, q)
 	base := t.KNNLiveInto(qc, k, d.tomb, ws)
-	// base is already sorted by (dist, base id), and denseOfBase is
-	// monotone over live base ids, so the remap preserves the
-	// (dist, dense id) order.
+	// base is sorted by distance, equal distances in the heap's visit
+	// order rather than by id; the remap to dense ids keeps that order.
 	best := make([]kdtree.Neighbor, 0, k)
 	for _, nb := range base {
 		best = append(best, kdtree.Neighbor{Idx: d.denseOfBase[nb.Idx], Dist: nb.Dist})

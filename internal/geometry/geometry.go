@@ -68,12 +68,6 @@ func (p Points) SqDist(i, j int) float64 {
 // Dist returns the Euclidean distance between points i and j.
 func (p Points) Dist(i, j int) float64 { return math.Sqrt(p.SqDist(i, j)) }
 
-// SqDistTo returns the squared Euclidean distance between point i and the raw
-// coordinate vector q (len(q) must equal Dim).
-func (p Points) SqDistTo(i int, q []float64) float64 {
-	return SqDistVec(p.Data[i*p.Dim:(i+1)*p.Dim], q)
-}
-
 // SqDistVec returns the squared Euclidean distance between two coordinate
 // vectors of equal length.
 func SqDistVec(a, b []float64) float64 {
@@ -181,27 +175,6 @@ func (b *Box) Extend(q []float64) {
 			b.Hi[k] = v
 		}
 	}
-}
-
-// ExtendBox grows the box to contain another box.
-func (b *Box) ExtendBox(o Box) {
-	for k := range b.Lo {
-		if o.Lo[k] < b.Lo[k] {
-			b.Lo[k] = o.Lo[k]
-		}
-		if o.Hi[k] > b.Hi[k] {
-			b.Hi[k] = o.Hi[k]
-		}
-	}
-}
-
-// BoundingBox computes the bounding box of points idx (indices into p).
-func BoundingBox(p Points, idx []int32) Box {
-	b := EmptyBox(p.Dim)
-	for _, i := range idx {
-		b.Extend(p.At(int(i)))
-	}
-	return b
 }
 
 // BoundingBoxRange computes the bounding box of the contiguous rows

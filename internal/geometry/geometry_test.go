@@ -63,11 +63,8 @@ func TestTriangleInequality(t *testing.T) {
 
 func TestBoundingBoxContainsPoints(t *testing.T) {
 	p := randPoints(100, 5, 3)
-	idx := make([]int32, p.N)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	b := BoundingBox(p, idx)
+	b := EmptyBox(5)
+	BoundingBoxRange(&b, p, 0, p.N)
 	for i := 0; i < p.N; i++ {
 		for k, v := range p.At(i) {
 			if v < b.Lo[k] || v > b.Hi[k] {
@@ -82,15 +79,12 @@ func TestBoundingBoxContainsPoints(t *testing.T) {
 
 func TestBoxRadiusCoversBox(t *testing.T) {
 	p := randPoints(64, 3, 4)
-	idx := make([]int32, p.N)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	b := BoundingBox(p, idx)
+	b := EmptyBox(3)
+	BoundingBoxRange(&b, p, 0, p.N)
 	ctr := b.Center(make([]float64, 3))
 	r := b.Radius()
 	for i := 0; i < p.N; i++ {
-		if d := math.Sqrt(p.SqDistTo(i, ctr)); d > r+1e-9 {
+		if d := math.Sqrt(SqDistVec(p.At(i), ctr)); d > r+1e-9 {
 			t.Fatalf("point %d at distance %v exceeds radius %v", i, d, r)
 		}
 	}
@@ -104,14 +98,9 @@ func TestSqDistBoxesBruteForce(t *testing.T) {
 		for i := range bpts.Data {
 			bpts.Data[i] = rng.Float64()*100 + 50
 		}
-		ia := make([]int32, a.N)
-		ib := make([]int32, bpts.N)
-		for i := range ia {
-			ia[i] = int32(i)
-			ib[i] = int32(i)
-		}
-		ba := BoundingBox(a, ia)
-		bb := BoundingBox(bpts, ib)
+		ba, bb := EmptyBox(2), EmptyBox(2)
+		BoundingBoxRange(&ba, a, 0, a.N)
+		BoundingBoxRange(&bb, bpts, 0, bpts.N)
 		lo := math.Sqrt(SqDistBoxes(ba, bb))
 		hi := math.Sqrt(SqMaxDistBoxes(ba, bb))
 		for i := 0; i < a.N; i++ {
@@ -147,12 +136,6 @@ func TestEmptyBoxExtend(t *testing.T) {
 	b.Extend([]float64{-1, 5})
 	if b.Lo[0] != -1 || b.Hi[0] != 1 || b.Lo[1] != 2 || b.Hi[1] != 5 {
 		t.Fatalf("extend produced wrong box: %+v", b)
-	}
-	var c Box
-	c = EmptyBox(2)
-	c.ExtendBox(b)
-	if c.Lo[0] != b.Lo[0] || c.Hi[1] != b.Hi[1] {
-		t.Fatal("ExtendBox mismatch")
 	}
 }
 
@@ -406,23 +389,19 @@ func TestSqDistKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestBoxBuilders: the range and box-union builders agree with the
-// index-list bounding box.
+// TestBoxBuilders: the range builder agrees with a per-coordinate min/max
+// over the same rows.
 func TestBoxBuilders(t *testing.T) {
 	p := randPoints(40, 3, 6)
-	idx := make([]int32, p.N)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	want := BoundingBox(p, idx)
 	got := EmptyBox(3)
-	BoundingBoxRange(&got, p, 0, p.N)
-	left, right := BoundingBox(p, idx[:15]), BoundingBox(p, idx[15:])
-	left.ExtendBox(right)
+	BoundingBoxRange(&got, p, 5, 30)
 	for k := 0; k < 3; k++ {
-		if got.Lo[k] != want.Lo[k] || got.Hi[k] != want.Hi[k] || left.Lo[k] != want.Lo[k] || left.Hi[k] != want.Hi[k] {
-			t.Fatalf("dim %d: range [%v,%v], union [%v,%v], want [%v,%v]",
-				k, got.Lo[k], got.Hi[k], left.Lo[k], left.Hi[k], want.Lo[k], want.Hi[k])
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := 5; i < 30; i++ {
+			lo, hi = math.Min(lo, p.At(i)[k]), math.Max(hi, p.At(i)[k])
+		}
+		if got.Lo[k] != lo || got.Hi[k] != hi {
+			t.Fatalf("dim %d: range [%v,%v], want [%v,%v]", k, got.Lo[k], got.Hi[k], lo, hi)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package hdbscan
 
 import (
 	"parclust/internal/abort"
-	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
 	"parclust/internal/metric"
 	"parclust/internal/mst"
@@ -20,7 +19,6 @@ import (
 type Result struct {
 	MST      []mst.Edge
 	CoreDist []float64
-	Tree     *kdtree.Tree
 }
 
 // Algorithm selects the HDBSCAN* MST variant.
@@ -37,31 +35,6 @@ const (
 	// is materialized and run through GFK.
 	GanTaoFull
 )
-
-// Build computes the MST of the Euclidean mutual reachability graph for
-// the given minPts using the selected algorithm. stats may be nil.
-func Build(pts geometry.Points, minPts int, algo Algorithm, stats *mst.Stats) Result {
-	return BuildMetric(pts, minPts, algo, metric.L2{}, stats)
-}
-
-// BuildMetric is Build with the base distance taken under an arbitrary
-// metric kernel: core distances, mutual reachability, and the
-// well-separation predicate all run under m. The Euclidean kernel takes
-// the paper's bounding-sphere separation tests; other kernels use their
-// own box-bound ball geometry.
-func BuildMetric(pts geometry.Points, minPts int, algo Algorithm, m metric.Metric, stats *mst.Stats) Result {
-	var t *kdtree.Tree
-	stats.Time(mst.PhaseBuildTree, func() {
-		t = kdtree.BuildMetric(pts, 1, m)
-	})
-	var cd []float64
-	stats.Time(mst.PhaseCoreDist, func() {
-		cd = t.CoreDistances(minPts)
-		t.AnnotateCoreDists(cd)
-	})
-	edges := MSTOnAnnotatedTree(t, algo, m, nil, stats)
-	return Result{MST: edges, CoreDist: cd, Tree: t}
-}
 
 // MSTOnAnnotatedTree runs the selected HDBSCAN* MST variant over a tree
 // whose core-distance annotations (AnnotateCoreDists) are already in place

@@ -24,6 +24,14 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 	return p
 }
 
+// mstOf runs the HDBSCAN* MST stage the way the engine does: over a
+// leaf-size-1 tree annotated with the core distances for minPts.
+func mstOf(pts geometry.Points, minPts int, algo Algorithm, stats *mst.Stats) []mst.Edge {
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
+	tr.AnnotateCoreDists(tr.CoreDistances(minPts))
+	return MSTOnAnnotatedTree(tr, algo, metric.L2{}, nil, stats)
+}
+
 func checkSpanningTree(t *testing.T, n int, edges []mst.Edge) {
 	t.Helper()
 	if len(edges) != n-1 {
@@ -48,9 +56,9 @@ func TestBuildMatchesDenseOracle(t *testing.T) {
 			pts := randPoints(n, 3, int64(n*10+minPts))
 			want := mst.TotalWeight(mst.PrimDense(n, oracle.MutualReachability(pts, minPts, metric.L2{})))
 			for _, algo := range []Algorithm{MemoGFK, GanTao, GanTaoFull} {
-				res := Build(pts, minPts, algo, nil)
-				checkSpanningTree(t, n, res.MST)
-				got := mst.TotalWeight(res.MST)
+				edges := mstOf(pts, minPts, algo, nil)
+				checkSpanningTree(t, n, edges)
+				got := mst.TotalWeight(edges)
 				if math.Abs(got-want) > 1e-6*(1+want) {
 					t.Fatalf("algo=%d minPts=%d n=%d: weight %v, want %v", algo, minPts, n, got, want)
 				}
@@ -64,12 +72,11 @@ func TestBuildMatchesDenseOracle(t *testing.T) {
 // weight (Section 2.1).
 func TestMinPtsOneEqualsEMST(t *testing.T) {
 	pts := randPoints(300, 2, 3)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	emst := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}})
-	res := Build(pts, 1, MemoGFK, nil)
-	if math.Abs(mst.TotalWeight(emst)-mst.TotalWeight(res.MST)) > 1e-9 {
-		t.Fatalf("minPts=1 MST weight %v differs from EMST %v",
-			mst.TotalWeight(res.MST), mst.TotalWeight(emst))
+	got := mst.TotalWeight(mstOf(pts, 1, MemoGFK, nil))
+	if math.Abs(mst.TotalWeight(emst)-got) > 1e-9 {
+		t.Fatalf("minPts=1 MST weight %v differs from EMST %v", got, mst.TotalWeight(emst))
 	}
 }
 
@@ -79,17 +86,17 @@ func TestMinPtsOneEqualsEMST(t *testing.T) {
 func TestTheoremD1(t *testing.T) {
 	for _, minPts := range []int{2, 3} {
 		pts := randPoints(200, 2, int64(minPts*7))
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		emst := mst.MemoGFK(mst.Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}})
 		dm := oracle.MutualReachability(pts, minPts, metric.L2{})
 		var emstUnderDM float64
 		for _, e := range emst {
 			emstUnderDM += dm(e.U, e.V)
 		}
-		res := Build(pts, minPts, MemoGFK, nil)
-		if math.Abs(emstUnderDM-mst.TotalWeight(res.MST)) > 1e-6 {
+		got := mst.TotalWeight(mstOf(pts, minPts, MemoGFK, nil))
+		if math.Abs(emstUnderDM-got) > 1e-6 {
 			t.Fatalf("minPts=%d: EMST weight under d_m %v != HDBSCAN* MST weight %v",
-				minPts, emstUnderDM, mst.TotalWeight(res.MST))
+				minPts, emstUnderDM, got)
 		}
 	}
 }
@@ -118,16 +125,16 @@ func TestFigure1WorkedExample(t *testing.T) {
 	if math.Abs(cd[3]-math.Sqrt(10)) > 1e-9 {
 		t.Fatalf("cd(d)=%v, want sqrt(10)", cd[3])
 	}
-	res := Build(pts, minPts, MemoGFK, nil)
-	checkSpanningTree(t, pts.N, res.MST)
+	edges := mstOf(pts, minPts, MemoGFK, nil)
+	checkSpanningTree(t, pts.N, edges)
 	want := mst.TotalWeight(mst.PrimDense(pts.N, oracle.MutualReachability(pts, minPts, metric.L2{})))
-	if math.Abs(mst.TotalWeight(res.MST)-want) > 1e-9 {
-		t.Fatalf("figure-1 MST weight %v, want %v", mst.TotalWeight(res.MST), want)
+	if math.Abs(mst.TotalWeight(edges)-want) > 1e-9 {
+		t.Fatalf("figure-1 MST weight %v, want %v", mst.TotalWeight(edges), want)
 	}
 	// The edge (a,d) must have weight max{cd(a), cd(d), d(a,d)} = 4 if present;
 	// regardless, every MST edge weight must equal its mutual reachability.
 	dm := oracle.MutualReachability(pts, minPts, metric.L2{})
-	for _, e := range res.MST {
+	for _, e := range edges {
 		if math.Abs(e.W-dm(e.U, e.V)) > 1e-9 {
 			t.Fatalf("edge %+v weight differs from d_m=%v", e, dm(e.U, e.V))
 		}
@@ -139,7 +146,7 @@ func TestFigure1WorkedExample(t *testing.T) {
 // (Section 5's "2.5-10.29x fewer pairs").
 func TestPairCounts(t *testing.T) {
 	pts := randPoints(1000, 3, 17)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	tr.AnnotateCoreDists(tr.CoreDistances(10))
 	geo, mu := wspd.Count(tr, wspd.Geometric{S: 2}), wspd.Count(tr, wspd.MutualUnreachable{})
 	if mu > geo {
@@ -156,7 +163,7 @@ func TestBruteForceCoreDistancesQuick(t *testing.T) {
 		k := 1 + int(kRaw)%n
 		pts := randPoints(n, 2, seed)
 		cd := oracle.CoreDistances(pts, k, metric.L2{})
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		cd2 := tr.CoreDistances(k)
 		for i := range cd {
 			if math.Abs(cd[i]-cd2[i]) > 1e-9 {
@@ -204,19 +211,16 @@ func TestApproxOPTICSEdgeBudget(t *testing.T) {
 	}
 }
 
+// TestStatsPhases: the HDBSCAN* MemoGFK stage times exactly its own
+// phases, WSPD and Kruskal. The tree and core-distance phases belong to the
+// engine (the root package's BuildReport tests check them), and MemoGFK
+// runs no other algorithm's phases.
 func TestStatsPhases(t *testing.T) {
-	pts := randPoints(500, 2, 29)
 	stats := mst.NewStats()
-	Build(pts, 10, MemoGFK, stats)
-	for _, phase := range []mst.Phase{mst.PhaseBuildTree, mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal} {
-		if stats.Phases[phase] <= 0 {
-			t.Fatalf("phase %v missing from stats", phase)
-		}
-	}
-	// MemoGFK never runs the other algorithms' phases.
-	for _, phase := range []mst.Phase{mst.PhaseRefresh, mst.PhaseQuery, mst.PhaseMerge, mst.PhaseDelaunay, mst.PhaseGenEdges, mst.PhaseDendrogram} {
-		if stats.Phases[phase] != 0 {
-			t.Fatalf("phase %v timed by an HDBSCAN* MemoGFK build", phase)
+	mstOf(randPoints(500, 2, 29), 10, MemoGFK, stats)
+	for p := range mst.NumPhases {
+		if ran := p == mst.PhaseWSPD || p == mst.PhaseKruskal; (stats.Phases[p] > 0) != ran {
+			t.Fatalf("phase %v timed %v, want timed=%v", p, stats.Phases[p], ran)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/mst"
 	"parclust/internal/parallel"
 	"parclust/internal/wspd"
@@ -25,7 +26,7 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 	}
 	var t *kdtree.Tree
 	stats.Time(mst.PhaseBuildTree, func() {
-		t = kdtree.Build(pts, 1)
+		t = kdtree.BuildMetric(pts, 1, metric.L2{})
 	})
 	var cd []float64
 	stats.Time(mst.PhaseCoreDist, func() {
@@ -98,5 +99,5 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 	for i, e := range out {
 		out[i] = mst.MakeEdge(t.Orig[e.U], t.Orig[e.V], e.W)
 	}
-	return Result{MST: out, CoreDist: cd, Tree: t}
+	return Result{MST: out, CoreDist: cd}
 }

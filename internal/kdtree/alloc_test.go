@@ -3,6 +3,8 @@ package kdtree
 import (
 	"testing"
 	"testing/quick"
+
+	"parclust/internal/metric"
 )
 
 // TestKNNIntoAllocs pins the workspace k-NN query path at zero steady-state
@@ -14,7 +16,7 @@ func TestKNNIntoAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 3, 21)
-	tr := Build(pts, 8)
+	tr := BuildMetric(pts, 8, metric.L2{})
 	var ws KNNWorkspace
 	tr.KNNInto(0, 10, &ws) // warm up: grows the heap and result buffers
 	q := int32(0)
@@ -34,7 +36,7 @@ func TestRangeQueryAppendAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 3, 22)
-	tr := Build(pts, 8)
+	tr := BuildMetric(pts, 8, metric.L2{})
 	buf := tr.RangeQueryAppend(0, 30, nil)
 	q := int32(0)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -56,7 +58,7 @@ func TestPermutationRoundTrip(t *testing.T) {
 		dim := 1 + int(dimRaw)%5
 		leaf := 1 + int(leafRaw)%16
 		pts := randPoints(n, dim, seed)
-		tr := Build(pts, leaf)
+		tr := BuildMetric(pts, leaf, metric.L2{})
 		if len(tr.Orig) != n || len(tr.Inv) != n {
 			return false
 		}
@@ -90,10 +92,10 @@ func TestPermutationRoundTrip(t *testing.T) {
 func TestBuildDoesNotMutateInput(t *testing.T) {
 	pts := randPoints(500, 3, 23)
 	before := append([]float64(nil), pts.Data...)
-	Build(pts, 1)
+	BuildMetric(pts, 1, metric.L2{})
 	for i := range before {
 		if pts.Data[i] != before[i] {
-			t.Fatal("Build mutated the caller's point buffer")
+			t.Fatal("BuildMetric mutated the caller's point buffer")
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestKNNLiveMatchesBruteForce(t *testing.T) {
 
 func TestKNNLiveFewerThanK(t *testing.T) {
 	pts := randPoints(20, 2, 9)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	tomb := make([]bool, pts.N)
 	for j := 0; j < pts.N; j++ {
 		tomb[j] = j >= 3 // only ids 0,1,2 survive
@@ -166,7 +166,7 @@ func TestRangeLiveMatchesBruteForce(t *testing.T) {
 // agrees with a tombstoned recount.
 func TestRangeCountLiveWholesaleShortcut(t *testing.T) {
 	pts := randPoints(500, 2, 3)
-	tr := Build(pts, 8)
+	tr := BuildMetric(pts, 8, metric.L2{})
 	qc := pts.At(0)
 	const huge = 1e9
 	if n := tr.RangeCountLive(qc, huge, nil); n != pts.N {

@@ -17,7 +17,7 @@ func TestF32KNNIntoAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 16, 31)
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	if err := tr.EnableFloat32(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestF32RangeQueryAppendAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(2000, 16, 32)
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	if err := tr.EnableFloat32(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestF32BCCPSqAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(1024, 16, 33)
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	if err := tr.EnableFloat32(); err != nil {
 		t.Fatal(err)
 	}

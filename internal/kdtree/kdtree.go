@@ -13,10 +13,11 @@
 // every leaf scan (k-NN, range, BCCP, Borůvka) run over contiguous memory.
 //
 // Index spaces. Node-level APIs (Node.Lo/Hi, Tree.Points, BCCP results, the
-// Metric interface, RefreshComponents) work in internal kd-order positions,
-// which index Tree.Pts directly. The point-query APIs (KNN, RangeQuery,
-// RangeCount, CoreDistances, PairDist, AnnotateCoreDists) accept and return
-// original input ids; Tree.Orig and Tree.Inv convert between the two spaces.
+// Metric interface, RefreshComponentsInto) work in internal kd-order
+// positions, which index Tree.Pts directly. The point-query APIs (KNN,
+// RangeQuery, RangeCount, CoreDistances, PairDist, AnnotateCoreDists) accept
+// and return original input ids; Tree.Orig and Tree.Inv convert between the
+// two spaces.
 //
 // Nodes carry the annotations the paper's algorithms need: bounding
 // box/sphere, core-distance bounds for the HDBSCAN* well-separation test,
@@ -64,7 +65,7 @@ type Node struct {
 
 	// Comp is the union-find component shared by every point in the node,
 	// or -1 if the points span multiple components. Refreshed per round by
-	// Tree.RefreshComponents.
+	// Tree.RefreshComponentsInto.
 	Comp int32
 }
 
@@ -93,10 +94,10 @@ type Tree struct {
 	Root     *Node
 	LeafSize int
 
-	// M is the point-space metric queries run under (never nil; Build
-	// installs L2). The splitting rule and node boxes are coordinate-based
-	// and metric-independent; only query pruning and reported distances
-	// depend on M.
+	// M is the point-space metric queries run under (never nil). The
+	// splitting rule and node boxes are coordinate-based and
+	// metric-independent; only query pruning and reported distances depend
+	// on M.
 	M metric.Metric
 
 	// CoreDist[p] is the core distance of the point at kd-order position p
@@ -128,14 +129,9 @@ type Tree struct {
 // buildGrain is the subproblem size below which build recursion is sequential.
 const buildGrain = 2048
 
-// Build constructs the tree in parallel under the Euclidean metric.
-// leafSize <= 1 yields one point per leaf, which the WSPD construction
-// requires.
-func Build(pts geometry.Points, leafSize int) *Tree {
-	return BuildMetric(pts, leafSize, metric.L2{})
-}
-
-// BuildMetric constructs the tree with queries running under metric m.
+// BuildMetric constructs the tree in parallel with queries running under
+// metric m. leafSize <= 1 yields one point per leaf, which the WSPD
+// construction requires.
 func BuildMetric(pts geometry.Points, leafSize int, m metric.Metric) *Tree {
 	return BuildMetricCancel(pts, leafSize, m, nil)
 }
@@ -181,9 +177,6 @@ func BuildMetricCancel(pts geometry.Points, leafSize int, m metric.Metric, af *a
 	}
 	return t
 }
-
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int { return int(t.nalloc.Load()) }
 
 // LeftOf returns n's left child (n must not be a leaf).
 func (t *Tree) LeftOf(n *Node) *Node { return &t.nodes[n.Left] }
@@ -366,20 +359,12 @@ func (t *Tree) annotateCDPar(n *Node) (lo, hi float64) {
 	return n.CDMin, n.CDMax
 }
 
-// RefreshComponents recomputes every node's Comp label from the union-find
-// structure: the common component of the node's points, or -1 if mixed.
-// One O(n) pass per Kruskal round (the paper's f_diff filter support).
-// The union-find runs over kd-order positions; it returns the per-position
-// component labels.
-func (t *Tree) RefreshComponents(uf *unionfind.UF) []int32 {
-	if t.Root == nil {
-		return nil
-	}
-	return t.RefreshComponentsInto(uf, make([]int32, t.Pts.N))
-}
-
-// RefreshComponentsInto is RefreshComponents writing the labels into comp
-// (len comp must be the point count), allocating nothing.
+// RefreshComponentsInto recomputes every node's Comp label from the
+// union-find structure: the common component of the node's points, or -1 if
+// mixed. One O(n) pass per Kruskal round (the paper's f_diff filter
+// support). The union-find runs over kd-order positions; the per-position
+// component labels are written into comp (len comp must be the point
+// count), which is returned. It allocates nothing.
 func (t *Tree) RefreshComponentsInto(uf *unionfind.UF, comp []int32) []int32 {
 	if t.Root == nil {
 		return comp

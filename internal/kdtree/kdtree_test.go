@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"parclust/internal/geometry"
+	"parclust/internal/metric"
 	"parclust/internal/unionfind"
 )
 
@@ -44,7 +45,7 @@ func checkTree(t *testing.T, tr *Tree) {
 			if geometry.SqDistPointBox(tr.Pts.At(int(p)), n.Box) != 0 {
 				t.Fatal("point outside node box")
 			}
-			if d := math.Sqrt(tr.Pts.SqDistTo(int(p), n.Ctr)); d > n.Radius+1e-9 {
+			if d := math.Sqrt(geometry.SqDistVec(tr.Pts.At(int(p)), n.Ctr)); d > n.Radius+1e-9 {
 				t.Fatal("point outside node bounding sphere")
 			}
 		}
@@ -61,7 +62,7 @@ func TestBuildInvariants(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 257, 4000} {
 		for _, leaf := range []int{1, 16} {
 			pts := randPoints(n, 3, int64(n))
-			tr := Build(pts, leaf)
+			tr := BuildMetric(pts, leaf, metric.L2{})
 			checkTree(t, tr)
 		}
 	}
@@ -69,7 +70,7 @@ func TestBuildInvariants(t *testing.T) {
 
 func TestBuildDuplicatePoints(t *testing.T) {
 	pts := geometry.NewPoints(64, 2) // all zeros
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	checkTree(t, tr)
 	if tr.Root.Radius != 0 {
 		t.Fatal("radius of identical points should be 0")
@@ -78,7 +79,7 @@ func TestBuildDuplicatePoints(t *testing.T) {
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	pts := randPoints(300, 3, 9)
-	tr := Build(pts, 8)
+	tr := BuildMetric(pts, 8, metric.L2{})
 	for _, k := range []int{1, 2, 5, 17} {
 		for q := 0; q < pts.N; q += 13 {
 			got := tr.KNN(int32(q), k)
@@ -104,7 +105,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestCoreDistancesMatchBruteForce(t *testing.T) {
 	pts := randPoints(200, 2, 10)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	for _, minPts := range []int{1, 2, 3, 10} {
 		cd := tr.CoreDistances(minPts)
 		for i := 0; i < pts.N; i++ {
@@ -126,7 +127,7 @@ func TestCoreDistancesMatchBruteForce(t *testing.T) {
 
 func TestAnnotateCoreDists(t *testing.T) {
 	pts := randPoints(500, 3, 11)
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(5)
 	tr.AnnotateCoreDists(cd)
 	var walk func(n *Node)
@@ -153,13 +154,13 @@ func TestAnnotateCoreDists(t *testing.T) {
 
 func TestRefreshComponents(t *testing.T) {
 	pts := randPoints(100, 2, 12)
-	tr := Build(pts, 2)
+	tr := BuildMetric(pts, 2, metric.L2{})
 	uf := unionfind.New(pts.N)
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 60; i++ {
 		uf.Union(int32(rng.Intn(pts.N)), int32(rng.Intn(pts.N)))
 	}
-	comp := tr.RefreshComponents(uf)
+	comp := tr.RefreshComponentsInto(uf, make([]int32, pts.N))
 	for i := range comp {
 		if comp[i] != uf.Find(int32(i)) {
 			t.Fatal("per-point component label wrong")
@@ -205,7 +206,7 @@ func bruteBCCP(pts geometry.Points, m Metric, a, b []int32) BCCPResult {
 
 func TestBCCPEuclidean(t *testing.T) {
 	pts := randPoints(400, 3, 14)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	m := NewEuclidean(tr)
 	a, b := tr.LeftOf(tr.Root), tr.RightOf(tr.Root)
 	got := BCCP(tr, m, a, b)
@@ -225,7 +226,7 @@ func TestBCCPEuclidean(t *testing.T) {
 
 func TestBCCPMutualReachability(t *testing.T) {
 	pts := randPoints(300, 2, 15)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	cd := tr.CoreDistances(5)
 	tr.AnnotateCoreDists(cd)
 	m := NewMutualReachability(tr)
@@ -239,7 +240,7 @@ func TestBCCPMutualReachability(t *testing.T) {
 
 func TestMetricBoundsQuick(t *testing.T) {
 	pts := randPoints(256, 3, 16)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	cd := tr.CoreDistances(4)
 	tr.AnnotateCoreDists(cd)
 	metrics := []Metric{NewEuclidean(tr), NewMutualReachability(tr)}

@@ -119,8 +119,10 @@ type KNNWorkspace struct {
 	out []Neighbor
 }
 
-// KNN returns the k nearest neighbors of the point with original id q
-// (including q itself), sorted by increasing tree-metric distance.
+// KNN returns the k nearest neighbors of the point with original id q,
+// sorted by increasing tree-metric distance. Equal distances come in a
+// deterministic but unspecified order (the heap breaks no ties), so q itself
+// is included unless more than k points lie at distance 0 from it.
 func (t *Tree) KNN(q int32, k int) []Neighbor {
 	var ws KNNWorkspace
 	return t.KNNInto(q, k, &ws)

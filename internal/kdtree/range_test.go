@@ -4,11 +4,13 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"parclust/internal/metric"
 )
 
 func TestRangeQueryMatchesBruteForce(t *testing.T) {
 	pts := randPoints(400, 3, 31)
-	tr := Build(pts, 8)
+	tr := BuildMetric(pts, 8, metric.L2{})
 	for _, r := range []float64{0, 1, 10, 50, 1000} {
 		for q := 0; q < pts.N; q += 37 {
 			got := tr.RangeQuery(int32(q), r)
@@ -36,7 +38,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 
 func TestRangeCountQuick(t *testing.T) {
 	pts := randPoints(200, 2, 33)
-	tr := Build(pts, 4)
+	tr := BuildMetric(pts, 4, metric.L2{})
 	f := func(qRaw uint8, rRaw uint8) bool {
 		q := int32(int(qRaw) % pts.N)
 		r := float64(rRaw)

@@ -24,9 +24,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d dim=%d %s: decode: %v", n, dim, m.Name(), err)
 				}
-				if dec.NumNodes() != orig.NumNodes() || dec.LeafSize != orig.LeafSize {
+				if dec.nalloc.Load() != orig.nalloc.Load() || dec.LeafSize != orig.LeafSize {
 					t.Fatalf("n=%d: %d nodes / leaf %d, want %d / %d",
-						n, dec.NumNodes(), dec.LeafSize, orig.NumNodes(), orig.LeafSize)
+						n, dec.nalloc.Load(), dec.LeafSize, orig.nalloc.Load(), orig.LeafSize)
 				}
 				for i := range orig.Orig {
 					if dec.Orig[i] != orig.Orig[i] || dec.Inv[i] != orig.Inv[i] {
@@ -69,7 +69,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // that keep all invariants intact, succeed) and never panic.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	pts := randPoints(64, 3, 7)
-	tr := Build(pts, 1)
+	tr := BuildMetric(pts, 1, metric.L2{})
 	buf := tr.AppendSnapshot(nil)
 
 	for cut := 0; cut <= len(buf); cut += 7 {
@@ -91,7 +91,7 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 		offsets = append(offsets, off)
 	}
 	nodesBase := 12 + 4*pts.N
-	for i := 0; i < tr.NumNodes(); i++ {
+	for i := 0; i < int(tr.nalloc.Load()); i++ {
 		for off := 0; off < 16; off++ { // Lo, Hi, Left, Right
 			offsets = append(offsets, nodesBase+i*snapNodeBytes+off)
 		}

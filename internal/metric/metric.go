@@ -7,10 +7,10 @@
 //
 // The WSPD-based MST algorithms (EMST-Naive/GFK/MemoGFK/WSPD-Borůvka and
 // the HDBSCAN* variants) additionally require the metric to have the
-// doubling property, which bounds the number of well-separated pairs;
-// Doubling reports whether that analysis applies. All built-in kernels are
-// doubling (SqL2 and Angular qualify as monotone transforms of L2, which
-// preserve the minimum spanning tree and the separation structure).
+// doubling property, which bounds the number of well-separated pairs. All
+// built-in kernels are doubling (SqL2 and Angular qualify as monotone
+// transforms of L2, which preserve the minimum spanning tree and the
+// separation structure).
 package metric
 
 import (
@@ -33,9 +33,6 @@ type Metric interface {
 	BoxesLB(a, b geometry.Box) float64
 	// BoxesUB upper-bounds Dist(x, y) over all x in a, y in b.
 	BoxesUB(a, b geometry.Box) float64
-	// Doubling reports whether the metric has the doubling property the
-	// WSPD pair-count analysis requires (true for every built-in kernel).
-	Doubling() bool
 }
 
 // L2 is the Euclidean metric, the kernel the source paper states its
@@ -44,7 +41,6 @@ type L2 struct{}
 
 func (L2) Name() string                { return "l2" }
 func (L2) Dist(a, b []float64) float64 { return math.Sqrt(geometry.SqDistVec(a, b)) }
-func (L2) Doubling() bool              { return true }
 func (L2) PointBoxLB(q []float64, b geometry.Box) float64 {
 	return math.Sqrt(geometry.SqDistPointBox(q, b))
 }
@@ -59,7 +55,6 @@ type SqL2 struct{}
 
 func (SqL2) Name() string                { return "sql2" }
 func (SqL2) Dist(a, b []float64) float64 { return geometry.SqDistVec(a, b) }
-func (SqL2) Doubling() bool              { return true }
 func (SqL2) PointBoxLB(q []float64, b geometry.Box) float64 {
 	return geometry.SqDistPointBox(q, b)
 }
@@ -69,8 +64,7 @@ func (SqL2) BoxesUB(a, b geometry.Box) float64 { return geometry.SqMaxDistBoxes(
 // L1 is the Manhattan / taxicab metric.
 type L1 struct{}
 
-func (L1) Name() string   { return "l1" }
-func (L1) Doubling() bool { return true }
+func (L1) Name() string { return "l1" }
 
 func (L1) Dist(a, b []float64) float64 {
 	var s float64
@@ -112,8 +106,7 @@ func (L1) BoxesUB(a, b geometry.Box) float64 {
 // LInf is the Chebyshev / maximum metric.
 type LInf struct{}
 
-func (LInf) Name() string   { return "linf" }
-func (LInf) Doubling() bool { return true }
+func (LInf) Name() string { return "linf" }
 
 func (LInf) Dist(a, b []float64) float64 {
 	var m float64
@@ -170,8 +163,7 @@ func (LInf) BoxesUB(a, b geometry.Box) float64 {
 // MST exactly.
 type Angular struct{}
 
-func (Angular) Name() string   { return "angular" }
-func (Angular) Doubling() bool { return true }
+func (Angular) Name() string { return "angular" }
 
 func (Angular) Dist(a, b []float64) float64 {
 	return angleFromSqChord(geometry.SqDistVec(a, b))

@@ -157,14 +157,6 @@ func TestNormalizeRowsExtremeMagnitudes(t *testing.T) {
 	}
 }
 
-func TestDoublingReportedForAllBuiltins(t *testing.T) {
-	for _, m := range All() {
-		if !m.Doubling() {
-			t.Fatalf("%s reports non-doubling; WSPD algorithms would be unsupported", m.Name())
-		}
-	}
-}
-
 // randCloud draws points in [0,100)^dim, unit-normalized for Angular.
 func randCloud(rng *rand.Rand, n, dim int, m Metric) geometry.Points {
 	p := geometry.NewPoints(n, dim)

@@ -21,7 +21,7 @@ func TestBoruvkaRoundAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(512, 3, 42)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	ws := NewWorkspace()
 	r := newBoruvkaRun(Config{Tree: tr}, ws)
 	if !r.round() { // warm up: first round sizes nothing (grow already did)
@@ -38,7 +38,7 @@ func TestWSPDBoruvkaRoundAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(512, 3, 43)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cfg := Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}}
 	ws := NewWorkspace()
 	r := newWSPDBoruvkaRun(cfg, ws, decompose(cfg, nil))
@@ -63,7 +63,7 @@ func TestGFKRoundAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(512, 3, 44)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cfg := Config{Tree: tr, Metric: kdtree.NewEuclidean(tr), Sep: wspd.Geometric{S: 2}}
 	ws := NewWorkspace()
 	ws.pairs = decompose(cfg, ws.pairs)
@@ -114,10 +114,10 @@ func TestMemoGFKAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(512, 3, 45)
-	euclid := kdtree.Build(pts, 1)
-	mutual := kdtree.Build(pts, 1)
+	euclid := kdtree.BuildMetric(pts, 1, metric.L2{})
+	mutual := kdtree.BuildMetric(pts, 1, metric.L2{})
 	mutual.AnnotateCoreDists(mutual.CoreDistances(10))
-	f32 := kdtree.Build(randPoints(512, 16, 46), 1)
+	f32 := kdtree.BuildMetric(randPoints(512, 16, 46), 1, metric.L2{})
 	if err := f32.EnableFloat32(); err != nil {
 		t.Fatal(err)
 	}

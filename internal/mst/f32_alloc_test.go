@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 )
 
 // TestF32BoruvkaRoundAllocs pins the float32 Borůvka round at zero
@@ -15,7 +16,7 @@ func TestF32BoruvkaRoundAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	pts := randPoints(512, 16, 44)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	if err := tr.EnableFloat32(); err != nil {
 		t.Fatal(err)
 	}

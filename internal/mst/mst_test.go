@@ -8,6 +8,7 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 	"parclust/internal/unionfind"
 	"parclust/internal/wspd"
 )
@@ -22,7 +23,7 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 }
 
 func euclidConfig(pts geometry.Points) Config {
-	t := kdtree.Build(pts, 1)
+	t := kdtree.BuildMetric(pts, 1, metric.L2{})
 	return Config{Tree: t, Metric: kdtree.NewEuclidean(t), Sep: wspd.Geometric{S: 2}, Stats: NewStats()}
 }
 
@@ -121,7 +122,7 @@ func TestEMSTAlgorithmsAgree(t *testing.T) {
 				}
 			}
 			// Borůvka takes the tree directly.
-			tr := kdtree.Build(pts, 1)
+			tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 			got := Boruvka(Config{Tree: tr, Stats: NewStats()})
 			checkSpanningTree(t, n, got)
 			if math.Abs(TotalWeight(got)-want) > 1e-6*(1+want) {
@@ -148,7 +149,7 @@ func TestEMSTQuickProperty(t *testing.T) {
 func TestMutualReachabilityMST(t *testing.T) {
 	for _, minPts := range []int{2, 5, 10} {
 		pts := randPoints(250, 3, int64(minPts))
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		cd := tr.CoreDistances(minPts)
 		tr.AnnotateCoreDists(cd)
 		metric := kdtree.NewMutualReachability(tr)
@@ -194,7 +195,7 @@ func TestBoruvkaHugeCoordinates(t *testing.T) {
 	pts := geometry.FromSlices([][]float64{
 		{-1e160, 0}, {-1e160, 1}, {1e160, 0}, {1e160, 1},
 	})
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	got := Boruvka(Config{Tree: tr})
 	checkSpanningTree(t, pts.N, got)
 	if !math.IsInf(got[len(got)-1].W, 1) {
@@ -289,7 +290,7 @@ func TestWSPDBoruvkaAgreesWithOracle(t *testing.T) {
 
 func TestWSPDBoruvkaMutualMetric(t *testing.T) {
 	pts := randPoints(300, 3, 99)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(10)
 	tr.AnnotateCoreDists(cd)
 	metric := kdtree.NewMutualReachability(tr)
@@ -335,7 +336,7 @@ func TestWorkspaceReuseAcrossShrinkingRuns(t *testing.T) {
 	ws := NewWorkspace()
 	for _, n := range []int{300, 120, 50, 7, 2} {
 		pts := randPoints(n, 2, int64(n))
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		got := Boruvka(Config{Tree: tr, WS: ws})
 		checkSpanningTree(t, n, got)
 		want := PrimDense(n, func(i, j int32) float64 { return pts.Dist(int(i), int(j)) })

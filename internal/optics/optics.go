@@ -1,22 +1,20 @@
 // Package optics implements the classic sequential OPTICS algorithm of
-// Ankerst et al. (cited as [7] in the paper) as a from-the-definition
-// reference for the parallel pipeline. Two reachability semantics are
-// supported: the original asymmetric max{cd(p), d(p,q)} of Ankerst et al.,
-// and the symmetric mutual reachability max{cd(p), cd(q), d(p,q)} used by
-// HDBSCAN*. With mutual semantics and eps = +Inf the algorithm is exactly
-// Prim's algorithm on the mutual reachability graph, so its finite
-// reachability values equal the HDBSCAN* MST edge weights — the tests use
-// this to cross-validate the WSPD-based pipeline against an entirely
-// independent implementation. The unbounded variant performs O(n^2)
-// distance updates and is intended for validation, not production use.
+// Ankerst et al. (cited as [7] in the paper); Index.OPTICS runs it over the
+// engine's shared tree and memoized core distances. Two reachability
+// semantics are supported: the original asymmetric max{cd(p), d(p,q)} of
+// Ankerst et al., which Index.OPTICS serves, and the symmetric mutual
+// reachability max{cd(p), cd(q), d(p,q)} used by HDBSCAN*. With mutual
+// semantics and eps = +Inf the algorithm is exactly Prim's algorithm on the
+// mutual reachability graph, so its finite reachability values equal the
+// HDBSCAN* MST edge weights — the tests use this to cross-validate the
+// WSPD-based pipeline against an entirely independent implementation. The
+// unbounded variant performs O(n^2) distance updates.
 package optics
 
 import (
 	"math"
 
-	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
-	"parclust/internal/metric"
 )
 
 // Entry is one position of the OPTICS ordering.
@@ -27,30 +25,14 @@ type Entry struct {
 	Reachability float64
 }
 
-// Run computes the OPTICS ordering starting from point 0. eps bounds the
-// neighborhoods considered (math.Inf(1) for the unbounded variant);
-// minPts is the density parameter; mutual selects HDBSCAN*'s symmetric
-// reachability instead of the original asymmetric one.
-func Run(pts geometry.Points, minPts int, eps float64, mutual bool) []Entry {
-	return RunMetric(pts, minPts, eps, mutual, metric.L2{})
-}
-
-// RunMetric is Run with distances, core distances, and neighborhoods taken
-// under an arbitrary metric kernel.
-func RunMetric(pts geometry.Points, minPts int, eps float64, mutual bool, m metric.Metric) []Entry {
-	if pts.N == 0 {
-		return nil
-	}
-	t := kdtree.BuildMetric(pts, 16, m)
-	return RunOnTree(t, t.CoreDistances(minPts), eps, mutual)
-}
-
-// RunOnTree is the OPTICS ordering over a prebuilt tree with precomputed
-// core distances (original-id order, computed with the caller's minPts).
+// RunOnTree computes the OPTICS ordering starting from point 0, over a
+// prebuilt tree with precomputed core distances (original-id order,
+// computed with the caller's minPts). eps bounds the neighborhoods
+// considered (math.Inf(1) for the unbounded variant); mutual selects
+// HDBSCAN*'s symmetric reachability instead of the original asymmetric one.
 // All distance updates are min-reductions and the ordering heap breaks ties
 // by point id, so the result is independent of the tree's leaf size and of
-// neighbor enumeration order — a tree shared with the rest of the pipeline
-// produces exactly the standalone result. The tree is only read.
+// neighbor enumeration order. The tree is only read.
 func RunOnTree(t *kdtree.Tree, cd []float64, eps float64, mutual bool) []Entry {
 	n := t.Pts.N
 	if n == 0 {

@@ -3,11 +3,13 @@ package optics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"parclust/internal/geometry"
 	"parclust/internal/hdbscan"
+	"parclust/internal/kdtree"
 	"parclust/internal/metric"
 	"parclust/internal/oracle"
 )
@@ -21,13 +23,30 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 	return p
 }
 
+// run computes the OPTICS ordering the way Index.OPTICS does: RunOnTree over
+// a leaf-size-1 tree under m with its core distances. It fails unless a
+// leaf-size-16 tree gives the same ordering, as RunOnTree's doc promises.
+func run(t *testing.T, pts geometry.Points, minPts int, eps float64, mutual bool, m metric.Metric) []Entry {
+	t.Helper()
+	var res [2][]Entry
+	for i, leaf := range []int{1, 16} {
+		tr := kdtree.BuildMetric(pts, leaf, m)
+		res[i] = RunOnTree(tr, tr.CoreDistances(minPts), eps, mutual)
+	}
+	if !slices.Equal(res[0], res[1]) {
+		t.Fatalf("%s minPts=%d eps=%v mutual=%v: leaf size 16 orders differently from leaf size 1",
+			m.Name(), minPts, eps, mutual)
+	}
+	return res[0]
+}
+
 // TestMutualUnboundedMatchesHDBSCANMST: with mutual reachability and
 // eps = +Inf, OPTICS is Prim on the mutual reachability graph, so its
 // finite reachability values are exactly the HDBSCAN* MST edge weights.
 func TestMutualUnboundedMatchesHDBSCANMST(t *testing.T) {
 	for _, minPts := range []int{2, 5, 10} {
 		pts := randPoints(250, 2, int64(minPts))
-		order := Run(pts, minPts, math.Inf(1), true)
+		order := run(t, pts, minPts, math.Inf(1), true, metric.L2{})
 		if len(order) != pts.N {
 			t.Fatalf("ordering has %d entries", len(order))
 		}
@@ -38,9 +57,10 @@ func TestMutualUnboundedMatchesHDBSCANMST(t *testing.T) {
 		for _, e := range order[1:] {
 			got = append(got, e.Reachability)
 		}
-		res := hdbscan.Build(pts, minPts, hdbscan.MemoGFK, nil)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
+		tr.AnnotateCoreDists(tr.CoreDistances(minPts))
 		var want []float64
-		for _, e := range res.MST {
+		for _, e := range hdbscan.MSTOnAnnotatedTree(tr, hdbscan.MemoGFK, metric.L2{}, nil, nil) {
 			want = append(want, e.W)
 		}
 		sort.Float64s(got)
@@ -59,8 +79,8 @@ func TestMutualUnboundedMatchesHDBSCANMST(t *testing.T) {
 func TestClassicAsymmetricDiffers(t *testing.T) {
 	pts := randPoints(200, 2, 7)
 	minPts := 10
-	classic := Run(pts, minPts, math.Inf(1), false)
-	mutual := Run(pts, minPts, math.Inf(1), true)
+	classic := run(t, pts, minPts, math.Inf(1), false, metric.L2{})
+	mutual := run(t, pts, minPts, math.Inf(1), true, metric.L2{})
 	var sc, sm float64
 	for i := 1; i < len(classic); i++ {
 		sc += classic[i].Reachability
@@ -84,7 +104,7 @@ func TestBoundedEps(t *testing.T) {
 		rows = append(rows, []float64{1000 + rng.Float64(), rng.Float64()})
 	}
 	pts := geometry.FromSlices(rows)
-	order := Run(pts, 5, 10, false)
+	order := run(t, pts, 5, 10, false, metric.L2{})
 	if len(order) != pts.N {
 		t.Fatalf("ordering has %d entries, want %d", len(order), pts.N)
 	}
@@ -99,20 +119,33 @@ func TestBoundedEps(t *testing.T) {
 	}
 }
 
-// TestOrderingIsPermutation guards the heap implementation.
+// TestOrderingIsPermutation guards the heap implementation, under every
+// kernel and both reachability semantics, with bounded and unbounded eps
+// (run also checks leaf-size independence for each).
 func TestOrderingIsPermutation(t *testing.T) {
-	pts := randPoints(300, 3, 13)
-	order := Run(pts, 5, math.Inf(1), true)
-	seen := make([]bool, pts.N)
-	for _, e := range order {
-		if seen[e.Idx] {
-			t.Fatalf("point %d visited twice", e.Idx)
+	for _, m := range metric.All() {
+		pts := randPoints(300, 3, 13)
+		if _, ok := m.(metric.Angular); ok {
+			var err error
+			if pts, err = metric.NormalizeRows(pts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		seen[e.Idx] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("point %d never visited", i)
+		for _, eps := range []float64{0.3, 10, math.Inf(1)} {
+			for _, mutual := range []bool{false, true} {
+				seen := make([]bool, pts.N)
+				for _, e := range run(t, pts, 5, eps, mutual, m) {
+					if seen[e.Idx] {
+						t.Fatalf("%s eps=%v: point %d visited twice", m.Name(), eps, e.Idx)
+					}
+					seen[e.Idx] = true
+				}
+				for i, s := range seen {
+					if !s {
+						t.Fatalf("%s eps=%v: point %d never visited", m.Name(), eps, i)
+					}
+				}
+			}
 		}
 	}
 }
@@ -124,7 +157,7 @@ func TestReachabilityLowerBound(t *testing.T) {
 	pts := randPoints(150, 2, 17)
 	minPts := 5
 	cd := oracle.CoreDistances(pts, minPts, metric.L2{})
-	for _, e := range Run(pts, minPts, math.Inf(1), true)[1:] {
+	for _, e := range run(t, pts, minPts, math.Inf(1), true, metric.L2{})[1:] {
 		if e.Reachability < cd[e.Idx]-1e-12 {
 			t.Fatalf("reachability %v below core distance %v", e.Reachability, cd[e.Idx])
 		}

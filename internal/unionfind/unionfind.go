@@ -3,9 +3,7 @@
 package unionfind
 
 // UF is a union-find structure over n elements with union by rank and path
-// halving. Find mutates (compresses) and must not be called concurrently;
-// FindRO is read-only and safe to call from multiple goroutines as long as
-// no Union or Find runs at the same time.
+// halving. Find mutates (compresses) and must not be called concurrently.
 type UF struct {
 	parent []int32
 	rank   []int8
@@ -31,14 +29,6 @@ func (u *UF) Components() int { return u.count }
 func (u *UF) Find(x int32) int32 {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// FindRO returns the representative of x without modifying the structure.
-func (u *UF) FindRO(x int32) int32 {
-	for u.parent[x] != x {
 		x = u.parent[x]
 	}
 	return x

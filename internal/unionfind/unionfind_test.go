@@ -54,13 +54,10 @@ func TestAgainstNaiveLabels(t *testing.T) {
 		if merged {
 			relabel(label[y], label[x])
 		}
-		// Spot-check connectivity and FindRO consistency.
+		// Spot-check connectivity.
 		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
 		if u.Connected(a, b) != (label[a] == label[b]) {
 			t.Fatalf("op %d: Connected(%d,%d) disagrees with labels", op, a, b)
-		}
-		if u.FindRO(a) != u.Find(a) {
-			t.Fatalf("op %d: FindRO disagrees with Find", op)
 		}
 	}
 	comps := map[int]bool{}

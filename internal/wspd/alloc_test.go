@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 )
 
 // TestDecomposeAllocs pins Decompose below spawnSize (no forks) to the
@@ -13,7 +14,7 @@ func TestDecomposeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
-	tr := kdtree.Build(randPoints(512, 3, 42), 1)
+	tr := kdtree.BuildMetric(randPoints(512, 3, 42), 1, metric.L2{})
 	tr.AnnotateCoreDists(tr.CoreDistances(10))
 	for _, sep := range []Separation{Geometric{S: 2}, MutualUnreachable{}} {
 		const maxAllocs = 32

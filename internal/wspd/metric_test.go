@@ -70,7 +70,7 @@ func TestMetricSeparations(t *testing.T) {
 // each of the n(n-1)/2 point pairs once in total.
 func TestDecomposeForksMatchCount(t *testing.T) {
 	pts := randPoints(3*spawnSize, 2, 13)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	tr.AnnotateCoreDists(tr.CoreDistances(5))
 	for _, sep := range []Separation{Geometric{S: 2}, MutualUnreachable{}} {
 		pairs := Decompose(tr, sep, nil)

@@ -7,6 +7,7 @@ import (
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
+	"parclust/internal/metric"
 )
 
 func randPoints(n, dim int, seed int64) geometry.Points {
@@ -62,7 +63,7 @@ func TestDecomposeRealizationGeometric(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 64, 200} {
 		for _, dim := range []int{1, 2, 3} {
 			pts := randPoints(n, dim, int64(n*10+dim))
-			tr := kdtree.Build(pts, 1)
+			tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 			pairs := Decompose(tr, Geometric{S: 2}, nil)
 			checkRealization(t, pts, tr, pairs)
 		}
@@ -72,7 +73,7 @@ func TestDecomposeRealizationGeometric(t *testing.T) {
 func TestDecomposeRealizationMutualUnreachable(t *testing.T) {
 	for _, n := range []int{2, 10, 128} {
 		pts := randPoints(n, 2, int64(n))
-		tr := kdtree.Build(pts, 1)
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 		cd := tr.CoreDistances(5)
 		tr.AnnotateCoreDists(cd)
 		pairs := Decompose(tr, MutualUnreachable{}, nil)
@@ -82,7 +83,7 @@ func TestDecomposeRealizationMutualUnreachable(t *testing.T) {
 
 func TestEmittedPairsAreWellSeparated(t *testing.T) {
 	pts := randPoints(300, 3, 77)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	sep := Geometric{S: 2}
 	for _, pr := range Decompose(tr, sep, nil) {
 		if !sep.WellSeparated(pr.A, pr.B) {
@@ -98,7 +99,7 @@ func TestEmittedPairsAreWellSeparated(t *testing.T) {
 
 func TestCountMatchesDecompose(t *testing.T) {
 	pts := randPoints(500, 3, 5)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	if got, want := Count(tr, Geometric{S: 2}), len(Decompose(tr, Geometric{S: 2}, nil)); got != want {
 		t.Fatalf("Count=%d, len(Decompose)=%d", got, want)
 	}
@@ -110,7 +111,7 @@ func TestCountMatchesDecompose(t *testing.T) {
 // fewer.
 func TestMutualSeparationProducesFewerPairs(t *testing.T) {
 	pts := randPoints(2000, 5, 8)
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	cd := tr.CoreDistances(10)
 	tr.AnnotateCoreDists(cd)
 	geo := Count(tr, Geometric{S: 2})
@@ -126,8 +127,8 @@ func TestMutualSeparationProducesFewerPairs(t *testing.T) {
 func TestPairCountLinearInN(t *testing.T) {
 	// WSPD size should grow roughly linearly with n (O(n) pairs, s=2).
 	n1, n2 := 1000, 4000
-	c1 := Count(kdtree.Build(randPoints(n1, 2, 1), 1), Geometric{S: 2})
-	c2 := Count(kdtree.Build(randPoints(n2, 2, 2), 1), Geometric{S: 2})
+	c1 := Count(kdtree.BuildMetric(randPoints(n1, 2, 1), 1, metric.L2{}), Geometric{S: 2})
+	c2 := Count(kdtree.BuildMetric(randPoints(n2, 2, 2), 1, metric.L2{}), Geometric{S: 2})
 	ratio := float64(c2) / float64(c1)
 	if ratio > 8 { // 4x points should give ~4x pairs, allow slack
 		t.Fatalf("pair count scaling ratio %.2f suggests super-linear WSPD size", ratio)
@@ -136,7 +137,7 @@ func TestPairCountLinearInN(t *testing.T) {
 
 func TestDuplicatePoints(t *testing.T) {
 	pts := geometry.NewPoints(32, 2) // all identical
-	tr := kdtree.Build(pts, 1)
+	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
 	pairs := Decompose(tr, Geometric{S: 2}, nil)
 	checkRealization(t, pts, tr, pairs)
 }

@@ -94,16 +94,17 @@ func TestMetricEntryPointsRejectNonFinite(t *testing.T) {
 	}
 }
 
-// TestL2CoordinateBound pins metric.MaxAbsCoord64. Under the kernels that
-// square coordinate differences, NewIndex, Insert and ApproxOPTICS reject a
-// coordinate past it. At the bound the default EMST still spans, HDBSCAN*
-// builds and k-NN returns all k, also with rows at opposite extremes. The
-// bound covers the distance kernels, not EMSTDelaunay2D's incircle
-// predicates, which overflow far inside it. L1 and LInf square nothing,
-// so they accept a coordinate past it.
+// TestL2CoordinateBound pins the coordinate bounds: metric.MaxAbsCoord64
+// under the kernels that square coordinate differences, MaxFloat64/(8·dim)
+// under L1 and MaxFloat64/8 under LInf. NewIndex and Insert reject a
+// coordinate past the bound, and ApproxOPTICS one past the L2 bound. At the
+// bound the default EMST still spans, HDBSCAN* builds and k-NN returns all
+// k, also with rows at opposite extremes. The bound covers the distance
+// kernels, not EMSTDelaunay2D's incircle predicates, which overflow far
+// inside it. L1 and LInf square nothing, so they accept a coordinate past
+// the L2 bound.
 func TestL2CoordinateBound(t *testing.T) {
-	bound := metric.MaxAbsCoord64(2)
-	past := math.Nextafter(bound, math.Inf(1))
+	l2Bound := metric.MaxAbsCoord64(2)
 	rows := func(x float64) Points {
 		return PointsFromSlices([][]float64{{0, 0}, {x, 0}, {1, 1}, {x, 1}})
 	}
@@ -125,9 +126,22 @@ func TestL2CoordinateBound(t *testing.T) {
 			t.Fatalf("%v: KNN(0, %d): %d neighbours, err %v", m, n, len(nb), err)
 		}
 	}
-	for _, m := range []Metric{MetricL2, MetricSqL2} {
+	for _, c := range []struct {
+		m     Metric
+		bound float64
+	}{
+		{MetricL2, l2Bound},
+		{MetricSqL2, l2Bound},
+		{MetricL1, math.MaxFloat64 / 16},
+		{MetricLInf, math.MaxFloat64 / 8},
+	} {
+		m, bound := c.m, c.bound
 		opts := &IndexOptions{Metric: m}
+		past := math.Nextafter(bound, math.Inf(1))
 		for _, x := range []float64{past, -past, 1e155} {
+			if math.Abs(x) <= bound {
+				continue // 1e155 is inside the L1 and LInf bounds (see below)
+			}
 			if _, err := NewIndex(rows(x), opts); err == nil {
 				t.Fatalf("%v: NewIndex accepted coordinate %v past the bound %v", m, x, bound)
 			}
@@ -145,7 +159,7 @@ func TestL2CoordinateBound(t *testing.T) {
 		}
 		spans(m, ix, 5)
 	}
-	if _, err := ApproxOPTICS(rows(past), 2, 0.125); err == nil {
+	if _, err := ApproxOPTICS(rows(math.Nextafter(l2Bound, math.Inf(1))), 2, 0.125); err == nil {
 		t.Fatal("ApproxOPTICS accepted a coordinate past the bound")
 	}
 	for _, m := range []Metric{MetricL1, MetricLInf} {

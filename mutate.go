@@ -40,8 +40,8 @@ var ErrUnknownID = engine.ErrUnknownID
 
 // Insert appends rows as new live points and returns their external ids
 // (monotonic, never reused). The rows are validated like NewIndex input —
-// finite coordinates, matching dimension, the float64 magnitude bound under
-// MetricL2 and MetricSqL2, the float32 one under WithFloat32 — and copied,
+// finite coordinates, matching dimension, the float64 magnitude bound of
+// the metric (see NewIndex), the float32 one under WithFloat32 — and copied,
 // so the caller's buffer is not retained. The mutation invalidates
 // downstream stages (core distances, MSTs, hierarchies, cut caches) but
 // keeps the tree: point queries merge the overlay until the Index compacts.

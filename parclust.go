@@ -204,8 +204,11 @@ func EMSTMetric(pts Points, m Metric) ([]Edge, error) {
 }
 
 // validatePoints checks pts's shape and that every coordinate is finite
-// and, under the metrics that square coordinate differences (L2, SqL2),
-// within metric.MaxAbsCoord64: past it a squared distance overflows to +Inf.
+// and within the magnitude bound of m's float64 kernels, past which a
+// distance overflows to +Inf: metric.MaxAbsCoord64 under L2 and SqL2, which
+// square coordinate differences, MaxFloat64/(8·dim) under L1 and
+// MaxFloat64/8 under LInf, which keep every point and box distance at most
+// MaxFloat64/4. Angular rows are unit-normalized and need no bound.
 func validatePoints(pts Points, m Metric) error {
 	if pts.Dim <= 0 {
 		return errors.New("parclust: points must have positive dimension")
@@ -215,8 +218,13 @@ func validatePoints(pts Points, m Metric) error {
 			len(pts.Data), pts.N*pts.Dim)
 	}
 	bound := math.Inf(1)
-	if m == MetricL2 || m == MetricSqL2 {
+	switch m {
+	case MetricL2, MetricSqL2:
 		bound = metric.MaxAbsCoord64(pts.Dim)
+	case MetricL1:
+		bound = math.MaxFloat64 / (8 * float64(pts.Dim))
+	case MetricLInf:
+		bound = math.MaxFloat64 / 8
 	}
 	for i, v := range pts.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
