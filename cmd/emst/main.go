@@ -6,7 +6,7 @@
 //
 //	emst -input points.csv -algo memogfk
 //	emst -gen varden -n 100000 -dim 3 -algo memogfk -phases
-//	emst -gen uniform -n 50000 -dim 2 -algo delaunay -out tree.csv
+//	emst -gen uniform -n 50000 -dim 2 -algo delaunay2d -out tree.csv
 package main
 
 import (
@@ -29,8 +29,8 @@ func main() {
 		n       = flag.Int("n", 100000, "number of generated points")
 		dim     = flag.Int("dim", 2, "dimension of generated points")
 		seed    = flag.Int64("seed", 42, "generator seed")
-		algo    = flag.String("algo", "memogfk", "algorithm: memogfk | gfk | naive | boruvka | delaunay")
-		metricF = flag.String("metric", "l2", "distance kernel: l2 | sql2 | l1 | linf | angular (delaunay is l2-only)")
+		algo    = flag.String("algo", "memogfk", "algorithm: memogfk | gfk | naive | boruvka | delaunay2d | wspdboruvka")
+		metricF = flag.String("metric", "l2", "distance kernel: l2 | sql2 | l1 | linf | angular (delaunay2d is l2-only)")
 		out     = flag.String("out", "", "write MST edges (u,v,w per line) to this file")
 		phases  = flag.Bool("phases", false, "print the MST's build report: the time of each phase that ran, in pipeline order, and the work counters")
 		threads = flag.Int("threads", 0, "GOMAXPROCS override (0 = all cores)")
@@ -44,20 +44,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "emst:", err)
 		os.Exit(1)
 	}
-	var a parclust.EMSTAlgorithm
-	switch *algo {
-	case "memogfk":
-		a = parclust.EMSTMemoGFK
-	case "gfk":
-		a = parclust.EMSTGFK
-	case "naive":
-		a = parclust.EMSTNaive
-	case "boruvka":
-		a = parclust.EMSTBoruvka
-	case "delaunay":
-		a = parclust.EMSTDelaunay2D
-	default:
-		fmt.Fprintf(os.Stderr, "emst: unknown algorithm %q\n", *algo)
+	a, err := parclust.ParseEMSTAlgorithm(*algo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "emst:", err)
 		os.Exit(2)
 	}
 	m, err := parclust.ParseMetric(*metricF)

@@ -30,7 +30,7 @@ func main() {
 		dim     = flag.Int("dim", 2, "dimension of generated points")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		minPts  = flag.Int("minpts", 10, "HDBSCAN* minPts parameter")
-		algo    = flag.String("algo", "memogfk", "algorithm: memogfk | gantao | approx")
+		algo    = flag.String("algo", "memogfk", "algorithm: memogfk | gantao | gantaofull | approx")
 		metricF = flag.String("metric", "l2", "distance kernel: l2 | sql2 | l1 | linf | angular (approx is l2-only)")
 		rho     = flag.Float64("rho", 0.125, "approximation parameter for -algo approx")
 		epsList = flag.String("eps", "", "comma-separated radii for flat cluster extraction")
@@ -59,24 +59,21 @@ func main() {
 	// the stable extraction, and the plot share a single tree build.
 	var idx *parclust.Index
 	var h *parclust.Hierarchy
-	switch *algo {
-	case "memogfk", "gantao":
-		idx, err = parclust.NewIndex(pts, &parclust.IndexOptions{Metric: m})
-		if err == nil {
-			ha := parclust.HDBSCANMemoGFK
-			if *algo == "gantao" {
-				ha = parclust.HDBSCANGanTao
-			}
-			h, err = idx.HDBSCANWithAlgorithm(*minPts, ha)
-		}
-	case "approx":
+	if strings.EqualFold(*algo, "approx") {
 		if m != parclust.MetricL2 {
 			err = fmt.Errorf("algorithm approx supports the l2 metric only, got %v", m)
 		} else {
 			h, err = parclust.ApproxOPTICS(pts, *minPts, *rho)
 		}
-	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
+	} else {
+		var ha parclust.HDBSCANAlgorithm
+		ha, err = parclust.ParseHDBSCANAlgorithm(*algo)
+		if err == nil {
+			idx, err = parclust.NewIndex(pts, &parclust.IndexOptions{Metric: m})
+		}
+		if err == nil {
+			h, err = idx.HDBSCANWithAlgorithm(*minPts, ha)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdbscan:", err)

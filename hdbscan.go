@@ -3,6 +3,7 @@ package parclust
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"parclust/internal/dendrogram"
 	"parclust/internal/engine"
@@ -36,6 +37,20 @@ func (a HDBSCANAlgorithm) String() string {
 	default:
 		return fmt.Sprintf("HDBSCANAlgorithm(%d)", int(a))
 	}
+}
+
+// ParseHDBSCANAlgorithm resolves an HDBSCAN* algorithm by its wire name,
+// ignoring case: memogfk (also ""), gantao or gantaofull.
+func ParseHDBSCANAlgorithm(name string) (HDBSCANAlgorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "memogfk":
+		return HDBSCANMemoGFK, nil
+	case "gantao":
+		return HDBSCANGanTao, nil
+	case "gantaofull":
+		return HDBSCANGanTaoFull, nil
+	}
+	return 0, fmt.Errorf("unknown hdbscan algo %q (want memogfk|gantao|gantaofull)", name)
 }
 
 // Hierarchy is a cluster hierarchy: the MST of the (mutual reachability or

@@ -428,36 +428,6 @@ func (p *params) bool(key string, def bool) bool {
 	return v
 }
 
-func parseHDBSCANAlgo(raw string) (parclust.HDBSCANAlgorithm, error) {
-	switch strings.ToLower(raw) {
-	case "", "memogfk":
-		return parclust.HDBSCANMemoGFK, nil
-	case "gantao":
-		return parclust.HDBSCANGanTao, nil
-	case "gantaofull":
-		return parclust.HDBSCANGanTaoFull, nil
-	}
-	return 0, fmt.Errorf("unknown hdbscan algo %q (want memogfk|gantao|gantaofull)", raw)
-}
-
-func parseEMSTAlgo(raw string) (parclust.EMSTAlgorithm, error) {
-	switch strings.ToLower(raw) {
-	case "", "memogfk":
-		return parclust.EMSTMemoGFK, nil
-	case "gfk":
-		return parclust.EMSTGFK, nil
-	case "naive":
-		return parclust.EMSTNaive, nil
-	case "boruvka":
-		return parclust.EMSTBoruvka, nil
-	case "delaunay2d":
-		return parclust.EMSTDelaunay2D, nil
-	case "wspdboruvka":
-		return parclust.EMSTWSPDBoruvka, nil
-	}
-	return 0, fmt.Errorf("unknown emst algo %q (want memogfk|gfk|naive|boruvka|delaunay2d|wspdboruvka)", raw)
-}
-
 // ctxDone reports whether the request was already cancelled (client gone,
 // server shutting down). Handlers check it after parameter validation and
 // before the expensive query so a disconnected client neither triggers a
@@ -807,7 +777,7 @@ func (s *Server) serveQuery(parse func(p *params) queryRun) http.HandlerFunc {
 
 func parseHDBSCAN(p *params) queryRun {
 	minPts := p.int("minpts")
-	algo, err := parseHDBSCANAlgo(p.v.Get("algo"))
+	algo, err := parclust.ParseHDBSCANAlgorithm(p.v.Get("algo"))
 	if err != nil {
 		p.fail("%v", err)
 	}
@@ -916,7 +886,7 @@ type emstResult struct {
 }
 
 func parseEMST(p *params) queryRun {
-	algo, err := parseEMSTAlgo(p.v.Get("algo"))
+	algo, err := parclust.ParseEMSTAlgorithm(p.v.Get("algo"))
 	if err != nil {
 		p.fail("%v", err)
 	}

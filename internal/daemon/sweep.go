@@ -79,7 +79,7 @@ func parseSweep(data []byte, maxCells int) (sweepRequest, error) {
 	if len(req.Eps) == 0 {
 		return sweepRequest{}, fmt.Errorf("eps grid is empty")
 	}
-	if _, err := parseHDBSCANAlgo(req.Algo); err != nil {
+	if _, err := parclust.ParseHDBSCANAlgorithm(req.Algo); err != nil {
 		return sweepRequest{}, err
 	}
 	minPts := req.MinPts[:0]
@@ -130,7 +130,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	algo, _ := parseHDBSCANAlgo(req.Algo)
+	algo, _ := parclust.ParseHDBSCANAlgorithm(req.Algo)
 	// Validate the whole grid against the dataset before the first byte
 	// goes out: once a stream has committed its 200 there is no way to
 	// report a bad cell other than truncation.

@@ -336,8 +336,7 @@ func New(pts geometry.Points, kern metric.Metric) *Engine {
 // already-built (or seeded) tree is converted in place. Call before the
 // engine is shared with queries — the flag itself is not synchronized for
 // mid-flight toggling. Fails (leaving the engine on the float64 path) if
-// the kernel has no float32 family or a coordinate exceeds the float32
-// magnitude bound.
+// a coordinate exceeds the float32 magnitude bound.
 func (e *Engine) EnableFloat32() error {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
@@ -348,8 +347,6 @@ func (e *Engine) EnableFloat32() error {
 		if err := t.EnableFloat32(); err != nil {
 			return err
 		}
-	} else if _, ok := metric.Kernel32For(e.Kern); !ok {
-		return fmt.Errorf("engine: metric %q has no float32 kernel", e.Kern.Name())
 	} else if err := metric.ValidateRows32(e.Pts); err != nil {
 		return err
 	}

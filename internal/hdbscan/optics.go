@@ -50,30 +50,29 @@ func ApproxOPTICS(pts geometry.Points, minPts int, rho float64, stats *mst.Stats
 	genEdges := func() {
 		parallel.For(len(pairs), 8, func(i int) {
 			a, b := pairs[i].A, pairs[i].B
-			pa, pb := t.Points(a), t.Points(b)
 			var out []mst.Edge
 			switch {
-			case len(pa) < minPts && len(pb) < minPts:
-				out = make([]mst.Edge, 0, len(pa)*len(pb))
-				for _, u := range pa {
-					for _, v := range pb {
+			case a.Size() < minPts && b.Size() < minPts:
+				out = make([]mst.Edge, 0, a.Size()*b.Size())
+				for u := a.Lo; u < a.Hi; u++ {
+					for v := b.Lo; v < b.Hi; v++ {
 						out = append(out, mst.MakeEdge(u, v, weight(u, v)))
 					}
 				}
-			case len(pa) >= minPts && len(pb) < minPts:
-				rep := pa[0]
-				out = make([]mst.Edge, 0, len(pb))
-				for _, v := range pb {
+			case a.Size() >= minPts && b.Size() < minPts:
+				rep := a.Lo
+				out = make([]mst.Edge, 0, b.Size())
+				for v := b.Lo; v < b.Hi; v++ {
 					out = append(out, mst.MakeEdge(rep, v, weight(rep, v)))
 				}
-			case len(pa) < minPts && len(pb) >= minPts:
-				rep := pb[0]
-				out = make([]mst.Edge, 0, len(pa))
-				for _, u := range pa {
+			case a.Size() < minPts && b.Size() >= minPts:
+				rep := b.Lo
+				out = make([]mst.Edge, 0, a.Size())
+				for u := a.Lo; u < a.Hi; u++ {
 					out = append(out, mst.MakeEdge(u, rep, weight(u, rep)))
 				}
 			default:
-				out = []mst.Edge{mst.MakeEdge(pa[0], pb[0], weight(pa[0], pb[0]))}
+				out = []mst.Edge{mst.MakeEdge(a.Lo, b.Lo, weight(a.Lo, b.Lo))}
 			}
 			perPair[i] = out
 		})

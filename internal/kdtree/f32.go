@@ -1,8 +1,6 @@
 package kdtree
 
 import (
-	"fmt"
-
 	"parclust/internal/metric"
 	"parclust/internal/parallel"
 )
@@ -22,8 +20,10 @@ const F32ScanMax = 32
 // dimension are contiguous. Built once by Tree.EnableFloat32; immutable
 // afterwards.
 type F32 struct {
-	// Kern is the float32 kernel family of the tree's metric.
-	Kern metric.Kernel32
+	// op is the tree metric's lane accumulator (Metric.Lane), cached so
+	// scanInto switches on a stored enum instead of calling through the
+	// interface once per chunk.
+	op metric.LaneOp
 
 	// rows is the row-major float32 copy of Tree.Pts (kd-order).
 	rows []float32
@@ -40,24 +40,20 @@ type F32 struct {
 
 // EnableFloat32 attaches the float32 SoA representation to the tree,
 // after which KNN, CoreDistances, range queries, BCCP, and Borůvka
-// nearest-outside all take the float32 scan path. It fails if the tree's
-// metric has no float32 kernel or any coordinate exceeds the float32
-// magnitude bound (metric.MaxAbsCoord32); the tree is unchanged on error.
+// nearest-outside all take the float32 scan path. It fails if any
+// coordinate exceeds the float32 magnitude bound (metric.MaxAbsCoord32);
+// the tree is unchanged on error.
 // Not safe to call concurrently with queries: enable before sharing the
 // tree. Idempotent.
 func (t *Tree) EnableFloat32() error {
 	if t.f32 != nil {
 		return nil
 	}
-	k32, ok := metric.Kernel32For(t.M)
-	if !ok {
-		return fmt.Errorf("kdtree: metric %q has no float32 kernel", t.M.Name())
-	}
 	if err := metric.ValidateRows32(t.Pts); err != nil {
 		return err
 	}
 	n, dim := t.Pts.N, t.Pts.Dim
-	f := &F32{Kern: k32, dim: dim}
+	f := &F32{op: t.M.Lane(), dim: dim}
 	if n > 0 {
 		f.rows = make([]float32, n*dim)
 		data := t.Pts.Data
@@ -111,7 +107,7 @@ func (f *F32) scanInto(buf *[F32ScanMax]float32, lo, hi int32, q32 []float32) in
 	for i := range dst {
 		dst[i] = 0
 	}
-	op := f.Kern.Op
+	op := f.op
 	dim := f.dim
 	base := 0
 	for s := lo; s < hi; {

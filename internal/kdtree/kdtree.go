@@ -107,7 +107,6 @@ type Tree struct {
 	nodes  []Node // node slab; bump-allocated, never reallocated
 	nalloc atomic.Int32
 	geom   []float64 // per-node [box.Lo|box.Hi|ctr] blocks, one allocation
-	pos    []int32   // identity permutation backing Points()
 
 	l2 bool // M is plain Euclidean: queries take the squared-distance fast paths
 
@@ -164,10 +163,6 @@ func BuildMetricCancel(pts geometry.Points, leafSize int, m metric.Metric, af *a
 		maxNodes := 2*n - 1
 		t.nodes = make([]Node, maxNodes)
 		t.geom = make([]float64, maxNodes*3*pts.Dim)
-		t.pos = make([]int32, n)
-		for i := range t.pos {
-			t.pos[i] = int32(i)
-		}
 		t.af = af
 		t.Root = &t.nodes[t.build(0, int32(n))]
 		t.af = nil
@@ -300,11 +295,6 @@ func (t *Tree) swapRows(i, j int32) {
 func (t *Tree) coord(p int32, dim int) float64 {
 	return t.Pts.Data[int(p)*t.Pts.Dim+dim]
 }
-
-// Points returns the kd-order positions owned by node n (the contiguous
-// range [n.Lo, n.Hi), indexing Tree.Pts). Map through Tree.Orig to recover
-// original input ids.
-func (t *Tree) Points(n *Node) []int32 { return t.pos[n.Lo:n.Hi] }
 
 // AnnotateCoreDists stores the per-point core distances and fills each
 // node's CDMin/CDMax bottom-up (used by the HDBSCAN* well-separation

@@ -21,6 +21,15 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 	return p
 }
 
+// positions lists the kd-order positions [n.Lo, n.Hi) a node owns.
+func positions(n *Node) []int32 {
+	out := make([]int32, 0, n.Size())
+	for p := n.Lo; p < n.Hi; p++ {
+		out = append(out, p)
+	}
+	return out
+}
+
 func checkTree(t *testing.T, tr *Tree) {
 	seen := make([]int, tr.Pts.N)
 	var walk func(n *Node)
@@ -29,7 +38,7 @@ func checkTree(t *testing.T, tr *Tree) {
 			if n.Size() > tr.LeafSize {
 				t.Fatalf("leaf of size %d exceeds leaf size %d", n.Size(), tr.LeafSize)
 			}
-			for _, p := range tr.Points(n) {
+			for _, p := range positions(n) {
 				seen[p]++
 			}
 		} else {
@@ -41,7 +50,7 @@ func checkTree(t *testing.T, tr *Tree) {
 			walk(r)
 		}
 		// box sanity: contains all points; radius covers them
-		for _, p := range tr.Points(n) {
+		for _, p := range positions(n) {
 			if geometry.SqDistPointBox(tr.Pts.At(int(p)), n.Box) != 0 {
 				t.Fatal("point outside node box")
 			}
@@ -133,7 +142,7 @@ func TestAnnotateCoreDists(t *testing.T) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, p := range tr.Points(n) {
+		for _, p := range positions(n) {
 			// Node points are kd-order positions; cd is in original order.
 			lo = math.Min(lo, cd[tr.Orig[p]])
 			hi = math.Max(hi, cd[tr.Orig[p]])
@@ -168,7 +177,7 @@ func TestRefreshComponents(t *testing.T) {
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		pts := tr.Points(n)
+		pts := positions(n)
 		same := true
 		for _, p := range pts[1:] {
 			if comp[p] != comp[pts[0]] {
@@ -210,14 +219,14 @@ func TestBCCPEuclidean(t *testing.T) {
 	m := NewEuclidean(tr)
 	a, b := tr.LeftOf(tr.Root), tr.RightOf(tr.Root)
 	got := BCCP(tr, m, a, b)
-	want := bruteBCCP(tr.Pts, m, tr.Points(a), tr.Points(b))
+	want := bruteBCCP(tr.Pts, m, positions(a), positions(b))
 	if math.Abs(got.W-want.W) > 1e-12 {
 		t.Fatalf("BCCP weight %v, want %v", got.W, want.W)
 	}
 	// deeper node pairs
 	if !a.IsLeaf() && !b.IsLeaf() {
 		got = BCCP(tr, m, tr.LeftOf(a), tr.RightOf(b))
-		want = bruteBCCP(tr.Pts, m, tr.Points(tr.LeftOf(a)), tr.Points(tr.RightOf(b)))
+		want = bruteBCCP(tr.Pts, m, positions(tr.LeftOf(a)), positions(tr.RightOf(b)))
 		if math.Abs(got.W-want.W) > 1e-12 {
 			t.Fatalf("deep BCCP weight %v, want %v", got.W, want.W)
 		}
@@ -232,7 +241,7 @@ func TestBCCPMutualReachability(t *testing.T) {
 	m := NewMutualReachability(tr)
 	a, b := tr.LeftOf(tr.Root), tr.RightOf(tr.Root)
 	got := BCCP(tr, m, a, b)
-	want := bruteBCCP(tr.Pts, m, tr.Points(a), tr.Points(b))
+	want := bruteBCCP(tr.Pts, m, positions(a), positions(b))
 	if math.Abs(got.W-want.W) > 1e-12 {
 		t.Fatalf("BCCP* weight %v, want %v", got.W, want.W)
 	}
@@ -262,8 +271,8 @@ func TestMetricBoundsQuick(t *testing.T) {
 			m = metrics[1]
 		}
 		lb, ub := m.NodeLB(a, b), m.NodeUB(a, b)
-		for _, p := range tr.Points(a) {
-			for _, q := range tr.Points(b) {
+		for _, p := range positions(a) {
+			for _, q := range positions(b) {
 				if p == q {
 					continue
 				}

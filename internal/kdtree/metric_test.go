@@ -118,8 +118,8 @@ func TestBCCPMetricMatchesBruteForce(t *testing.T) {
 		a, b := tr.LeftOf(tr.Root), tr.RightOf(tr.Root)
 		got := BCCP(tr, em, a, b)
 		want := math.Inf(1)
-		for _, p := range tr.Points(a) {
-			for _, q := range tr.Points(b) {
+		for _, p := range positions(a) {
+			for _, q := range positions(b) {
 				if d := m.Dist(tr.Pts.At(int(p)), tr.Pts.At(int(q))); d < want {
 					want = d
 				}

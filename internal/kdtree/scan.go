@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"parclust/internal/geometry"
+	"parclust/internal/metric"
 )
 
 // Every query family has one traversal: k-NN and core distances (knn.go),
@@ -47,7 +48,7 @@ type query struct {
 func (t *Tree) at(q *query, p int32) {
 	q.qc, q.sq = t.Pts.At(int(p)), t.l2
 	if f := t.f32; f != nil {
-		q.q32, q.sq = f.Row(p), f.Kern.Sq
+		q.q32, q.sq = f.Row(p), f.op == metric.LaneSq
 	}
 }
 
@@ -105,7 +106,7 @@ func (t *Tree) ub(q *query, b geometry.Box) float64 {
 func (t *Tree) finish(q *query, w float64) float64 {
 	switch {
 	case q.q32 != nil:
-		return t.f32.Kern.Finish(w)
+		return t.M.Finish32(w)
 	case q.sq:
 		return math.Sqrt(w)
 	}
@@ -117,7 +118,7 @@ func (t *Tree) finish(q *query, w float64) float64 {
 func (t *Tree) cmpRadius(q *query, r float64) float64 {
 	switch {
 	case q.q32 != nil:
-		return t.f32.Kern.CmpRadius(r)
+		return t.M.CmpRadius32(r)
 	case q.sq:
 		return r * r
 	}
@@ -128,8 +129,8 @@ func (t *Tree) cmpRadius(q *query, r float64) float64 {
 // as NearestOutside's W, to the tree-metric distance: finish for a query
 // in the tree's own representation.
 func (t *Tree) Finish(w float64) float64 {
-	if f := t.f32; f != nil {
-		return f.Kern.Finish(w)
+	if t.f32 != nil {
+		return t.M.Finish32(w)
 	}
 	if t.l2 {
 		return math.Sqrt(w)

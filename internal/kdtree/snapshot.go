@@ -152,10 +152,6 @@ func DecodeSnapshot(data []byte, pts geometry.Points, m metric.Metric) (*Tree, e
 	}
 	t.nodes = make([]Node, nalloc)
 	t.geom = make([]float64, int(nalloc)*3*dim)
-	t.pos = make([]int32, n)
-	for i := range t.pos {
-		t.pos[i] = int32(i)
-	}
 	for i := int32(0); i < nalloc; i++ {
 		nd := &t.nodes[i]
 		lo, _ := rd.u32()

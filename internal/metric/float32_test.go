@@ -20,32 +20,28 @@ func rows32(p geometry.Points) [][]float32 {
 	return out
 }
 
-// cmp64 is the exact comparison-space distance the float32 kernel of m
-// approximates: squared Euclidean for the L2 family, the metric itself for
-// l1 and linf.
-func cmp64(k Kernel32, m Metric, a, b []float64) float64 {
-	if k.Sq {
+// cmp64 is the exact comparison-space distance the float32 path of m
+// approximates: squared Euclidean for the LaneSq kernels, the metric
+// itself for l1 and linf.
+func cmp64(m Metric, a, b []float64) float64 {
+	if m.Lane() == LaneSq {
 		return geometry.SqDistVec(a, b)
 	}
 	return m.Dist(a, b)
 }
 
-// TestKernel32MatchesFloat64 checks every built-in float32 family against
-// its float64 kernel: the row kernel, finished into metric space, and the
-// lane accumulators agree with the exact distance up to float32 rounding,
-// and the exact point-box bounds bracket every comparison-space distance.
-// Dimensions cover the unrolled body, the remainder loop, and both.
-func TestKernel32MatchesFloat64(t *testing.T) {
+// TestLanesMatchFloat64 checks every kernel's float32 path against its
+// float64 kernel: the lane accumulators Lane selects, and SqDistRow32,
+// agree with the exact comparison-space and squared distances up to
+// float32 rounding, and Finish32 maps the exact comparison-space value to
+// Dist. Dimensions cover SqDistRow32's unrolled body, its remainder loop,
+// and both.
+func TestLanesMatchFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range All() {
-		k, ok := Kernel32For(m)
-		if !ok || k.Name != m.Name() {
-			t.Fatalf("%s: Kernel32For = (%q, %v)", m.Name(), k.Name, ok)
-		}
 		for _, dim := range []int{1, 3, 4, 7, 16} {
 			p := randCloud(rng, 9, dim, m)
 			p32 := rows32(p)
-			box := cloudBox(p)
 			for i := 0; i < p.N; i++ {
 				q := p.At(i)
 				lanes := make([]float32, p.N)
@@ -54,28 +50,28 @@ func TestKernel32MatchesFloat64(t *testing.T) {
 					for j := range lane {
 						lane[j] = p32[j][d]
 					}
-					switch k.Op {
+					switch m.Lane() {
 					case LaneSq:
 						SqLane32(lanes, lane, p32[i][d])
 					case LaneL1:
 						L1Lane32(lanes, lane, p32[i][d])
 					case LaneLInf:
 						LInfLane32(lanes, lane, p32[i][d])
+					default:
+						t.Fatalf("%s: unknown lane op %d", m.Name(), m.Lane())
 					}
 				}
-				lb, ub := k.PointBoxLB(q, box), k.PointBoxUB(q, box)
 				for j := 0; j < p.N; j++ {
-					exact := cmp64(k, m, q, p.At(j))
-					row := float64(k.Row(p32[i], p32[j]))
-					tol := 1e-5 * (1 + exact)
-					if math.Abs(row-exact) > tol || math.Abs(float64(lanes[j])-exact) > tol {
-						t.Fatalf("%s dim=%d (%d,%d): row %v, lanes %v, exact %v", m.Name(), dim, i, j, row, lanes[j], exact)
+					exact := cmp64(m, q, p.At(j))
+					if math.Abs(float64(lanes[j])-exact) > 1e-5*(1+exact) {
+						t.Fatalf("%s dim=%d (%d,%d): lanes %v, exact %v", m.Name(), dim, i, j, lanes[j], exact)
 					}
-					if want := m.Dist(q, p.At(j)); math.Abs(k.Finish(exact)-want) > 1e-9*(1+want) {
-						t.Fatalf("%s: Finish(%v) = %v, want %v", m.Name(), exact, k.Finish(exact), want)
+					sq := geometry.SqDistVec(q, p.At(j))
+					if row := float64(SqDistRow32(p32[i], p32[j])); math.Abs(row-sq) > 1e-5*(1+sq) {
+						t.Fatalf("%s dim=%d (%d,%d): SqDistRow32 %v, exact %v", m.Name(), dim, i, j, row, sq)
 					}
-					if exact < lb-1e-9 || exact > ub+1e-9 {
-						t.Fatalf("%s dim=%d: distance %v outside point-box bounds [%v, %v]", m.Name(), dim, exact, lb, ub)
+					if want := m.Dist(q, p.At(j)); math.Abs(m.Finish32(exact)-want) > 1e-9*(1+want) {
+						t.Fatalf("%s: Finish32(%v) = %v, want %v", m.Name(), exact, m.Finish32(exact), want)
 					}
 				}
 			}
@@ -83,35 +79,25 @@ func TestKernel32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestKernel32CmpRadiusInvertsFinish: a metric-space radius maps into
-// comparison space so that `Finish(cmp) <= r` iff `cmp <= CmpRadius(r)`;
-// the angular radius is clamped to the sphere's diameter.
-func TestKernel32CmpRadiusInvertsFinish(t *testing.T) {
+// TestCmpRadius32InvertsFinish32: a radius maps into comparison space so
+// that `Finish32(cmp) <= r` iff `cmp <= CmpRadius32(r)`; the angular
+// radius is clamped to the sphere's diameter.
+func TestCmpRadius32InvertsFinish32(t *testing.T) {
 	for _, m := range All() {
-		k, _ := Kernel32For(m)
 		for _, r := range []float64{0, 0.25, 1, 3} {
 			want := r
 			if _, ok := m.(Angular); ok {
 				want = math.Min(r, math.Pi)
 			}
-			if got := k.Finish(k.CmpRadius(r)); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("%s: Finish(CmpRadius(%v)) = %v", m.Name(), r, got)
+			if got := m.Finish32(m.CmpRadius32(r)); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("%s: Finish32(CmpRadius32(%v)) = %v", m.Name(), r, got)
 			}
 		}
 		if _, ok := m.(Angular); ok {
-			if got := k.CmpRadius(10); math.Abs(got-4) > 1e-12 {
-				t.Fatalf("angular CmpRadius beyond pi = %v, want the squared diameter 4", got)
+			if got := m.CmpRadius32(10); math.Abs(got-4) > 1e-12 {
+				t.Fatalf("angular CmpRadius32 beyond pi = %v, want the squared diameter 4", got)
 			}
 		}
-	}
-}
-
-// TestKernel32ForUnknownMetric: a metric outside the built-ins has no
-// float32 family.
-func TestKernel32ForUnknownMetric(t *testing.T) {
-	type wrapped struct{ L2 }
-	if _, ok := Kernel32For(wrapped{}); ok {
-		t.Fatal("Kernel32For accepted an unknown metric")
 	}
 }
 

@@ -11,6 +11,16 @@
 // built-in kernels are doubling (SqL2 and Angular qualify as monotone
 // transforms of L2, which preserve the minimum spanning tree and the
 // separation structure).
+//
+// A kernel also carries its float32 path: the lane accumulator of its
+// comparison space (Lane), the map from a comparison-space value to its
+// distance (Finish32) and the map from a radius into comparison space
+// (CmpRadius32). The comparison space is squared Euclidean for l2, sql2
+// and angular (squaring and the chord-to-angle map are monotone, so
+// orderings are kept) and the metric itself for l1 and linf. Spatial
+// pruning on that path keeps the exact float64 box bounds, so a float32
+// traversal departs from the float64 one only by the float32 rounding of
+// point-pair distances, never by unsound pruning.
 package metric
 
 import (
@@ -21,7 +31,8 @@ import (
 )
 
 // Metric is a distance kernel over coordinate vectors together with the
-// axis-aligned-box bounds used for spatial pruning.
+// axis-aligned-box bounds used for spatial pruning and the maps of its
+// float32 path.
 type Metric interface {
 	// Name is the canonical kernel name ("l2", "l1", ...).
 	Name() string
@@ -33,6 +44,16 @@ type Metric interface {
 	BoxesLB(a, b geometry.Box) float64
 	// BoxesUB upper-bounds Dist(x, y) over all x in a, y in b.
 	BoxesUB(a, b geometry.Box) float64
+
+	// Lane selects the float32 lane accumulator of the kernel's
+	// comparison space.
+	Lane() LaneOp
+	// Finish32 maps a float32 comparison-space value, widened to float64,
+	// to the kernel's distance.
+	Finish32(w float64) float64
+	// CmpRadius32 maps a radius r into the float32 comparison space, so
+	// `Dist <= r` becomes `cmp <= CmpRadius32(r)`.
+	CmpRadius32(r float64) float64
 }
 
 // L2 is the Euclidean metric, the kernel the source paper states its
@@ -46,6 +67,9 @@ func (L2) PointBoxLB(q []float64, b geometry.Box) float64 {
 }
 func (L2) BoxesLB(a, b geometry.Box) float64 { return math.Sqrt(geometry.SqDistBoxes(a, b)) }
 func (L2) BoxesUB(a, b geometry.Box) float64 { return math.Sqrt(geometry.SqMaxDistBoxes(a, b)) }
+func (L2) Lane() LaneOp                      { return LaneSq }
+func (L2) Finish32(w float64) float64        { return math.Sqrt(w) }
+func (L2) CmpRadius32(r float64) float64     { return r * r }
 
 // SqL2 is squared Euclidean distance. It is not a metric (the triangle
 // inequality fails) but is a strictly monotone transform of L2, so it
@@ -60,11 +84,17 @@ func (SqL2) PointBoxLB(q []float64, b geometry.Box) float64 {
 }
 func (SqL2) BoxesLB(a, b geometry.Box) float64 { return geometry.SqDistBoxes(a, b) }
 func (SqL2) BoxesUB(a, b geometry.Box) float64 { return geometry.SqMaxDistBoxes(a, b) }
+func (SqL2) Lane() LaneOp                      { return LaneSq }
+func (SqL2) Finish32(w float64) float64        { return w }
+func (SqL2) CmpRadius32(r float64) float64     { return r }
 
 // L1 is the Manhattan / taxicab metric.
 type L1 struct{}
 
-func (L1) Name() string { return "l1" }
+func (L1) Name() string                  { return "l1" }
+func (L1) Lane() LaneOp                  { return LaneL1 }
+func (L1) Finish32(w float64) float64    { return w }
+func (L1) CmpRadius32(r float64) float64 { return r }
 
 func (L1) Dist(a, b []float64) float64 {
 	var s float64
@@ -106,7 +136,10 @@ func (L1) BoxesUB(a, b geometry.Box) float64 {
 // LInf is the Chebyshev / maximum metric.
 type LInf struct{}
 
-func (LInf) Name() string { return "linf" }
+func (LInf) Name() string                  { return "linf" }
+func (LInf) Lane() LaneOp                  { return LaneLInf }
+func (LInf) Finish32(w float64) float64    { return w }
+func (LInf) CmpRadius32(r float64) float64 { return r }
 
 func (LInf) Dist(a, b []float64) float64 {
 	var m float64
@@ -179,6 +212,17 @@ func (Angular) BoxesLB(a, b geometry.Box) float64 {
 
 func (Angular) BoxesUB(a, b geometry.Box) float64 {
 	return angleFromSqChord(geometry.SqMaxDistBoxes(a, b))
+}
+
+func (Angular) Lane() LaneOp { return LaneSq }
+
+func (Angular) Finish32(w float64) float64 { return angleFromSqChord(w) }
+
+// CmpRadius32 inverts the angle-to-chord map: the squared chord of angle
+// r, clamped to the sphere's diameter.
+func (Angular) CmpRadius32(r float64) float64 {
+	s := math.Sin(math.Min(r, math.Pi) / 2)
+	return 4 * s * s
 }
 
 // angleFromSqChord maps a squared chord length between unit vectors to the

@@ -149,12 +149,9 @@ func Decompose(t *kdtree.Tree, sep Separation, af *abort.Flag) []Pair {
 	return out
 }
 
-// Count returns the number of WSPD pairs without materializing them.
+// Count returns the number of WSPD pairs.
 func Count(t *kdtree.Tree, sep Separation) int {
-	if t.Root == nil || t.Root.Size() <= 1 {
-		return 0
-	}
-	return countNode(t, t.Root, sep)
+	return len(Decompose(t, sep, nil))
 }
 
 func wspdNode(t *kdtree.Tree, a *kdtree.Node, sep Separation, af *abort.Flag, out *[]Pair) {
@@ -210,51 +207,4 @@ func findPair(t *kdtree.Tree, p, q *kdtree.Node, sep Separation, af *abort.Flag,
 	}
 	findPair(t, pl, q, sep, af, out)
 	findPair(t, pr, q, sep, af, out)
-}
-
-func countNode(t *kdtree.Tree, a *kdtree.Node, sep Separation) int {
-	if a.IsLeaf() || a.Size() <= 1 {
-		return 0
-	}
-	al, ar := t.LeftOf(a), t.RightOf(a)
-	var left, right, mid int
-	if a.Size() > spawnSize {
-		var g parallel.Group
-		g.Spawn(func() { left = countNode(t, al, sep) })
-		g.Spawn(func() { right = countNode(t, ar, sep) })
-		g.Run(func() { mid = countPair(t, al, ar, sep) })
-		g.Sync()
-	} else {
-		left = countNode(t, al, sep)
-		right = countNode(t, ar, sep)
-		mid = countPair(t, al, ar, sep)
-	}
-	return left + right + mid
-}
-
-func countPair(t *kdtree.Tree, p, q *kdtree.Node, sep Separation) int {
-	if p.Radius < q.Radius {
-		p, q = q, p
-	}
-	if sep.WellSeparated(p, q) {
-		return 1
-	}
-	if p.IsLeaf() {
-		if q.IsLeaf() {
-			panic("wspd: leaf-leaf pair not well-separated; build the tree with leaf size 1")
-		}
-		p, q = q, p
-	}
-	pl, pr := t.LeftOf(p), t.RightOf(p)
-	var l, r int
-	if p.Size()+q.Size() > spawnSize {
-		parallel.Do(
-			func() { l = countPair(t, pl, q, sep) },
-			func() { r = countPair(t, pr, q, sep) },
-		)
-	} else {
-		l = countPair(t, pl, q, sep)
-		r = countPair(t, pr, q, sep)
-	}
-	return l + r
 }

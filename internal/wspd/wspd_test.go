@@ -19,6 +19,15 @@ func randPoints(n, dim int, seed int64) geometry.Points {
 	return p
 }
 
+// positions lists the kd-order positions [n.Lo, n.Hi) a node owns.
+func positions(n *kdtree.Node) []int32 {
+	out := make([]int32, 0, n.Size())
+	for p := n.Lo; p < n.Hi; p++ {
+		out = append(out, p)
+	}
+	return out
+}
+
 // checkRealization verifies WSPD properties (1)-(5) of Section 2.3:
 // every unordered point pair {p, q} is covered by exactly one WSPD pair.
 func checkRealization(t *testing.T, pts geometry.Points, tr *kdtree.Tree, pairs []Pair) {
@@ -29,7 +38,7 @@ func checkRealization(t *testing.T, pts geometry.Points, tr *kdtree.Tree, pairs 
 		cover[i] = make([]int, n)
 	}
 	for _, pr := range pairs {
-		pa, pb := tr.Points(pr.A), tr.Points(pr.B)
+		pa, pb := positions(pr.A), positions(pr.B)
 		// property (2): disjoint sides
 		inA := map[int32]bool{}
 		for _, p := range pa {
@@ -94,14 +103,6 @@ func TestEmittedPairsAreWellSeparated(t *testing.T) {
 		if kdtree.SphereDist(pr.A, pr.B) < 2*r-1e-9 {
 			t.Fatal("emitted pair violates s=2 sphere separation")
 		}
-	}
-}
-
-func TestCountMatchesDecompose(t *testing.T) {
-	pts := randPoints(500, 3, 5)
-	tr := kdtree.BuildMetric(pts, 1, metric.L2{})
-	if got, want := Count(tr, Geometric{S: 2}), len(Decompose(tr, Geometric{S: 2}, nil)); got != want {
-		t.Fatalf("Count=%d, len(Decompose)=%d", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"parclust/internal/dendrogram"
 	"parclust/internal/generator"
@@ -185,6 +186,26 @@ func (a EMSTAlgorithm) String() string {
 	default:
 		return fmt.Sprintf("EMSTAlgorithm(%d)", int(a))
 	}
+}
+
+// ParseEMSTAlgorithm resolves an EMST algorithm by its wire name, ignoring
+// case: memogfk (also ""), gfk, naive, boruvka, delaunay2d or wspdboruvka.
+func ParseEMSTAlgorithm(name string) (EMSTAlgorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "memogfk":
+		return EMSTMemoGFK, nil
+	case "gfk":
+		return EMSTGFK, nil
+	case "naive":
+		return EMSTNaive, nil
+	case "boruvka":
+		return EMSTBoruvka, nil
+	case "delaunay2d":
+		return EMSTDelaunay2D, nil
+	case "wspdboruvka":
+		return EMSTWSPDBoruvka, nil
+	}
+	return 0, fmt.Errorf("unknown emst algo %q (want memogfk|gfk|naive|boruvka|delaunay2d|wspdboruvka)", name)
 }
 
 // EMST computes the Euclidean minimum spanning tree of pts with the

@@ -3,6 +3,7 @@ package parclust
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -367,5 +368,44 @@ func TestStatsPublicAPI(t *testing.T) {
 	}
 	if got := fmt.Sprint(Phase(0), " ", mst.PhaseDendrogram); got != "build-tree dendrogram" {
 		t.Fatalf("phase names %q", got)
+	}
+}
+
+// TestParseAlgorithms: every EMSTAlgorithm and HDBSCANAlgorithm constant
+// parses back from its wire name, in upper case too; "" is MemoGFK; and
+// an unknown name, such as a bare "delaunay", errors.
+func TestParseAlgorithms(t *testing.T) {
+	checkParse(t, ParseEMSTAlgorithm, map[string]EMSTAlgorithm{
+		"": EMSTMemoGFK, "memogfk": EMSTMemoGFK, "gfk": EMSTGFK, "naive": EMSTNaive,
+		"boruvka": EMSTBoruvka, "delaunay2d": EMSTDelaunay2D, "wspdboruvka": EMSTWSPDBoruvka,
+	}, "delaunay")
+	checkParse(t, ParseHDBSCANAlgorithm, map[string]HDBSCANAlgorithm{
+		"": HDBSCANMemoGFK, "memogfk": HDBSCANMemoGFK, "gantao": HDBSCANGanTao, "gantaofull": HDBSCANGanTaoFull,
+	}, "approx")
+}
+
+// checkParse checks parse against the wire names, and that every constant
+// from 0 up to the first one String does not name has a wire name.
+func checkParse[A interface {
+	~int
+	String() string
+}](t *testing.T, parse func(string) (A, error), wire map[string]A, unknown string) {
+	t.Helper()
+	named := map[A]bool{}
+	for name, want := range wire {
+		named[want] = true
+		for _, s := range []string{name, strings.ToUpper(name)} {
+			if got, err := parse(s); err != nil || got != want {
+				t.Errorf("parse(%q) = (%v, %v), want %v", s, got, err, want)
+			}
+		}
+	}
+	for a := A(0); !strings.Contains(a.String(), "("); a++ {
+		if !named[a] {
+			t.Errorf("%v has no wire name", a)
+		}
+	}
+	if _, err := parse(unknown); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", unknown)) {
+		t.Errorf("parse(%q) error = %v, want one naming the input", unknown, err)
 	}
 }
