@@ -105,8 +105,8 @@
 // opts an Index into a float32 SoA fast path aimed at high-dimensional
 // workloads, where the O(dim) leaf scans dominate: the k-d tree carries a
 // dimension-blocked float32 copy of the points, and k-NN, core distances,
-// range queries, BCCP, and Borůvka all lane-scan it with branch-free,
-// vectorizable loops. Each of those traversals is written once for both
+// range queries, BCCP, and Borůvka all lane-scan it with branch-free
+// scalar loops. Each of those traversals is written once for both
 // dtypes and every metric: the dtype and the metric are chosen only in the
 // k-d tree's query primitives (internal/kdtree/scan.go), and float64
 // traversals still descend to the leaves. Exact

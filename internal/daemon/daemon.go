@@ -38,8 +38,9 @@
 // the array's items, and a trailer. The array is always the document's
 // last field and is left out when empty, so both forms equal what
 // encoding/json writes for the whole document. The items themselves are
-// appended with strconv under encoding/json's number rules, not reflected
-// over. See stream.go for the record protocol.
+// appended under encoding/json's number rules, not reflected over: cut
+// labels below 1,000 from a digit-pair table, every other number with
+// strconv. See stream.go for the record protocol.
 //
 // The six per-dataset GET queries run through one pipeline (serveQuery),
 // in one order: pin the dataset (404) and capture its mutation epoch;
@@ -470,9 +471,9 @@ type uploadRequest struct {
 	Points [][]float64 `json:"points"`
 }
 
-// parseDtype maps the wire dtype to the Index float32 flag.
+// parseDtype maps the wire dtype, in any case, to the Index float32 flag.
 func parseDtype(s string) (float32Mode bool, err error) {
-	switch s {
+	switch strings.ToLower(s) {
 	case "", "float64":
 		return false, nil
 	case "float32":

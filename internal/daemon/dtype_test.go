@@ -8,7 +8,8 @@ import (
 
 // TestUploadDtypeFloat32 pins the wire dtype: an upload with
 // dtype=float32 builds a float32 Index, the dataset info reports it, and
-// queries flow through the fast path end to end.
+// queries flow through the fast path end to end. The upload spells its
+// metric and dtype names in mixed case, which the daemon ignores.
 func TestUploadDtypeFloat32(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	pts := testPoints(300)
@@ -16,7 +17,7 @@ func TestUploadDtypeFloat32(t *testing.T) {
 	for i := 0; i < pts.N; i++ {
 		rows[i] = append([]float64(nil), pts.Data[i*pts.Dim:(i+1)*pts.Dim]...)
 	}
-	body, err := json.Marshal(uploadRequest{Dtype: "float32", Points: rows})
+	body, err := json.Marshal(uploadRequest{Metric: "L2", Dtype: "Float32", Points: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,8 @@ func TestUploadDtypeFloat32(t *testing.T) {
 	if code := ts.get("/v1/datasets/f32", &info); code != http.StatusOK {
 		t.Fatalf("info: status %d", code)
 	}
-	if info.Dataset.Dtype != "float32" || info.Dataset.N != pts.N {
-		t.Fatalf("info = %+v, want dtype float32 with %d points", info.Dataset, pts.N)
+	if info.Dataset.Metric != "l2" || info.Dataset.Dtype != "float32" || info.Dataset.N != pts.N {
+		t.Fatalf("info = %+v, want metric l2 and dtype float32 with %d points", info.Dataset, pts.N)
 	}
 
 	var lr labelsResponse

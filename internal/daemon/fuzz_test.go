@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"testing"
@@ -91,7 +92,10 @@ func FuzzParseSweep(f *testing.F) {
 // int32 and every finite float64 bit pattern, appendInt, appendFloat,
 // appendEdge and appendBar write what json.Marshal writes for the same
 // value in its wire shape (int32, float64, edgeJSON, opticsBar; an OPTICS
-// reachability of +Inf is null).
+// reachability of +Inf is null), and labelArray writes the int32 labels
+// packed little-endian in raw as json.Marshal writes that []int32. The int
+// seeds sit on both sides of every decimal-width boundary; the label
+// writer changes branch at the first three.
 func FuzzArrayItems(f *testing.F) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1.5, 0.1, 123456789.125,
@@ -102,13 +106,18 @@ func FuzzArrayItems(f *testing.F) {
 		math.Inf(1),
 	}
 	ints := []int32{0, -1, 7, 123456, math.MaxInt32, math.MinInt32}
+	for p := int64(10); p <= 1e9; p *= 10 {
+		ints = append(ints, int32(p-1), int32(p), int32(1-p), int32(-p))
+	}
+	cut := packLabels(-1, 0, 7, 12, 345, 6789, 10000, -1, 3)
 	for i, x := range floats {
-		f.Add(math.Float64bits(x), ints[i%len(ints)])
+		f.Add(math.Float64bits(x), ints[i%len(ints)], cut)
 	}
 	for _, n := range ints {
-		f.Add(math.Float64bits(0.5), n)
+		f.Add(math.Float64bits(0.5), n, packLabels(n, n/10, -1, n))
 	}
-	f.Fuzz(func(t *testing.T, bits uint64, n int32) {
+	f.Add(math.Float64bits(0.5), int32(0), packLabels(ints...))
+	f.Fuzz(func(t *testing.T, bits uint64, n int32, raw []byte) {
 		same := func(what string, got []byte, v any) {
 			t.Helper()
 			want, err := json.Marshal(v)
@@ -120,6 +129,12 @@ func FuzzArrayItems(f *testing.F) {
 			}
 		}
 		same("appendInt", appendInt(nil, n), n)
+		labels := make([]int32, len(raw)/4)
+		for i := range labels {
+			labels[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		arr := labelArray(labels, true)
+		same("labelArray", append(arr.items([]byte{'['}, 0, arr.n), ']'), labels)
 		x := math.Float64frombits(bits)
 		if math.IsNaN(x) || math.IsInf(x, -1) {
 			return // no distance takes these values
@@ -135,4 +150,13 @@ func FuzzArrayItems(f *testing.F) {
 		same("appendFloat", appendFloat(nil, x), x)
 		same("appendEdge", appendEdge(nil, parclust.Edge{U: n, V: ^n, W: x}), edgeJSON{U: n, V: ^n, W: x})
 	})
+}
+
+// packLabels packs labels little-endian, as FuzzArrayItems reads them.
+func packLabels(labels ...int32) []byte {
+	raw := make([]byte, 0, 4*len(labels))
+	for _, v := range labels {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
+	}
+	return raw
 }

@@ -32,8 +32,9 @@ import (
 // concatenating the chunks' items onto the head, are exactly what
 // encoding/json writes for the head with the array set
 // (TestArrayWriterMatchesEncodingJSON pins this). The items are appended
-// with strconv under encoding/json's number rules (FuzzArrayItems pins
-// those), not reflected over.
+// under encoding/json's number rules, not reflected over: cut labels below
+// 1,000 from a digit-pair table, every other number with strconv
+// (FuzzArrayItems pins both).
 //
 // A buffered answer with items is assembled in a pooled buffer before its
 // status line goes out, so a head encoding/json rejects answers 500. Every
@@ -92,9 +93,9 @@ func (a *array) splice(head []byte) []byte {
 }
 
 // appendEach appends item's JSON value for each of xs, comma-separated.
-// Inlined into an array's items with a named item function, it calls item
-// directly: a call through a func value per item made 50,000 labels about
-// a third slower to encode (2-vCPU Xeon VM).
+// Inlined into an array's items with a named item function (appendEdge,
+// appendBar), it calls item directly rather than through a func value per
+// item.
 func appendEach[T any](b []byte, xs []T, item func([]byte, T) []byte) []byte {
 	for i, x := range xs {
 		if i > 0 {
@@ -111,8 +112,47 @@ func labelArray(labels []int32, with bool) array {
 		labels = nil
 	}
 	return array{field: "labels", n: len(labels), items: func(b []byte, lo, hi int) []byte {
-		return appendEach(b, labels[lo:hi], appendInt)
+		return appendLabels(b, labels[lo:hi])
 	}}
+}
+
+// digitPairs holds the two decimal digits of every i < 100 at 2i.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendLabels appends labels in decimal, comma-separated. A cut's labels
+// are -1 (noise) or cluster numbers, all below 1,000 on the serve-warm
+// benchmark's cuts of 50,000 points, so every label below 1,000 is written
+// in place from digitPairs, with no call per label; wider values go
+// through appendInt.
+func appendLabels(b []byte, labels []int32) []byte {
+	for i, v := range labels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch u := uint32(v); {
+		case u < 10:
+			b = append(b, byte('0'+u))
+		case u < 100:
+			b = append(b, digitPairs[2*u], digitPairs[2*u+1])
+		case u < 1000:
+			q, r := u/100, 2*(u%100)
+			b = append(b, byte('0'+q), digitPairs[r], digitPairs[r+1])
+		case v == -1:
+			b = append(b, '-', '1')
+		default:
+			b = appendInt(b, v)
+		}
+	}
+	return b
 }
 
 // edgeArray is an EMST's edges; edges=false leaves them out.

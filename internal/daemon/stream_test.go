@@ -208,6 +208,30 @@ func reassemble(t *testing.T, body []byte, field string) (doc []byte, items int)
 	return append(doc, '\n'), items
 }
 
+// testLabel is label i of TestArrayWriterMatchesEncodingJSON's cut. As i
+// runs, it takes every decimal width from 1 to 10 digits in both signs,
+// with digits that vary with i, then the int32 extremes and a cut's
+// ordinary labels, -1 to 11.
+func testLabel(i int) int32 {
+	switch k := i % 24; {
+	case k < 20:
+		lo := int64(1) // the smallest value of k/2+1 digits
+		for range k / 2 {
+			lo *= 10
+		}
+		v := lo + int64(i)*7919%min(9*lo, math.MaxInt32-lo+1)
+		if k%2 == 1 {
+			v = -v
+		}
+		return int32(v)
+	case k == 20:
+		return math.MinInt32
+	case k == 21:
+		return math.MaxInt32
+	}
+	return int32(i%13 - 1)
+}
+
 // TestArrayWriterMatchesEncodingJSON pins the array writer to encoding/json
 // for the three heads with an array. The buffered form, and the NDJSON
 // stream reassembled, equal encoding/json's encoding of the head with its
@@ -223,7 +247,7 @@ func TestArrayWriterMatchesEncodingJSON(t *testing.T) {
 		wireEdges := make([]edgeJSON, n)
 		bars := make([]opticsBar, n)
 		for i := range n {
-			labels[i] = int32(i%13 - 1)
+			labels[i] = testLabel(i)
 			w := floats[i%len(floats)] / float64(1+i%3)
 			edges[i] = parclust.Edge{U: int32(i), V: int32(i * 7919), W: w}
 			wireEdges[i] = edgeJSON{U: edges[i].U, V: edges[i].V, W: w}

@@ -100,7 +100,8 @@ func (f *F32) Row(p int32) []float32 {
 // blocks). The accumulation walks dimension lanes: for each of the dim
 // lanes it folds F32ScanMax-contiguous same-dimension coordinates into the
 // accumulators, so the inner loop is a branch-free independent-iteration
-// pass the compiler can keep in registers (and vectorize under GOAMD64=v3).
+// pass the compiler keeps in registers. It is scalar code: Go does not
+// vectorize it, under GOAMD64=v3 either.
 func (f *F32) scanInto(buf *[F32ScanMax]float32, lo, hi int32, q32 []float32) int32 {
 	hi = min(hi, lo+F32ScanMax)
 	dst := buf[:hi-lo]

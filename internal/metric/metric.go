@@ -26,6 +26,7 @@ package metric
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"parclust/internal/geometry"
 )
@@ -262,9 +263,10 @@ func All() []Metric {
 	return []Metric{L2{}, SqL2{}, L1{}, LInf{}, Angular{}}
 }
 
-// Parse resolves a kernel by name, accepting the common aliases.
+// Parse resolves a kernel by name, accepting the common aliases and
+// ignoring case.
 func Parse(name string) (Metric, error) {
-	switch name {
+	switch strings.ToLower(name) {
 	case "l2", "euclidean":
 		return L2{}, nil
 	case "sql2", "sqeuclidean":

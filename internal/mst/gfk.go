@@ -176,7 +176,9 @@ func (r *gfkRun) round(beta int) {
 
 	// Line 9: drop pairs whose sides are now in one component. The
 	// survivors of S_l2 and S_u are compacted back into the main buffer.
+	start = time.Now()
 	cfg.Tree.RefreshComponentsInto(ws.uf, ws.comp)
+	cfg.Stats.AddPhase(PhaseRefresh, time.Since(start))
 	w := 0
 	main := ws.pairs
 	for i := range sl2 {

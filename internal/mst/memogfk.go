@@ -3,6 +3,7 @@ package mst
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
@@ -40,7 +41,9 @@ func MemoGFK(cfg Config) []Edge {
 		}
 		cfg.Abort.Check()
 		cfg.Stats.AddRound()
+		start := time.Now()
 		t.RefreshComponentsInto(ws.uf, ws.comp)
+		cfg.Stats.AddPhase(PhaseRefresh, time.Since(start))
 
 		// Line 4: rho_hi via the first pruned traversal.
 		var rhoHi float64

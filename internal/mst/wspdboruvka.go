@@ -50,6 +50,9 @@ type wspdBoruvkaRun struct {
 
 func newWSPDBoruvkaRun(cfg Config, ws *Workspace, pairs []pair) *wspdBoruvkaRun {
 	ws.grow(cfg.Tree.Pts.N)
+	start := time.Now()
+	cfg.Tree.RefreshComponentsInto(ws.uf, ws.comp)
+	cfg.Stats.AddPhase(PhaseRefresh, time.Since(start))
 	r := &wspdBoruvkaRun{cfg: cfg, ws: ws, pairs: pairs}
 	r.bccpBody = func(lo, hi int) { bccpChunk(cfg, r.pairs, lo, hi) }
 	r.reduceBody = func(lo, hi int) {
@@ -90,9 +93,10 @@ func (r *wspdBoruvkaRun) round() bool {
 	}
 	cfg.Abort.Check()
 	cfg.Stats.AddRound()
-	cfg.Tree.RefreshComponentsInto(ws.uf, ws.comp)
 
-	// Compute (and cache) the BCCP of every surviving pair.
+	// Compute (and cache) the BCCP of every surviving pair. The component
+	// labels are current: the run's constructor refreshes them, and so
+	// does the end of every round.
 	start := time.Now()
 	parallel.ForRange(len(r.pairs), 4, r.bccpBody)
 	cfg.Stats.AddPhase(PhaseBCCP, time.Since(start))
@@ -119,7 +123,9 @@ func (r *wspdBoruvkaRun) round() bool {
 		panic("mst: WSPDBoruvka stalled before the MST completed")
 	}
 	// Filter pairs that are now internal to one component, in place.
+	start = time.Now()
 	cfg.Tree.RefreshComponentsInto(ws.uf, ws.comp)
+	cfg.Stats.AddPhase(PhaseRefresh, time.Since(start))
 	w := 0
 	for i := range r.pairs {
 		if !connected(r.pairs[i].a, r.pairs[i].b) {

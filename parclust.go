@@ -50,8 +50,9 @@ func (m Metric) String() string {
 	return metricKernels[m].Name()
 }
 
-// ParseMetric resolves a kernel name ("l2"/"euclidean", "sql2",
-// "l1"/"manhattan", "linf"/"chebyshev", "angular"/"cosine").
+// ParseMetric resolves a kernel name, ignoring case ("l2"/"euclidean",
+// "sql2"/"sqeuclidean", "l1"/"manhattan", "linf"/"chebyshev",
+// "angular"/"cosine").
 func ParseMetric(name string) (Metric, error) {
 	kern, err := metric.Parse(name)
 	if err != nil {

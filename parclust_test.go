@@ -371,9 +371,9 @@ func TestStatsPublicAPI(t *testing.T) {
 	}
 }
 
-// TestParseAlgorithms: every EMSTAlgorithm and HDBSCANAlgorithm constant
-// parses back from its wire name, in upper case too; "" is MemoGFK; and
-// an unknown name, such as a bare "delaunay", errors.
+// TestParseAlgorithms: every EMSTAlgorithm, HDBSCANAlgorithm and Metric
+// constant parses back from its wire name and aliases, in upper case too;
+// "" is MemoGFK; and an unknown name, such as a bare "delaunay", errors.
 func TestParseAlgorithms(t *testing.T) {
 	checkParse(t, ParseEMSTAlgorithm, map[string]EMSTAlgorithm{
 		"": EMSTMemoGFK, "memogfk": EMSTMemoGFK, "gfk": EMSTGFK, "naive": EMSTNaive,
@@ -382,6 +382,11 @@ func TestParseAlgorithms(t *testing.T) {
 	checkParse(t, ParseHDBSCANAlgorithm, map[string]HDBSCANAlgorithm{
 		"": HDBSCANMemoGFK, "memogfk": HDBSCANMemoGFK, "gantao": HDBSCANGanTao, "gantaofull": HDBSCANGanTaoFull,
 	}, "approx")
+	checkParse(t, ParseMetric, map[string]Metric{
+		"l2": MetricL2, "euclidean": MetricL2, "sql2": MetricSqL2, "sqeuclidean": MetricSqL2,
+		"l1": MetricL1, "manhattan": MetricL1, "linf": MetricLInf, "chebyshev": MetricLInf,
+		"angular": MetricAngular, "cosine": MetricAngular,
+	}, "mahalanobis")
 }
 
 // checkParse checks parse against the wire names, and that every constant

@@ -113,7 +113,7 @@ func TestBuildReportContract(t *testing.T) {
 			coalesced: func(c IndexStats) int64 { return c.DendrogramCoalesced },
 			report:    func(ix *Index) (Stats, error) { return hierReport(ix.HDBSCAN(10)) },
 			direct:    directHDBSCAN(pts, 10),
-			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseDendrogram},
+			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseRefresh, mst.PhaseDendrogram},
 		},
 		{
 			name:      "single-linkage",
@@ -121,7 +121,7 @@ func TestBuildReportContract(t *testing.T) {
 			coalesced: func(c IndexStats) int64 { return c.DendrogramCoalesced },
 			report:    func(ix *Index) (Stats, error) { return hierReport(ix.SingleLinkage()) },
 			direct:    directEMST(pts),
-			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseDendrogram},
+			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseRefresh, mst.PhaseDendrogram},
 		},
 		{
 			name:      "emst",
@@ -129,7 +129,7 @@ func TestBuildReportContract(t *testing.T) {
 			coalesced: func(c IndexStats) int64 { return c.MSTCoalesced },
 			report:    func(ix *Index) (Stats, error) { return ix.EMSTBuildReport(EMSTMemoGFK) },
 			direct:    directEMST(pts),
-			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseWSPD, mst.PhaseKruskal},
+			phases:    []Phase{mst.PhaseBuildTree, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseRefresh},
 		},
 	}
 	for _, tc := range cases {
@@ -199,7 +199,7 @@ func TestBuildReportCoversItsOwnFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPhases(t, h.BuildReport(), mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseDendrogram)
+	checkPhases(t, h.BuildReport(), mst.PhaseCoreDist, mst.PhaseWSPD, mst.PhaseKruskal, mst.PhaseRefresh, mst.PhaseDendrogram)
 }
 
 // TestBuildReportAfterInsert: a mutation drops the memoized stages, and the
