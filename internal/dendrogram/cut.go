@@ -22,22 +22,17 @@ import (
 // keeps a reference to coreDist, which callers must not mutate.
 type Cutter struct {
 	n int
-	// heights[j] is the weight of merge j; ascending. left/right[j] are the
-	// merge-forest children (ids < n are points, n+i is merge i).
+	// heights[j] is the weight of merge j; ascending. In the merge forest
+	// ids below n are points and n+j is merge j; parent[x] is the merge
+	// that absorbs node x, always a larger id, or math.MaxInt32 at a root.
 	heights []float64
-	left    []int32
-	right   []int32
+	parent  []int32
 	// coreDist is in point order (nil: every point is core); sortedCD is
 	// its ascending copy for O(log n) noise counts.
 	coreDist []float64
 	sortedCD []float64
 
-	scratch sync.Pool // *cutScratch, reused across queries
-}
-
-type cutScratch struct {
-	comp []int32 // node id -> partial-forest root id
-	id   []int32 // root id -> dense cluster label (-1 unseen)
+	scratch sync.Pool // *[]int32: CutAt's per-merge roots, reused across queries
 }
 
 // NewCutter precomputes the cut structure for the spanning tree (or forest)
@@ -57,9 +52,11 @@ func NewCutter(n int, edges []mst.Edge, coreDist []float64) *Cutter {
 	c := &Cutter{
 		n:        n,
 		heights:  make([]float64, 0, len(sorted)),
-		left:     make([]int32, 0, len(sorted)),
-		right:    make([]int32, 0, len(sorted)),
+		parent:   make([]int32, n, n+len(sorted)),
 		coreDist: coreDist,
+	}
+	for i := range c.parent {
+		c.parent[i] = math.MaxInt32
 	}
 	// Replay the merges once: cur[root] is the forest node currently
 	// representing root's component.
@@ -73,10 +70,10 @@ func NewCutter(n int, edges []mst.Edge, coreDist []float64) *Cutter {
 		if ru == rv {
 			continue // not a tree edge; harmless to skip
 		}
-		id := int32(n + len(c.heights))
+		id := int32(len(c.parent))
 		c.heights = append(c.heights, e.W)
-		c.left = append(c.left, cur[ru])
-		c.right = append(c.right, cur[rv])
+		c.parent[cur[ru]], c.parent[cur[rv]] = id, id
+		c.parent = append(c.parent, math.MaxInt32)
 		uf.Union(e.U, e.V)
 		cur[uf.Find(e.U)] = id
 	}
@@ -84,7 +81,7 @@ func NewCutter(n int, edges []mst.Edge, coreDist []float64) *Cutter {
 		c.sortedCD = append([]float64(nil), coreDist...)
 		sort.Float64s(c.sortedCD)
 	}
-	c.scratch.New = func() any { return &cutScratch{} }
+	c.scratch.New = func() any { return new([]int32) }
 	return c
 }
 
@@ -94,44 +91,52 @@ func (c *Cutter) N() int { return c.n }
 // CutAt extracts the flat DBSCAN* clustering at radius eps: points whose
 // core distance exceeds eps are noise; the remaining points are grouped by
 // the precomputed merges of height at most eps. Labels are numbered in
-// first-seen point order, exactly matching CutTree.
+// first-seen point order, exactly matching CutTree. It writes only the
+// labels and a k-entry scratch, for the k merges it applies.
 func (c *Cutter) CutAt(eps float64) Clustering {
 	labels := make([]int32, c.n)
 	k := 0
 	if !math.IsNaN(eps) { // NaN admits no merge (matches e.W <= eps)
 		k = sort.Search(len(c.heights), func(i int) bool { return c.heights[i] > eps })
 	}
-	s := c.scratch.Get().(*cutScratch)
+	s := c.scratch.Get().(*[]int32)
 	defer c.scratch.Put(s)
-	tot := c.n + k
-	if cap(s.comp) < tot {
-		s.comp = make([]int32, tot)
-		s.id = make([]int32, tot)
+	if cap(*s) < k {
+		*s = make([]int32, k)
 	}
-	comp, id := s.comp[:tot], s.id[:tot]
-	for i := range comp {
-		comp[i] = int32(i)
-		id[i] = -1
+	// root[j] is the applied merge at the top of merge j's cut tree: a
+	// parent is a larger id, so a descending pass resolves it first, and a
+	// parent at or above n+k is not applied.
+	root, top := (*s)[:k], int32(c.n+k)
+	for j := k - 1; j >= 0; j-- {
+		if p := c.parent[c.n+j]; p < top {
+			root[j] = root[p-int32(c.n)]
+		} else {
+			root[j] = int32(j)
+		}
 	}
-	// Propagate each applied merge's component id down to its children;
-	// scanning ids descending resolves parents before children.
-	for x := tot - 1; x >= c.n; x-- {
-		cc := comp[x]
-		comp[c.left[x-c.n]] = cc
-		comp[c.right[x-c.n]] = cc
-	}
+	// A labelled root holds -(label+1) in place of its own index.
 	next := int32(0)
 	for i := 0; i < c.n; i++ {
 		if c.coreDist != nil && c.coreDist[i] > eps {
 			labels[i] = -1
 			continue
 		}
-		r := comp[i]
-		if id[r] < 0 {
-			id[r] = next
+		p := c.parent[i]
+		if p >= top { // a point no applied merge absorbs is its own cluster
+			labels[i] = next
+			next++
+			continue
+		}
+		j := p - int32(c.n)
+		if root[j] >= 0 {
+			j = root[j]
+		}
+		if root[j] >= 0 { // an unlabelled root
+			root[j] = -(next + 1)
 			next++
 		}
-		labels[i] = id[r]
+		labels[i] = -root[j] - 1
 	}
 	return Clustering{Labels: labels, NumClusters: int(next)}
 }

@@ -3,6 +3,7 @@ package dendrogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,4 +121,54 @@ func TestCutterConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// FuzzCutAt checks Cutter.CutAt against CutTree on random forests: trees of
+// every shape with tied weights, up to 2,000 points, with a fuzz-chosen
+// share of their edges dropped and core distances absent or drawn from the
+// weights' alphabet. Each forest is cut at every merge height, halfway
+// between them, below them all, and at NaN and ±Inf.
+func FuzzCutAt(f *testing.F) {
+	for shape := range uint8(numShapes) {
+		f.Add(int64(shape), shape, uint16(300), uint8(3), uint8(0), false)
+		f.Add(int64(shape)+10, shape, uint16(1999), uint8(9), uint8(60), true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, nRaw uint16, alphabet uint8, drop uint8, core bool) {
+		rng := rand.New(rand.NewSource(seed))
+		n, a := 1+int(nRaw%2000), 1+int(alphabet%16)
+		edges := shapedTree(rng, int(shape%numShapes), n, a)
+		edges = slices.DeleteFunc(edges, func(mst.Edge) bool { return rng.Intn(256) < int(drop) })
+		var cd []float64
+		if core {
+			cd = make([]float64, n)
+			for i := range cd {
+				cd[i] = float64(rng.Intn(a + 1))
+			}
+		}
+		c := NewCutter(n, edges, cd)
+		epsList := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+		for w := range a + 1 {
+			epsList = append(epsList, float64(w), float64(w)-0.5)
+		}
+		for _, eps := range epsList {
+			got, want := c.CutAt(eps), CutTree(n, edges, cd, eps)
+			if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+				t.Fatalf("n=%d, %d edges, eps=%v: %d clusters %v, want %d %v", n, len(edges), eps, got.NumClusters, got.Labels, want.NumClusters, want.Labels)
+			}
+			if noise := c.NumNoiseAt(eps); noise != countNoise(want.Labels) {
+				t.Fatalf("n=%d eps=%v: NumNoiseAt %d, want %d", n, eps, noise, countNoise(want.Labels))
+			}
+		}
+	})
+}
+
+// countNoise counts the noise labels (-1).
+func countNoise(labels []int32) int {
+	k := 0
+	for _, l := range labels {
+		if l == -1 {
+			k++
+		}
+	}
+	return k
 }

@@ -21,6 +21,17 @@ import (
 // a fork above spawnSize gives a branch its own buffer, and KruskalBatch
 // filters and sorts the batch in place. Returned edges carry original ids
 // in Kruskal acceptance order.
+//
+// On a float32 tree (memoRun.brute) two shortcuts leave the output as it
+// is. beta starts at bruteSize, not 2 (see bruteSize): the windows of any
+// beta schedule are ascending and contiguous and KruskalBatch orders each
+// batch by Less, so the schedule moves only the window ends. And each
+// brute-scanned block keeps only its spanning forest (blockForest), whose
+// dropped edges KruskalBatch would reject. The one gap is at a window end:
+// two edges whose squared weights fall on either side of it but whose
+// emitted weights round to the same value reach Kruskal in window order
+// rather than in Less order, so another schedule could keep the other of
+// the two.
 func MemoGFK(cfg Config) []Edge {
 	t := cfg.Tree
 	n := t.Pts.N
@@ -34,6 +45,9 @@ func MemoGFK(cfg Config) []Edge {
 	ws.grow(n)
 	r := newMemoRun(cfg, ws.comp)
 	beta := 2
+	if r.brute {
+		beta = bruteSize
+	}
 	rhoLo := 0.0
 	for round := 0; len(ws.out) < n-1; round++ {
 		if round >= roundCap(cfg, n) {
@@ -91,13 +105,15 @@ type memoRun struct {
 	sq bool      // window space is squared
 	cd []float64 // kd-order core distances under squared mutual reachability
 
-	// brute marks a squared run on a float32 tree, which changes two
-	// things in getPairsPair: small non-separated pairs take the
-	// brute-force scan cutoff instead of recursing (traversal overhead
-	// dominates high-dim runs), and window tests re-evaluate the returned
-	// BCCP pair exactly (see bccp). comp holds the per-position component
-	// labels the scan filters with (the workspace array refreshed each
-	// round).
+	// brute marks a squared run on a float32 tree, which changes three
+	// things: small non-separated pairs in getPairsPair take the
+	// brute-force scan instead of recursing (traversal overhead dominates
+	// high-dim runs) and keep only the scanned block's spanning forest,
+	// window tests re-evaluate the returned BCCP pair exactly (see bccp),
+	// and beta starts at bruteSize. None of them changes the output (see
+	// MemoGFK for the one gap). comp holds the per-position round-start
+	// component labels the scan and the forest filter with (the workspace
+	// array refreshed each round).
 	brute bool
 	comp  []int32
 }
@@ -291,7 +307,9 @@ func (r *memoRun) getPairsPair(p, q *kdtree.Node, beta int, rhoLo, rhoHi float64
 		return 1
 	}
 	if r.brute && p.Size()+q.Size() <= bruteSize {
+		start := len(*out)
 		r.brutePairs(p, q, rhoLo, rhoHi, out)
+		*out = (*out)[:start+r.blockForest(p, q, (*out)[start:])]
 		return 0
 	}
 	if p.IsLeaf() {
@@ -333,14 +351,21 @@ func (r *memoRun) exactSqWeight(u, v int32) float64 {
 	return w
 }
 
-// bruteSize is the combined-cardinality cutoff below which getPairsPair
-// stops recursing on non-well-separated pairs and scans the cross product
-// directly (float32 mode only).
+// bruteSize is the combined-cardinality cutoff at or below which
+// getPairsPair stops recursing on non-well-separated pairs and scans the
+// cross product directly (float32 mode only). It is also where beta starts
+// on float32 trees. GetRho then bounds rho_hi only by pairs larger than a
+// block, so the early rounds take wider windows: a block's scan costs the
+// same whatever its window, and blockForest keeps the wider batches small.
+// Any beta schedule gives the same edges, up to the window-end gap named
+// at MemoGFK.
 const bruteSize = 64
 
 // brutePairs replaces the sub-recursion below a small, non-separated node
-// pair with one pass over the two kd-contiguous row ranges, emitting every
-// cross-component edge whose squared weight lands in the round's window.
+// pair (a block) with one pass over the two kd-contiguous row ranges,
+// emitting every cross-component edge whose squared weight lands in the
+// round's window; getPairsPair then keeps only the block's spanning forest
+// of them (blockForest), which drops only edges KruskalBatch would reject.
 // The recursion would bottom out in singleton pairs — which are always
 // well-separated — so its emitted edge set is a subset of this one, and
 // Kruskal discards the extra true-weight edges; what the scan saves is the
@@ -390,4 +415,105 @@ func (r *memoRun) brutePairs(p, q *kdtree.Node, rhoLo, rhoHi float64, out *[]Edg
 			}
 		}
 	}
+}
+
+// blockForest takes es, the edges brutePairs emitted for the block (p, q),
+// moves the block's minimum spanning forest under Compare to the front of
+// es and returns its length. Its vertices are the round-start components
+// (r.comp): an edge is kept unless lighter edges of the block, joined by
+// links inside round-start components, already connect its ends. A dropped
+// edge is then the Less-maximum of a cycle of such edges and links, so
+// KruskalBatch, which scans the round's batch in Less order over a
+// union-find holding the round-start components, would reject it; a
+// rejected edge changes no state, so the accepted edges and their order
+// stay as they were. On a float32 tree, PairsMaterialized and
+// PeakPairsResident therefore count forest edges.
+//
+// The block's edges join distinct point pairs, so Compare orders them
+// strictly and the forest is unique. blockForest finds it by Borůvka
+// rounds, which need no sort: each round drops the edges whose ends are
+// joined and joins every component to its least remaining edge.
+func (r *memoRun) blockForest(p, q *kdtree.Node, es []Edge) int {
+	if len(es) < 2 {
+		return len(es)
+	}
+	// A local union-find over the block's slots, p's points first; each
+	// slot starts under the first slot of its round-start component.
+	np, k := p.Size(), p.Size()+q.Size()
+	var label [bruteSize]int32
+	var parent [bruteSize]uint8
+	copy(label[:np], r.comp[p.Lo:p.Hi])
+	copy(label[np:k], r.comp[q.Lo:q.Hi])
+	for i := range k {
+		parent[i] = uint8(i)
+		if i > 0 && label[i] == label[i-1] {
+			parent[i] = parent[i-1]
+			continue
+		}
+		for j := range i {
+			if label[j] == label[i] {
+				parent[i] = uint8(j)
+				break
+			}
+		}
+	}
+	slot := func(x int32) int {
+		if x >= p.Lo && x < p.Hi {
+			return int(x - p.Lo)
+		}
+		return np + int(x-q.Lo)
+	}
+	// es[:kept] holds the forest so far and es[kept:live] the edges whose
+	// ends it does not join yet.
+	kept, live := 0, len(es)
+	for {
+		var best [bruteSize]int16 // per root: 1 + index of its least edge
+		n := kept
+		for _, e := range es[kept:live] {
+			a, b := findSlot(&parent, slot(e.U)), findSlot(&parent, slot(e.V))
+			if a == b {
+				continue
+			}
+			es[n] = e
+			if best[a] == 0 || Less(e, es[best[a]-1]) {
+				best[a] = int16(n + 1)
+			}
+			if best[b] == 0 || Less(e, es[best[b]-1]) {
+				best[b] = int16(n + 1)
+			}
+			n++
+		}
+		if n == kept {
+			return kept
+		}
+		live = n
+		var chosen [bruteSize * bruteSize / 4 / 64]uint64 // a block has at most (bruteSize/2)² edges
+		for x := range k {
+			if best[x] == 0 {
+				continue
+			}
+			j := best[x] - 1
+			e := es[j]
+			if a, b := findSlot(&parent, slot(e.U)), findSlot(&parent, slot(e.V)); a != b {
+				parent[a] = b
+				chosen[j/64] |= 1 << (j % 64)
+			} // else both ends chose this edge
+		}
+		for i := kept; i < live; i++ {
+			if chosen[i/64]&(1<<(i%64)) != 0 {
+				es[kept], es[i] = es[i], es[kept]
+				kept++
+			}
+		}
+	}
+}
+
+// findSlot returns the root of slot x in blockForest's union-find, halving
+// the path on the way.
+func findSlot(parent *[bruteSize]uint8, x int) uint8 {
+	for int(parent[x]) != x {
+		parent[x] = parent[parent[x]]
+		x = int(parent[x])
+	}
+	return uint8(x)
 }

@@ -10,6 +10,7 @@ import (
 	"parclust/internal/geometry"
 	"parclust/internal/kdtree"
 	"parclust/internal/metric"
+	"parclust/internal/unionfind"
 )
 
 // brutePairsRef is the full brute-force scan brutePairs replaced: every
@@ -150,4 +151,163 @@ func TestBrutePairsMatchesFullScan(t *testing.T) {
 			t.Logf("dim=%d %T: %d edges compared", dim, m, emitted)
 		}
 	}
+}
+
+// forestRef is blockForest from its definition: a Kruskal pass over the
+// block's edges in Less order, on a union-find whose vertices are the
+// component labels.
+func forestRef(comp []int32, es []Edge) []Edge {
+	es = slices.Clone(es)
+	slices.SortFunc(es, Compare)
+	parent := map[int32]int32{}
+	find := func(x int32) int32 {
+		for {
+			p, ok := parent[x]
+			if !ok {
+				return x
+			}
+			x = p
+		}
+	}
+	var out []Edge
+	for _, e := range es {
+		if a, b := find(comp[e.U]), find(comp[e.V]); a != b {
+			parent[a] = b
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// labelSeededUF returns a union-find over the positions of comp in which
+// positions with equal labels are already joined, as the round-start
+// union-find joins each component.
+func labelSeededUF(comp []int32) *unionfind.UF {
+	uf := unionfind.New(len(comp))
+	first := map[int32]int32{}
+	for i, l := range comp {
+		if f, ok := first[l]; ok {
+			uf.Union(f, int32(i))
+		} else {
+			first[l] = int32(i)
+		}
+	}
+	return uf
+}
+
+// checkBlockForest runs blockForest on a copy of the block edges es of
+// (p, q) and fails unless it keeps forestRef's edges, and unless
+// KruskalBatch, from a label-seeded union-find, accepts the same edges in
+// the same order from the forest as from all of es. It returns how many
+// edges the forest kept.
+func checkBlockForest(t *testing.T, r *memoRun, p, q *kdtree.Node, es []Edge) int {
+	t.Helper()
+	forest := slices.Clone(es)
+	forest = forest[:r.blockForest(p, q, forest)]
+	if want := forestRef(r.comp, es); !slices.Equal(slices.SortedFunc(slices.Values(forest), Compare), want) {
+		t.Fatalf("nodes [%d,%d)x[%d,%d): forest %v, want %v", p.Lo, p.Hi, q.Lo, q.Hi, forest, want)
+	}
+	got := KruskalBatch(forest, labelSeededUF(r.comp), nil)
+	want := KruskalBatch(slices.Clone(es), labelSeededUF(r.comp), nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("nodes [%d,%d)x[%d,%d): Kruskal accepts %v from the forest, %v from the scan", p.Lo, p.Hi, q.Lo, q.Hi, got, want)
+	}
+	return len(forest)
+}
+
+// TestBlockForest checks blockForest on the brute-force scans of small
+// node pairs of float32 trees, for EMST and mutual reachability, with 3,
+// 40 and all-distinct component labels: it keeps what a Kruskal pass over
+// the labels keeps, and Kruskal accepts from the forest what it accepts
+// from the whole scan.
+func TestBlockForest(t *testing.T) {
+	for _, dim := range []int{2, 16} {
+		pts := bruteTestPoints(300, dim, int64(dim))
+		tr := kdtree.BuildMetric(pts, 1, metric.L2{})
+		if err := tr.EnableFloat32(); err != nil {
+			t.Fatal(err)
+		}
+		tr.AnnotateCoreDists(tr.CoreDistances(10))
+		pairs := bruteNodePairs(tr, tr.Root, nil)
+		rng := rand.New(rand.NewSource(int64(dim)))
+		for _, labels := range []int{3, 40, pts.N} {
+			comp := make([]int32, pts.N)
+			for i := range comp {
+				comp[i] = int32(rng.Intn(labels))
+			}
+			for _, m := range []kdtree.Metric{kdtree.NewEuclidean(tr), kdtree.NewMutualReachability(tr)} {
+				r := newMemoRun(Config{Tree: tr, Metric: m}, comp)
+				scanned, kept := 0, 0
+				for _, pq := range pairs {
+					p, q := pq[0], pq[1]
+					ends := windowEnds(r, p, q)
+					for w := 0; w < 3; w++ {
+						i, j := rng.Intn(len(ends)), rng.Intn(len(ends))
+						var es []Edge
+						r.brutePairs(p, q, ends[min(i, j)], ends[max(i, j)], &es)
+						kept += checkBlockForest(t, r, p, q, es)
+						scanned += len(es)
+					}
+				}
+				if kept == 0 || kept == scanned {
+					t.Fatalf("dim=%d labels=%d %T: the forests kept %d of %d edges", dim, labels, m, kept, scanned)
+				}
+				t.Logf("dim=%d labels=%d %T: the forests kept %d of %d edges", dim, labels, m, kept, scanned)
+			}
+		}
+	}
+}
+
+// FuzzBlockForest checks blockForest on blocks decoded from the fuzz
+// input. data[0] and data[1] size the nodes p and q (together at most
+// bruteSize points), data[2] orders them in kd order and sets the label
+// alphabet: few labels repeat within and across the nodes, so many points
+// are joined before the block is. Each label byte then follows, one per
+// point; each later (u, v, w) triple adds the edge between p's point u and
+// q's point v, with one of four weights, so most edges tie, unless the two
+// share a label or the pair has an edge already.
+func FuzzBlockForest(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 1, 0, 2, 2, 2})
+	f.Add([]byte{8, 8, 0x13, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 0, 1, 1, 0, 2, 2, 1, 7, 7, 3, 3, 4, 0})
+	f.Add([]byte{31, 33, 0xff, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		np := 1 + int(data[0])%(bruteSize-1)
+		nq := 1 + int(data[1])%(bruteSize-np)
+		alphabet := 1 + int(data[2]>>1)%(np+nq)
+		pLo, qLo := int32(0), int32(np+5) // a gap between the nodes
+		if data[2]&1 == 1 {
+			pLo, qLo = int32(nq+5), 0
+		}
+		p := &kdtree.Node{Lo: pLo, Hi: pLo + int32(np)}
+		q := &kdtree.Node{Lo: qLo, Hi: qLo + int32(nq)}
+		comp := make([]int32, max(p.Hi, q.Hi))
+		for i := range comp {
+			comp[i] = int32(1000 + i) // positions outside both nodes
+		}
+		rest := data[3:]
+		for _, n := range []*kdtree.Node{p, q} {
+			for u := n.Lo; u < n.Hi; u++ {
+				if len(rest) > 0 {
+					comp[u] = int32(int(rest[0]) % alphabet)
+					rest = rest[1:]
+				}
+			}
+		}
+		var es []Edge
+		var seen [bruteSize][bruteSize]bool
+		for i := 0; i+2 < len(rest); i += 3 {
+			a, b := int(rest[i])%np, int(rest[i+1])%nq
+			u, v := p.Lo+int32(a), q.Lo+int32(b)
+			// As in brutePairs, which meets each pair once and skips
+			// joined ones.
+			if !seen[a][b] && comp[u] != comp[v] {
+				seen[a][b] = true
+				es = append(es, MakeEdge(u, v, float64(rest[i+2]%4)))
+			}
+		}
+		checkBlockForest(t, &memoRun{comp: comp}, p, q, es)
+	})
 }

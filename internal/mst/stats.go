@@ -51,9 +51,10 @@ type Stats struct {
 	//   - MemoGFK stores no pairs. It counts the candidate edges each round
 	//     retrieves into its Kruskal batch (the sum over rounds, and the
 	//     largest batch): one edge per in-window BCCP on a float64 tree,
-	//     but on a float32 tree also every in-window edge of each small
-	//     node pair it brute-force scans, so there the counts can run far
-	//     above BCCPComputed.
+	//     but on a float32 tree also the forest edges of each small node
+	//     pair it brute-force scans (the minimum spanning forest of the
+	//     pair's in-window edges over the round's components, all a block
+	//     keeps), so there the counts can run above BCCPComputed.
 	//   - ApproxOPTICS counts its WSPD pairs in PairsMaterialized and its
 	//     candidate edges in PeakPairsResident.
 	//   - Borůvka and the Delaunay EMST record neither.
